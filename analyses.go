@@ -1,7 +1,6 @@
 package rprism
 
 import (
-	"repro/internal/diff"
 	"repro/internal/impact"
 	"repro/internal/protocol"
 )
@@ -26,28 +25,10 @@ type ProtocolViolation = protocol.Violation
 // protocols (protocol drift across versions).
 type ProtocolChange = protocol.Change
 
-// InferProtocol infers the object protocol of a class from the trace's
-// target-object views.
-//
-// Deprecated: use (*Engine).Infer with a Source.
-func InferProtocol(w *Web, class string) *ProtocolModel { return protocol.Infer(w, class) }
-
 // DiffProtocols reports transitions present in exactly one of two
 // inferred protocols.
 func DiffProtocols(old, new *ProtocolModel) []ProtocolChange { return protocol.DiffModels(old, new) }
 
-// CheckProtocol verifies every object of the declared class follows the
-// typestate property, returning all violations in trace order.
-//
-// Deprecated: use (*Engine).Check with a Source.
-func CheckProtocol(w *Web, d ProtocolDecl) []ProtocolViolation { return protocol.CheckTrace(w, d) }
-
 // ImpactSurface ranks the methods, classes, objects, and threads touched
 // by the behavioural differences of a trace pair.
 type ImpactSurface = impact.Surface
-
-// ComputeImpact builds the impact surface of a differencing result.
-//
-// Deprecated: use (*Engine).Impact with Sources, which diffs and ranks
-// in one cancellable call.
-func ComputeImpact(res *diff.Result) *ImpactSurface { return impact.Compute(res) }

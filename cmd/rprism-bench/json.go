@@ -647,7 +647,7 @@ func writeJSONReport(path string) error {
 		rec.SlowdownVsLocal = rec.NsPerOp / hydratedNs
 	}
 
-	// The cluster serve rows: one GET /diff through the HTTP API when
+	// The cluster serve rows: one POST /run/diff through the HTTP API when
 	// the receiving node owns the left digest (local) and when the
 	// request lands on the peer (one buffered forwarding hop). The delta
 	// is the cluster tax — proxying, not recomputing.
@@ -708,7 +708,7 @@ func clusterServeRows(record func(string, func(*testing.B)) *BenchRecord,
 
 	upload := func(tr *trace.Trace) (string, error) {
 		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
+		if err := tr.WriteRSEG(&buf); err != nil {
 			return "", err
 		}
 		req, err := http.NewRequest(http.MethodPut, nodes[0].URL+"/traces", &buf)
@@ -749,8 +749,12 @@ func clusterServeRows(record func(string, func(*testing.B)) *BenchRecord,
 	if clusters[0].Owner(ld).ID == "b" {
 		ownerURL, otherURL = otherURL, ownerURL
 	}
-	get := func(b *testing.B, base string) {
-		resp, err := http.Get(base + "/diff?left=" + lid + "&right=" + rid)
+	body, err := json.Marshal(server.RunRequest{Traces: map[string]string{"left": lid, "right": rid}})
+	if err != nil {
+		return 0, nil, err
+	}
+	post := func(b *testing.B, base string) {
+		resp, err := http.Post(base+"/run/diff", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -765,14 +769,14 @@ func clusterServeRows(record func(string, func(*testing.B)) *BenchRecord,
 	rec := record("ServeDiffLocal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			get(b, ownerURL)
+			post(b, ownerURL)
 		}
 	})
 	localNs := rec.NsPerOp
 	rec = record("ServeDiffForwarded", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			get(b, otherURL)
+			post(b, otherURL)
 		}
 	})
 	return localNs, rec, nil

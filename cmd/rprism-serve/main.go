@@ -8,7 +8,7 @@
 //
 //	rprism trace -src prog.mj -out run.trace
 //	curl -T run.trace http://localhost:8372/traces        # -> {"id": "..."}
-//	curl "http://localhost:8372/diff?left=ID1&right=ID2"
+//	curl -d '{"traces": {"left": "ID1", "right": "ID2"}}' http://localhost:8372/run/diff
 //
 // With -blob-bucket the corpus gains a third tier behind memory and
 // disk: every stored trace is written through to an S3-compatible
@@ -168,8 +168,8 @@ func run(cfg serveConfig) error {
 		}
 	}
 
-	// One Engine per process: the server dispatches every analysis —
-	// legacy endpoints and POST /run/{analysis} alike — through it. The
+	// One Engine per process: the server dispatches every analysis
+	// request (POST /run/{analysis}) through it. The
 	// engine's own worker budget mirrors the server pool so intra-diff
 	// workers are clamped to the same slots the requests occupy: a lone
 	// big diff fans out across the machine, a full queue degrades every

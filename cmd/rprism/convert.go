@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bufio"
+	"encoding/gob"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -10,7 +13,9 @@ import (
 	"repro/internal/trace"
 )
 
-// cmdConvert migrates traces to the RSEG columnar format.
+// cmdConvert migrates traces to the RSEG columnar format. It is the one
+// reader left for the gob encoding of earlier releases: the loaders
+// everywhere else take RSEG and JSONL only.
 //
 //	rprism convert -trace run.trace [-out new.trace] [-compress]
 //	rprism convert -dir corpusOrSegmentDir [-compress]
@@ -50,18 +55,18 @@ func cmdConvert(args []string) error {
 // With dst == "" the source is rewritten in place (and skipped when it
 // already is RSEG); otherwise the converted copy is written to dst.
 func convertFile(src, dst string, opts trace.RSEGOptions) (string, error) {
-	format, err := trace.SniffFile(src)
+	format, err := sourceFormat(src)
 	if err != nil {
-		return "", fmt.Errorf("convert: %w", err)
+		return "", err
 	}
 	inPlace := dst == ""
 	if inPlace {
-		if format == trace.FormatRSEG {
+		if format == "rseg" {
 			return fmt.Sprintf("%s: already rseg, skipped", src), nil
 		}
 		dst = src
 	}
-	t, err := loadForConvert(src)
+	t, err := loadForConvert(src, format)
 	if err != nil {
 		return "", err
 	}
@@ -83,15 +88,15 @@ func convertDir(dir string, opts trace.RSEGOptions) error {
 	}
 	converted, skipped := 0, 0
 	for _, p := range segs {
-		format, err := trace.SniffFile(p)
+		format, err := sourceFormat(p)
 		if err != nil {
-			return fmt.Errorf("convert: %w", err)
+			return err
 		}
-		if format == trace.FormatRSEG {
+		if format == "rseg" {
 			skipped++
 			continue
 		}
-		t, err := loadForConvert(p)
+		t, err := loadForConvert(p, format)
 		if err != nil {
 			return err
 		}
@@ -126,15 +131,56 @@ func convertDir(dir string, opts trace.RSEGOptions) error {
 	return nil
 }
 
-// loadForConvert loads a source trace with the CLI's friendly error
-// translation (a corrupt input names its file and offset rather than
-// surfacing a raw decode error).
-func loadForConvert(path string) (*trace.Trace, error) {
+// sourceFormat names the encoding of a file to convert: "rseg" or
+// "jsonl" as sniffed, and "gob" for any other prefix — gob streams have
+// no magic, so a file that is not gob either fails in loadForConvert.
+func sourceFormat(path string) (string, error) {
+	format, err := trace.SniffFile(path)
+	var fe *trace.FormatError
+	switch {
+	case err == nil:
+		return format.String(), nil
+	case errors.As(err, &fe):
+		return "gob", nil
+	default:
+		return "", fmt.Errorf("convert: %w", err)
+	}
+}
+
+// loadForConvert loads a source trace in the named format, with the
+// CLI's friendly error translation (a corrupt input names its file and
+// offset rather than surfacing a raw decode error).
+func loadForConvert(path, format string) (*trace.Trace, error) {
+	if format == "gob" {
+		t, err := readGob(path)
+		if err != nil {
+			return nil, fmt.Errorf("convert: %q is not a trace file (neither RSEG, JSONL, nor the gob of earlier releases): %w", path, err)
+		}
+		return t, nil
+	}
 	t, err := loadTraceFile("trace", path)
 	if err != nil {
 		return nil, fmt.Errorf("convert: %w", err)
 	}
 	return t, nil
+}
+
+// readGob decodes a trace file written with encoding/gob, the on-disk
+// format before RSEG. The stream carries the canonical strings; Sym
+// fields stored by the writing process are ids into its symbol table,
+// so they are re-interned into this process's table.
+func readGob(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var t trace.Trace
+	if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&t); err != nil {
+		return nil, fmt.Errorf("gob decode: %w", err)
+	}
+	t.RehashSyms()
+	return &t, nil
 }
 
 // writeVerified writes t as RSEG to a temporary file next to dst, loads

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,12 +23,44 @@ func convertFixture() *trace.Trace {
 	return tr
 }
 
+// writeGob saves a trace with encoding/gob, as releases before RSEG
+// wrote trace files and corpus segments.
+func writeGob(t *testing.T, tr *trace.Trace, path string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeJSONL saves a trace as JSONL.
+func writeJSONL(t *testing.T, tr *trace.Trace, path string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteJSONL(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConvertSingleFile(t *testing.T) {
 	tr := convertFixture()
 	want := tr.ComputeDigest()
 	path := filepath.Join(t.TempDir(), "run.trace")
-	if err := tr.SaveFormat(path, trace.FormatGob); err != nil {
-		t.Fatal(err)
+	writeGob(t, tr, path)
+	if _, err := trace.Load(path); err == nil {
+		t.Fatal("a gob file loaded outside convert")
 	}
 
 	if _, err := convertFile(path, "", trace.RSEGOptions{}); err != nil {
@@ -59,9 +92,7 @@ func TestConvertToSeparateOutput(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "run.jsonl")
 	dst := filepath.Join(dir, "run.rseg")
-	if err := tr.SaveFormat(src, trace.FormatJSONL); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONL(t, tr, src)
 	if _, err := convertFile(src, dst, trace.RSEGOptions{Compress: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +110,11 @@ func TestConvertToSeparateOutput(t *testing.T) {
 }
 
 func TestConvertCorpusDir(t *testing.T) {
-	// A corpus written by an earlier gob-only version: force gob segments,
-	// then convert the directory in place and reopen it.
+	// A corpus written by an earlier gob-only version: rewrite every
+	// segment as gob, check the store refuses it with the migration
+	// command, then convert the directory in place and reopen it.
 	dir := t.TempDir()
-	store, err := corpus.New(dir, corpus.Options{SegmentLimit: 8, SegmentFormat: trace.FormatGob})
+	store, err := corpus.New(dir, corpus.Options{SegmentLimit: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +123,27 @@ func TestConvertCorpusDir(t *testing.T) {
 	if err != nil || !created {
 		t.Fatalf("Put = %v, %v", created, err)
 	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if len(segs) < 2 {
+		t.Fatalf("corpus has %d segments, want several", len(segs))
+	}
+	for _, p := range segs {
+		seg, err := trace.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeGob(t, seg, p)
+	}
+	legacy, err := corpus.New(dir, corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := legacy.Get(id); err == nil || !strings.Contains(err.Error(), "rprism convert -dir") {
+		t.Fatalf("gob corpus read: err = %v, want one naming rprism convert -dir", err)
+	}
 
 	if err := convertDir(dir, trace.RSEGOptions{}); err != nil {
 		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if len(segs) == 0 {
-		t.Fatal("corpus has no segments")
 	}
 	for _, p := range segs {
 		if f, err := trace.SniffFile(p); err != nil || f != trace.FormatRSEG {
@@ -127,10 +173,7 @@ func TestConvertCorpusDir(t *testing.T) {
 func TestConvertRefusesCorruptInput(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.seg")
-	tr := convertFixture()
-	if err := tr.SaveFormat(path, trace.FormatJSONL); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONL(t, convertFixture(), path)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -151,5 +194,35 @@ func TestConvertRefusesCorruptInput(t *testing.T) {
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*rseg-tmp*")); len(tmps) != 0 {
 		t.Errorf("convert left temp files behind: %v", tmps)
+	}
+}
+
+// TestConvertGoldenGob converts the golden gob fixture of the trace
+// package's compatibility suite and checks the RSEG result carries the
+// pinned canonical digest every other golden encoding loads to.
+func TestConvertGoldenGob(t *testing.T) {
+	fixtures := filepath.Join("..", "..", "internal", "trace", "testdata")
+	raw, err := os.ReadFile(filepath.Join(fixtures, "golden.digest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(raw))
+	out := filepath.Join(t.TempDir(), "golden.rseg")
+	msg, err := convertFile(filepath.Join(fixtures, "golden.gob"), out, trace.RSEGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(msg, "gob → rseg") {
+		t.Errorf("report %q does not name the conversion", msg)
+	}
+	if f, err := trace.SniffFile(out); err != nil || f != trace.FormatRSEG {
+		t.Fatalf("converted file sniffs as %v, %v", f, err)
+	}
+	got, err := trace.Load(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.ComputeDigest().String(); d != want {
+		t.Errorf("converted digest %s, want pinned %s", d, want)
 	}
 }

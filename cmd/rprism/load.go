@@ -10,7 +10,7 @@ import (
 )
 
 // loadTraceFile loads a trace for a CLI flag, translating low-level I/O
-// and gob-decode failures into actionable messages. Every subcommand
+// and decode failures into actionable messages. Every subcommand
 // funnels trace reads through here so a missing or corrupt file exits
 // with a clear diagnosis and a non-zero status instead of a raw decode
 // error.
@@ -21,6 +21,9 @@ func loadTraceFile(flagName, path string) (*rprism.Trace, error) {
 	}
 	var fe *trace.FormatError
 	switch {
+	case errors.As(err, &fe) && !isSniffable(path):
+		return nil, fmt.Errorf("-%s: %q is not a valid trace file: neither RSEG nor JSONL (a gob trace of an earlier release migrates with 'rprism convert -trace %s')",
+			flagName, path, path)
 	case errors.As(err, &fe):
 		return nil, fmt.Errorf("-%s: trace file %q is damaged: %s data is malformed at byte offset %d: %s (the file may be truncated or partially written; re-record it or restore from a backup)",
 			flagName, path, fe.Format, fe.Offset, fe.Msg)
@@ -35,6 +38,13 @@ func loadTraceFile(flagName, path string) (*rprism.Trace, error) {
 		return nil, fmt.Errorf("-%s: %q is not a valid trace file: %v (expected the binary format written by 'rprism trace' or SaveTrace)",
 			flagName, path, err)
 	}
+}
+
+// isSniffable reports whether the file starts like an RSEG or JSONL
+// trace, telling a foreign or legacy file apart from a damaged one.
+func isSniffable(path string) bool {
+	_, err := trace.SniffFile(path)
+	return err == nil
 }
 
 func isDirectory(path string) bool {

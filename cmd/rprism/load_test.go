@@ -29,6 +29,8 @@ func TestLoadTraceFileErrors(t *testing.T) {
 	if err := os.WriteFile(truncated, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	legacy := filepath.Join(dir, "legacy.trace")
+	writeGob(t, good, legacy)
 	valid := filepath.Join(dir, "valid.trace")
 	if err := good.Save(valid); err != nil {
 		t.Fatal(err)
@@ -46,6 +48,9 @@ func TestLoadTraceFileErrors(t *testing.T) {
 		// names the file, the format, and the byte offset of the damage.
 		{"truncated file", "trace", truncated,
 			[]string{"-trace", "damaged", truncated, "rseg", "byte offset"}},
+		// A gob file of an earlier release names the migration command.
+		{"gob file", "left", legacy,
+			[]string{"-left", "not a valid trace file", "rprism convert -trace " + legacy}},
 		{"directory", "left", dir,
 			[]string{"-left", "directory"}},
 		{"valid file", "left", valid, nil},

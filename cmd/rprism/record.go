@@ -66,7 +66,6 @@ func cmdRecord(ctx context.Context, args []string) error {
 	var match, exclude multiFlag
 	fs.Var(&match, "match", "weave only packages matching this pattern (repeatable; cmd/go ... wildcards)")
 	fs.Var(&exclude, "exclude", "do not weave packages matching this pattern (repeatable)")
-	weaveMode := fs.String("weave-mode", "overlay", "weave build integration: overlay or toolexec")
 	weaveDeps := fs.Bool("weave-deps", false, "also weave the target's module dependencies (stdlib is never woven)")
 	weaveKeep := fs.Bool("weave-keep", false, "keep the weave work directory (rewritten sources, overlay, config)")
 	weaveSrc := fs.String("weave-src", "", "rprism source checkout providing the capture runtime (default: $"+weave.EnvRuntimeSrc+" or auto-detected)")
@@ -103,17 +102,12 @@ func cmdRecord(ctx context.Context, args []string) error {
 	}
 
 	if *weaveOn {
-		mode, err := weave.ParseMode(*weaveMode)
-		if err != nil {
-			return fmt.Errorf("record: %w", err)
-		}
 		res, err := weave.Weave(ctx, weave.Config{
 			Patterns:    argv[:1],
 			Match:       match,
 			Exclude:     exclude,
 			IncludeDeps: *weaveDeps,
 			RuntimeDir:  *weaveSrc,
-			Mode:        mode,
 			KeepWork:    *weaveKeep,
 			Stderr:      os.Stderr,
 		})

@@ -98,7 +98,7 @@ func TestCmdFlakyLocalFiles(t *testing.T) {
 	for v := 0; v < 3; v++ {
 		tr := subjects.GenCorpusTrace(1, v, 60)
 		p := filepath.Join(dir, tr.Name+".trace")
-		if err := tr.SaveFormat(p, trace.FormatGob); err != nil {
+		if err := tr.Save(p); err != nil {
 			t.Fatal(err)
 		}
 		paths = append(paths, p)

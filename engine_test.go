@@ -11,7 +11,11 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/diff"
+	"repro/internal/protocol"
+	"repro/internal/regression"
 	"repro/internal/trace"
+	"repro/internal/views"
 )
 
 // slowSyntheticPair builds two single-threaded traces with no entry in
@@ -125,7 +129,8 @@ func compileAndRun(t *testing.T, src string) *RunResult {
 }
 
 // TestEngineMatchesLegacyPipeline checks the Engine path returns exactly
-// what the deprecated free functions return on the same traces.
+// what the internal packages, called directly without the engine's
+// caches and worker budget, return on the same traces.
 func TestEngineMatchesLegacyPipeline(t *testing.T) {
 	v2 := strings.Replace(v1, "c.bump(2);", "c.bump(3);", 1)
 	r1 := compileAndRun(t, v1)
@@ -134,7 +139,7 @@ func TestEngineMatchesLegacyPipeline(t *testing.T) {
 	eng := NewEngine()
 	ctx := context.Background()
 
-	want := Diff(r1.Trace, r2.Trace, DiffOptions{})
+	want := diff.ViewDiff(r1.Trace, r2.Trace, diff.ViewOptions{})
 	got, err := eng.Diff(ctx, FromTrace(r1.Trace), FromTrace(r2.Trace))
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +149,7 @@ func TestEngineMatchesLegacyPipeline(t *testing.T) {
 			got.NumDiffs(), len(got.Sequences), want.NumDiffs(), len(want.Sequences))
 	}
 
-	wantAn, err := AnalyzeRegression(RegressionInput{
+	wantAn, err := regression.Analyze(regression.Input{
 		OrigCorrect: r1.Trace, NewCorrect: r1.Trace,
 		OrigRegr: r1.Trace, NewRegr: r2.Trace,
 	})
@@ -163,7 +168,7 @@ func TestEngineMatchesLegacyPipeline(t *testing.T) {
 			gotAn.Sizes, len(gotAn.D), wantAn.Sizes, len(wantAn.D))
 	}
 
-	wantModel := InferProtocol(BuildViews(r1.Trace), "Counter")
+	wantModel := protocol.Infer(views.Build(r1.Trace), "Counter")
 	gotModel, err := eng.Infer(ctx, FromTrace(r1.Trace), "Counter")
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +339,7 @@ func TestRegistryDiffHonorsParams(t *testing.T) {
 	eng := NewEngine()
 	ctx := context.Background()
 
-	want := Diff(r1.Trace, r2.Trace, DiffOptions{Window: 5, Radius: 2})
+	want := diff.ViewDiff(r1.Trace, r2.Trace, diff.ViewOptions{Window: 5, Radius: 2})
 	out, err := eng.RunAnalysis(ctx, "diff", AnalysisRequest{
 		Sources: map[string]Source{"left": FromTrace(r1.Trace), "right": FromTrace(r2.Trace)},
 		Params:  json.RawMessage(`{"window": 5, "radius": 2}`),

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -25,7 +26,11 @@ func main() {
 	fmt.Printf("orig transform: %q\n", strings.TrimSpace(tr.Outputs["orig-regr"]))
 	fmt.Printf("new  transform: %q\n\n", strings.TrimSpace(tr.Outputs["new-regr"]))
 
-	d := rprism.Diff(tr.OrigRegr, tr.NewRegr, rprism.DiffOptions{})
+	d, err := rprism.NewEngine().Diff(context.Background(),
+		rprism.FromTrace(tr.OrigRegr), rprism.FromTrace(tr.NewRegr))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("views-based diff: %d differences in %d sequences\n\n",
 		d.NumDiffs(), len(d.Sequences))
 

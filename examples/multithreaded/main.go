@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,12 @@ func main() {
 	m := views.MatchThreads(tr.OrigRegr, tr.NewRegr)
 	fmt.Printf("thread correlation (XTH): %v\n\n", m.Pairs)
 
-	d := rprism.Diff(tr.OrigRegr, tr.NewRegr, rprism.DiffOptions{})
+	ctx := context.Background()
+	eng := rprism.NewEngine()
+	d, err := eng.Diff(ctx, rprism.FromTrace(tr.OrigRegr), rprism.FromTrace(tr.NewRegr))
+	if err != nil {
+		log.Fatal(err)
+	}
 	perThread := map[int]int{}
 	for _, id := range d.DiffLeft {
 		perThread[int(tr.OrigRegr.Entries[id].TID)]++
@@ -38,7 +44,10 @@ func main() {
 	fmt.Println(" carries the compilation-abort divergence)")
 	fmt.Println()
 
-	web := rprism.BuildViews(tr.OrigRegr)
+	web, err := eng.Views(ctx, rprism.FromTrace(tr.OrigRegr))
+	if err != nil {
+		log.Fatal(err)
+	}
 	c := web.Count()
 	fmt.Printf("view web over the original trace: %d views (%d thread, %d method, %d target-object, %d active-object)\n",
 		c.Total, c.Thread, c.Method, c.TargetObject, c.ActiveObject)

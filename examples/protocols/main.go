@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -87,5 +88,9 @@ func traceWeb(src string) *rprism.Web {
 	if res.Err != nil {
 		log.Fatal(res.Err)
 	}
-	return rprism.BuildViews(res.Trace)
+	web, err := rprism.NewEngine().Views(context.Background(), rprism.FromTrace(res.Trace))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return web
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,13 +36,18 @@ func main() {
 	left := mustTrace(original, "v1")
 	right := mustTrace(buggy, "v2")
 
-	d := rprism.Diff(left, right, rprism.DiffOptions{})
+	ctx := context.Background()
+	eng := rprism.NewEngine()
+	d, err := eng.Diff(ctx, rprism.FromTrace(left), rprism.FromTrace(right))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("=== semantic diff (views-based) ===")
 	fmt.Print(d.Format(10))
 	fmt.Printf("\ncompare operations: %d\n", d.Stats.Compares)
 
 	// The same pair under the quadratic LCS baseline, for comparison.
-	l, err := rprism.DiffLCS(left, right, rprism.LCSOptions{})
+	l, err := eng.DiffLCS(ctx, rprism.FromTrace(left), rprism.FromTrace(right), rprism.LCSOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,11 +29,11 @@ func main() {
 	fmt.Printf("original output (regressing input): %q\n", tr.Outputs["orig-regr"])
 	fmt.Printf("new      output (regressing input): %q\n\n", tr.Outputs["new-regr"])
 
-	an, err := rprism.AnalyzeRegression(rprism.RegressionInput{
-		OrigCorrect: tr.OrigCorrect,
-		NewCorrect:  tr.NewCorrect,
-		OrigRegr:    tr.OrigRegr,
-		NewRegr:     tr.NewRegr,
+	an, err := rprism.NewEngine().AnalyzeRegression(context.Background(), rprism.RegressionSources{
+		OrigCorrect: rprism.FromTrace(tr.OrigCorrect),
+		NewCorrect:  rprism.FromTrace(tr.NewCorrect),
+		OrigRegr:    rprism.FromTrace(tr.OrigRegr),
+		NewRegr:     rprism.FromTrace(tr.NewRegr),
 	})
 	if err != nil {
 		log.Fatal(err)

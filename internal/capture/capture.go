@@ -76,9 +76,6 @@ type Options struct {
 	// Client is the HTTP client for streaming (default http.DefaultClient
 	// with a 30s timeout).
 	Client *http.Client
-	// SegmentFormat is the on-disk encoding of captured segments (disk
-	// capture only). The zero value is the default format, RSEG.
-	SegmentFormat trace.Format
 	// RetryAttempts bounds how many times a stream request is tried
 	// against transient failures — transport errors (connection reset)
 	// and 5xx responses — before giving up (default 4). Definitive 4xx
@@ -178,7 +175,7 @@ func Start(opts Options) (*Recorder, error) {
 	}
 	r := &Recorder{opts: opts}
 	if opts.Dir != "" {
-		w, err := trace.NewSegmentWriterFormat(opts.Dir, opts.Name, opts.SegmentLimit, opts.SegmentFormat)
+		w, err := trace.NewSegmentWriter(opts.Dir, opts.Name, opts.SegmentLimit)
 		if err != nil {
 			return nil, fmt.Errorf("capture: %w", err)
 		}

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/blob"
-	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -218,24 +217,6 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 	return m, nil
 }
 
-// Prefetch pulls a bucket-resident trace into the local disk tier
-// without decoding it — the cluster's warm-hint path hydrates likely
-// diff partners ahead of the diff that will need them. Already-local
-// traces are a no-op.
-func (s *Store) Prefetch(ctx context.Context, id trace.Digest) error {
-	_, err := s.hydrate(ctx, id, false)
-	return err
-}
-
-// IsLocalTrace reports whether id holds disk-tier files on this node
-// (false for traces resolvable only through the bucket).
-func (s *Store) IsLocalTrace(id trace.Digest) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[id]
-	return ok
-}
-
 // removeLocalFiles deletes a trace's disk-tier files (segments and
 // sidecars), ignoring what is already gone.
 func (s *Store) removeLocalFiles(id trace.Digest) {
@@ -357,39 +338,4 @@ func (s *Store) ListAll(ctx context.Context) ([]Meta, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// RemoteSketch resolves a trace's similarity sketch without hydrating
-// the trace: in-memory map first, then the bucket's sketch object.
-// The cluster's warm-hint prefetcher shortlists diff partners with it
-// — pulling a few KB of sketch instead of a whole segment set.
-func (s *Store) RemoteSketch(ctx context.Context, id trace.Digest) (*index.Sketch, error) {
-	s.mu.Lock()
-	if sk, ok := s.sketches[id]; ok {
-		s.mu.Unlock()
-		return sk, nil
-	}
-	_, local := s.index[id]
-	s.mu.Unlock()
-	if local {
-		return s.Sketch(id)
-	}
-	if s.blob == nil {
-		s.mu.Lock()
-		err := s.notFoundLocked(id)
-		s.mu.Unlock()
-		return nil, err
-	}
-	raw, err := s.blobGet(ctx, s.blobKey(id.String()+".sketch.json"))
-	if err != nil {
-		if errors.Is(err, blob.ErrNotFound) {
-			return nil, fmt.Errorf("%w: no sketch for %s in blob tier", ErrNotFound, id)
-		}
-		return nil, fmt.Errorf("corpus: remote sketch %s: %w", id, err)
-	}
-	sk, err := index.UnmarshalSketch(raw)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: remote sketch %s: %w", id, err)
-	}
-	return sk, nil
 }

@@ -4,7 +4,7 @@
 //
 // Three tiers hold a trace:
 //
-//   - a disk tier of gob segments written through trace.SegmentWriter
+//   - a disk tier of RSEG segments written through trace.SegmentWriter
 //     (the §5 segmentation mechanism reused as the durable format), with
 //     a small JSON sidecar of metadata per trace;
 //   - an LRU of decoded *trace.Trace values, bounding resident entries;
@@ -65,11 +65,6 @@ type Options struct {
 	// and rejects corrupted content. Costs one canonical-encoding pass
 	// per cache miss.
 	VerifyOnLoad bool
-	// SegmentFormat is the on-disk encoding of newly written segments
-	// (default trace.FormatRSEG, the binary columnar format). Reads sniff
-	// per segment, so a store holding legacy gob segments keeps serving
-	// them regardless of this setting; `rprism convert` migrates in place.
-	SegmentFormat trace.Format
 	// MaxSessions bounds concurrently open live-capture sessions
 	// (default 64). Sessions hold their entries and incremental webs in
 	// memory, so without a cap abandoned recorders (crashed clients that
@@ -126,18 +121,14 @@ type Stats struct {
 	SessionEntries int   `json:"session_entries"`  // entries buffered across open sessions
 	TraceCacheLen  int   `json:"trace_cache_len"`
 	WebCacheLen    int   `json:"web_cache_len"`
-	TraceHits      int64 `json:"trace_hits"`
-	TraceMisses    int64 `json:"trace_misses"` // disk loads
-	WebHits        int64 `json:"web_hits"`     // served an already-built web
-	WebBuilds      int64 `json:"web_builds"`   // actual views.Build runs
-	WebWaits       int64 `json:"web_waits"`    // coalesced onto another goroutine's build
-	Evictions      int64 `json:"evictions"`    // trace + web LRU evictions
+	WebWaits       int64 `json:"web_waits"` // coalesced onto another goroutine's build
+	Evictions      int64 `json:"evictions"` // trace + web LRU evictions
 	Puts           int64 `json:"puts"`
 	Dedups         int64 `json:"dedups"` // Puts that found the digest already stored
-	// TraceCache and WebCache are the per-LRU hit/miss/eviction
-	// breakdowns (the aggregate fields above predate them and remain for
-	// compatibility). A web-cache miss is a views.Build run; web-cache
-	// waits coalesced onto another goroutine's build stay in WebWaits.
+	// TraceCache and WebCache are the per-LRU hit/miss/eviction counts:
+	// a trace-cache miss is a disk load, a web-cache miss a views.Build
+	// run. Web-cache waits coalesced onto another goroutine's build are
+	// WebWaits.
 	TraceCache metrics.CacheSnapshot `json:"trace_cache"`
 	WebCache   metrics.CacheSnapshot `json:"web_cache"`
 	// Blob is the object-store tier's counters; nil when no blob tier
@@ -324,7 +315,7 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 	// corrupt this trace.
 	removeSegs()
 
-	w, err := trace.NewSegmentWriterFormat(s.dir, id.String(), s.opts.SegmentLimit, s.opts.SegmentFormat)
+	w, err := trace.NewSegmentWriter(s.dir, id.String(), s.opts.SegmentLimit)
 	if err != nil {
 		return id, false, err
 	}
@@ -709,11 +700,6 @@ func (s *Store) Stats() Stats {
 	st.OpenSessions, st.SessionEntries = s.sessionStats()
 	st.TraceCache = s.traceCache.Snapshot(st.TraceCacheLen, s.opts.TraceCacheSize)
 	st.WebCache = s.webCache.Snapshot(st.WebCacheLen, s.opts.WebCacheSize)
-	// Legacy aggregates, derived from the per-cache counters.
-	st.TraceHits = st.TraceCache.Hits
-	st.TraceMisses = st.TraceCache.Misses
-	st.WebHits = st.WebCache.Hits
-	st.WebBuilds = st.WebCache.Misses
 	st.WebWaits = s.webWaits.Load()
 	st.Evictions = st.TraceCache.Evictions + st.WebCache.Evictions
 	st.Puts = s.puts.Load()

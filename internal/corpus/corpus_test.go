@@ -145,7 +145,7 @@ func TestTraceLRUEviction(t *testing.T) {
 			t.Errorf("trace %d reloaded with %d entries", i, tr.Len())
 		}
 	}
-	if st := s.Stats(); st.TraceMisses == 0 {
+	if st := s.Stats(); st.TraceCache.Misses == 0 {
 		t.Error("evicted Gets did not count disk loads")
 	}
 }
@@ -180,19 +180,19 @@ func TestViewsMemoizedAndSingleFlight(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.WebBuilds != 1 {
-		t.Errorf("web built %d times under concurrency, want 1 (single-flight)", st.WebBuilds)
+	if st.WebCache.Misses != 1 {
+		t.Errorf("web built %d times under concurrency, want 1 (single-flight)", st.WebCache.Misses)
 	}
-	if st.WebHits+st.WebWaits != G-1 {
-		t.Errorf("hits(%d)+waits(%d) != %d", st.WebHits, st.WebWaits, G-1)
+	if st.WebCache.Hits+st.WebWaits != G-1 {
+		t.Errorf("hits(%d)+waits(%d) != %d", st.WebCache.Hits, st.WebWaits, G-1)
 	}
 
 	// A later call is a plain memo hit.
 	if _, err := s.Views(id); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.WebBuilds != 1 {
-		t.Errorf("memoized web rebuilt: %d builds", st.WebBuilds)
+	if st := s.Stats(); st.WebCache.Misses != 1 {
+		t.Errorf("memoized web rebuilt: %d builds", st.WebCache.Misses)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestViewsEvictionRebuilds(t *testing.T) {
 	if _, err := s.Views(a); err != nil { // rebuild
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.WebBuilds != 3 {
-		t.Errorf("builds = %d, want 3 (evicted web rebuilt)", st.WebBuilds)
+	if st := s.Stats(); st.WebCache.Misses != 3 {
+		t.Errorf("builds = %d, want 3 (evicted web rebuilt)", st.WebCache.Misses)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/lcs"
-	"repro/internal/metrics"
 	"repro/internal/regression"
 	"repro/internal/subjects"
 	"repro/internal/views"
@@ -303,8 +302,8 @@ func RunQuant(cfg QuantConfig) ([]QuantResult, error) {
 		} else {
 			q.LCSDiffs = l.NumDiffs()
 			total := origRes.Trace.Len() + newRes.Trace.Len()
-			q.Accuracy = metrics.Accuracy(total, v.NumDiffs(), l.NumDiffs())
-			q.Speedup = metrics.Speedup(float64(l.Stats.Compares), float64(v.Stats.Compares))
+			q.Accuracy = Accuracy(total, v.NumDiffs(), l.NumDiffs())
+			q.Speedup = Speedup(float64(l.Stats.Compares), float64(v.Stats.Compares))
 		}
 		out = append(out, q)
 	}
@@ -326,7 +325,7 @@ func runScript(p *lang.Program, script string) (string, error) {
 
 // Fig14a renders the accuracy histogram.
 func Fig14a(results []QuantResult) string {
-	h := metrics.AccuracyBuckets()
+	h := AccuracyBuckets()
 	for _, r := range results {
 		if !r.LCSFailed {
 			h.Add(r.Accuracy)
@@ -337,7 +336,7 @@ func Fig14a(results []QuantResult) string {
 
 // Fig14b renders the speedup histogram.
 func Fig14b(results []QuantResult) string {
-	h := metrics.SpeedupBuckets()
+	h := SpeedupBuckets()
 	for _, r := range results {
 		if !r.LCSFailed {
 			h.Add(r.Speedup)

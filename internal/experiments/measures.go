@@ -1,13 +1,14 @@
-// Package metrics implements the evaluation measures of §5.1: accuracy
-// (relative number of semantic correlations found by the views-based
-// differencing vs the LCS baseline), speedup (ratio of trace-entry
-// compare operations), and the histogram bucketing of Fig. 14.
-package metrics
+package experiments
 
 import (
 	"fmt"
 	"strings"
 )
+
+// The evaluation measures of §5.1: accuracy (relative number of
+// semantic correlations found by the views-based differencing vs the
+// LCS baseline), speedup (ratio of trace-entry compare operations), and
+// the histogram bucketing of Fig. 14.
 
 // Accuracy is the §5.1 formula:
 //

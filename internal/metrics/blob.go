@@ -59,36 +59,30 @@ func (c *BlobCounters) Snapshot() BlobSnapshot {
 // ClusterCounters are the live observability counters of one cluster
 // node: how often it forwarded requests to the digest-range owner, how
 // often forwarding failed and it fell back to serving from the shared
-// bucket, and the warm-hint prefetcher's activity. All fields are
+// bucket, and how often the one-hop loop guard fired. All fields are
 // updated atomically; a zero value is ready to use.
 type ClusterCounters struct {
-	Forwards         atomic.Int64
-	ForwardErrors    atomic.Int64
-	Fallbacks        atomic.Int64
-	LoopGuarded      atomic.Int64
-	PrefetchHints    atomic.Int64
-	PrefetchHydrates atomic.Int64
+	Forwards      atomic.Int64
+	ForwardErrors atomic.Int64
+	Fallbacks     atomic.Int64
+	LoopGuarded   atomic.Int64
 }
 
 // ClusterSnapshot is a point-in-time JSON-friendly copy of the
 // counters, as surfaced in /stats.
 type ClusterSnapshot struct {
-	Forwards         int64 `json:"forwards"`
-	ForwardErrors    int64 `json:"forward_errors"`
-	Fallbacks        int64 `json:"fallbacks"`
-	LoopGuarded      int64 `json:"loop_guarded"`
-	PrefetchHints    int64 `json:"prefetch_hints"`
-	PrefetchHydrates int64 `json:"prefetch_hydrates"`
+	Forwards      int64 `json:"forwards"`
+	ForwardErrors int64 `json:"forward_errors"`
+	Fallbacks     int64 `json:"fallbacks"`
+	LoopGuarded   int64 `json:"loop_guarded"`
 }
 
 // Snapshot copies the counters.
 func (c *ClusterCounters) Snapshot() ClusterSnapshot {
 	return ClusterSnapshot{
-		Forwards:         c.Forwards.Load(),
-		ForwardErrors:    c.ForwardErrors.Load(),
-		Fallbacks:        c.Fallbacks.Load(),
-		LoopGuarded:      c.LoopGuarded.Load(),
-		PrefetchHints:    c.PrefetchHints.Load(),
-		PrefetchHydrates: c.PrefetchHydrates.Load(),
+		Forwards:      c.Forwards.Load(),
+		ForwardErrors: c.ForwardErrors.Load(),
+		Fallbacks:     c.Fallbacks.Load(),
+		LoopGuarded:   c.LoopGuarded.Load(),
 	}
 }

@@ -1,3 +1,7 @@
+// Package metrics holds the runtime observability counters of the
+// long-running subsystems — caches, the blob tier, cluster forwarding,
+// and the regression sentinel — with their JSON snapshots for /stats.
+// Every counter is atomic, and a zero value is ready to use.
 package metrics
 
 import "sync/atomic"

@@ -1,15 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sort"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -168,80 +164,4 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 		resp.CorpusTraces = s.store.Len()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// ---- warm-hint prefetch ----
-
-const (
-	// prefetchScan bounds how many bucket-resident candidates one hint
-	// examines (a sketch GET each — a few KB, not a segment set).
-	prefetchScan = 32
-	// prefetchTop bounds how many partners one hint hydrates.
-	prefetchTop = 2
-)
-
-// warmHint notes that ids were just diffed (or hydrated) and, in the
-// background, pre-pulls their most similar bucket-resident partners
-// into the local disk tier — the traces a follow-up diff will most
-// likely name next. At most one prefetch runs at a time; hints
-// arriving while one runs are dropped (they are hints, not work).
-func (s *Server) warmHint(ids ...trace.Digest) {
-	if s.cl == nil || !s.store.HasBlob() || len(ids) == 0 {
-		return
-	}
-	select {
-	case s.prefetchSem <- struct{}{}:
-	default:
-		return
-	}
-	go func() {
-		defer func() { <-s.prefetchSem }()
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		for _, id := range ids {
-			s.prefetchPartners(ctx, id)
-		}
-	}()
-}
-
-// prefetchPartners ranks bucket-only traces by sketch similarity to
-// id and hydrates the top few. Sketches compare via the similarity
-// index's MinHash estimate — the same shortlisting the corpus search
-// analyses use.
-func (s *Server) prefetchPartners(ctx context.Context, id trace.Digest) {
-	cc := s.cl.Counters()
-	cc.PrefetchHints.Add(1)
-	sk, err := s.store.RemoteSketch(ctx, id)
-	if err != nil {
-		return
-	}
-	all, err := s.store.ListAll(ctx)
-	if err != nil {
-		return
-	}
-	type cand struct {
-		id  trace.Digest
-		sim float64
-	}
-	var cands []cand
-	for _, m := range all {
-		if len(cands) >= prefetchScan {
-			break
-		}
-		cid, err := trace.ParseDigest(m.ID)
-		if err != nil || cid == id || s.store.IsLocalTrace(cid) {
-			continue
-		}
-		csk, err := s.store.RemoteSketch(ctx, cid)
-		if err != nil {
-			continue
-		}
-		cands = append(cands, cand{cid, index.EstimatedJaccard(sk, csk)})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].sim > cands[j].sim })
-	for i := 0; i < len(cands) && i < prefetchTop; i++ {
-		if err := s.store.Prefetch(ctx, cands[i].id); err == nil {
-			cc.PrefetchHydrates.Add(1)
-		}
-	}
 }

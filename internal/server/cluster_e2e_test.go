@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -174,7 +176,7 @@ func TestClusterServesOversizedCorpus(t *testing.T) {
 		tr := mkClusterTrace(fmt.Sprintf("trace-%d", i), i, 60)
 		node := nodes[i%len(nodes)]
 		var info TraceInfo
-		status, raw := doJSON(t, http.MethodPut, node.url+"/traces", gobBytes(t, tr), &info)
+		status, raw := doJSON(t, http.MethodPut, node.url+"/traces", rsegBytes(t, tr), &info)
 		if status != http.StatusCreated {
 			t.Fatalf("upload %d via %s: status %d: %s", i, node.id, status, raw)
 		}
@@ -234,10 +236,10 @@ func TestClusterNodeKillDiffFallback(t *testing.T) {
 		l := mkClusterTrace(fmt.Sprintf("kill-left-%d", seed), seed, 60)
 		r := mkClusterTrace(fmt.Sprintf("kill-right-%d", seed), seed+1, 60)
 		var li, ri TraceInfo
-		if status, raw := doJSON(t, http.MethodPut, nodes[0].url+"/traces", gobBytes(t, l), &li); status != http.StatusCreated {
+		if status, raw := doJSON(t, http.MethodPut, nodes[0].url+"/traces", rsegBytes(t, l), &li); status != http.StatusCreated {
 			t.Fatalf("upload left: %d: %s", status, raw)
 		}
-		if status, raw := doJSON(t, http.MethodPut, nodes[0].url+"/traces", gobBytes(t, r), &ri); status != http.StatusCreated {
+		if status, raw := doJSON(t, http.MethodPut, nodes[0].url+"/traces", rsegBytes(t, r), &ri); status != http.StatusCreated {
 			t.Fatalf("upload right: %d: %s", status, raw)
 		}
 		if owner := ownerOf(nodes, li.ID); owner != nodes[0].id {
@@ -253,16 +255,15 @@ func TestClusterNodeKillDiffFallback(t *testing.T) {
 		t.Fatal("no generated digest owned by a non-survivor node")
 	}
 
-	diffURL := nodes[0].url + "/diff?left=" + left + "&right=" + right
-	status, before := doJSON(t, http.MethodGet, diffURL, nil, nil)
+	status, before := runDiff(t, nodes[0].url, left, right, 0, nil)
 	if status != http.StatusOK {
 		t.Fatalf("diff with owner alive: status %d: %s", status, before)
 	}
 
 	killNode(t, victim)
 
-	req, _ := http.NewRequest(http.MethodGet, diffURL, nil)
-	resp, err := http.DefaultClient.Do(req)
+	runBody, _ := json.Marshal(RunRequest{Traces: map[string]string{"left": left, "right": right}})
+	resp, err := http.Post(nodes[0].url+"/run/diff", "application/json", bytes.NewReader(runBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestClusterLoopGuard(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
 	tr := mkClusterTrace("loop-guard", 3, 60)
 	var info TraceInfo
-	if status, raw := doJSON(t, http.MethodPut, nodes[0].url+"/traces", gobBytes(t, tr), &info); status != http.StatusCreated {
+	if status, raw := doJSON(t, http.MethodPut, nodes[0].url+"/traces", rsegBytes(t, tr), &info); status != http.StatusCreated {
 		t.Fatalf("upload: %d: %s", status, raw)
 	}
 	owner := ownerOf(nodes, info.ID)
@@ -338,7 +339,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr := mkClusterTrace(fmt.Sprintf("stats-%d", i), i, 60)
 		var info TraceInfo
-		if status, raw := doJSON(t, http.MethodPut, nodes[i%3].url+"/traces", gobBytes(t, tr), &info); status != http.StatusCreated {
+		if status, raw := doJSON(t, http.MethodPut, nodes[i%3].url+"/traces", rsegBytes(t, tr), &info); status != http.StatusCreated {
 			t.Fatalf("upload: %d: %s", status, raw)
 		}
 		ids = append(ids, info.ID)
@@ -384,48 +385,5 @@ func TestClusterStatsAggregation(t *testing.T) {
 		if p.ID == nodes[2].id && p.Healthy {
 			t.Fatalf("dead peer reported healthy: %+v", p)
 		}
-	}
-}
-
-// TestClusterWarmHintPrefetch: a completed diff triggers the background
-// prefetcher, which hydrates similar bucket-resident traces onto the
-// serving node's disk tier.
-func TestClusterWarmHintPrefetch(t *testing.T) {
-	nodes := startCluster(t, 3, 8)
-	// A family of similar traces: shared member universe, shifted seeds,
-	// so sketch similarity is high across the family.
-	var ids []string
-	for i := 0; i < 5; i++ {
-		tr := mkClusterTrace(fmt.Sprintf("warm-%d", i), i, 80)
-		var info TraceInfo
-		if status, raw := doJSON(t, http.MethodPut, nodes[0].url+"/traces", gobBytes(t, tr), &info); status != http.StatusCreated {
-			t.Fatalf("upload: %d: %s", status, raw)
-		}
-		ids = append(ids, info.ID)
-	}
-	// Diff two of them on whichever node owns the left digest: that node
-	// serves locally and fires the warm hint.
-	owner := ownerOf(nodes, ids[0])
-	var serving *clusterNode
-	for _, n := range nodes {
-		if n.id == owner {
-			serving = n
-		}
-	}
-	if status, raw := doJSON(t, http.MethodGet,
-		serving.url+"/diff?left="+ids[0]+"&right="+ids[1], nil, nil); status != http.StatusOK {
-		t.Fatalf("diff: %d: %s", status, raw)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cc := serving.srv.cl.Counters()
-		if cc.PrefetchHints.Load() >= 1 && cc.PrefetchHydrates.Load() >= 1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetcher idle: hints=%d hydrates=%d",
-				cc.PrefetchHints.Load(), cc.PrefetchHydrates.Load())
-		}
-		time.Sleep(25 * time.Millisecond)
 	}
 }

@@ -95,12 +95,10 @@ func TestShortPrefixRefResolves(t *testing.T) {
 	gi := upload(t, ts, good)
 	bi := upload(t, ts, bad)
 	var full, short DiffResponse
-	if status, raw := doJSON(t, http.MethodGet,
-		fmt.Sprintf("%s/diff?left=%s&right=%s", ts.URL, gi.ID, bi.ID), nil, &full); status != http.StatusOK {
+	if status, raw := runDiff(t, ts.URL, gi.ID, bi.ID, 0, &full); status != http.StatusOK {
 		t.Fatalf("full-digest diff: %d %s", status, raw)
 	}
-	if status, raw := doJSON(t, http.MethodGet,
-		fmt.Sprintf("%s/diff?left=%s&right=%s", ts.URL, gi.ID[:10], bi.ID[:10]), nil, &short); status != http.StatusOK {
+	if status, raw := runDiff(t, ts.URL, gi.ID[:10], bi.ID[:10], 0, &short); status != http.StatusOK {
 		t.Fatalf("short-prefix diff: %d %s", status, raw)
 	}
 	// Left/Right echo the request refs verbatim, so compare the diff body.
@@ -117,8 +115,7 @@ func TestUnknownDigestListsNearMisses(t *testing.T) {
 	if near == info.ID {
 		t.Skip("pathological digest")
 	}
-	status, raw := doJSON(t, http.MethodGet,
-		fmt.Sprintf("%s/diff?left=%s&right=%s", ts.URL, near, info.ID), nil, nil)
+	status, raw := runDiff(t, ts.URL, near, info.ID, 0, nil)
 	if status != http.StatusNotFound {
 		t.Fatalf("status %d, want 404: %s", status, raw)
 	}

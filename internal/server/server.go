@@ -1,8 +1,8 @@
 // Package server exposes the trace corpus and the analysis engine over
 // an HTTP JSON API — the long-running service face of the repo
-// (rprism-serve). Traces are uploaded once in any trace file format
-// (RSEG, gob, or JSONL — the encoding is sniffed) as written by
-// `rprism trace`, then addressed by content digest for any number of
+// (rprism-serve). Traces are uploaded once as RSEG (as written by
+// `rprism trace`) or JSONL — the encoding is sniffed, and any other body
+// is a 400 — then addressed by content digest for any number of
 // analysis queries; heavy work runs under a bounded worker pool so a
 // burst of requests degrades to queueing, not to unbounded goroutines
 // each building webs, and every analysis runs under the request's
@@ -37,7 +37,7 @@
 //
 // Endpoints:
 //
-//	PUT  /traces                 upload a trace (body: any trace file format)
+//	PUT  /traces                 upload a trace (body: RSEG or JSONL)
 //	POST /traces/stream          stream live capture frames (NDJSON)
 //	GET  /traces                 list stored traces
 //	GET  /traces/{id}            metadata of one trace
@@ -47,8 +47,6 @@
 //	DELETE /sessions/{id}        abort a session without storing it
 //	GET  /analyses               list registered analyses
 //	POST /run/{analysis}         run any registered analysis (JSON body)
-//	GET  /diff?left=&right=      views-based diff (digests or session:<id>)
-//	POST /analyze                four-trace regression protocol (JSON body)
 //	POST /watches                attach a sentinel watch to a session (JSON body)
 //	GET  /watches                list attached watches
 //	GET  /watches/{id}           one watch (divergence + evaluation state)
@@ -58,9 +56,10 @@
 //	GET  /index/stats            similarity-index coverage (sketches, LSH buckets, provenance)
 //	GET  /healthz                liveness + open-session counts
 //
-// Corpus-scale analyses (search, cluster, flaky) dispatch through the
-// same generic POST /run/{analysis} endpoint; trace references there
-// and on /diff also accept git-style short digest prefixes.
+// The built-in analyses (diff, regression, and the corpus-scale search,
+// cluster, flaky) all dispatch through POST /run/{analysis}: trace
+// references in its body are content digests, git-style short digest
+// prefixes, or "session:<id>" for a live capture.
 //
 // Every error response is the JSON envelope
 // {"error": {"code": "...", "message": "..."}} — including the 404/405
@@ -147,10 +146,8 @@ type Server struct {
 	finished      map[string]capture.StreamTraceInfo
 	finishedOrder []string
 
-	// cl is the node's cluster view (nil outside cluster mode);
-	// prefetchSem serializes the warm-hint prefetcher (see cluster.go).
-	cl          *cluster.Cluster
-	prefetchSem chan struct{}
+	// cl is the node's cluster view (nil outside cluster mode).
+	cl *cluster.Cluster
 
 	requests atomic.Int64
 	rejected atomic.Int64 // queue-timeout 503s
@@ -167,13 +164,12 @@ func New(eng *rprism.Engine, opts Options) *Server {
 	}
 	opts = opts.withDefaults()
 	return &Server{
-		eng:         eng,
-		store:       store,
-		opts:        opts,
-		sem:         make(chan struct{}, opts.Workers),
-		streams:     make(map[string]*streamState),
-		cl:          opts.Cluster,
-		prefetchSem: make(chan struct{}, 1),
+		eng:     eng,
+		store:   store,
+		opts:    opts,
+		sem:     make(chan struct{}, opts.Workers),
+		streams: make(map[string]*streamState),
+		cl:      opts.Cluster,
 	}
 }
 
@@ -194,8 +190,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /sessions/{id}", s.handleAbortSession)
 	mux.HandleFunc("GET /analyses", s.handleAnalyses)
 	mux.HandleFunc("POST /run/{analysis}", s.handleRun)
-	mux.HandleFunc("GET /diff", s.handleDiff)
-	mux.HandleFunc("POST /analyze", s.handleAnalyze)
 	mux.HandleFunc("POST /watches", s.handleCreateWatch)
 	mux.HandleFunc("GET /watches", s.handleListWatches)
 	mux.HandleFunc("GET /watches/{id}", s.handleGetWatch)
@@ -387,16 +381,6 @@ type DiffResponse struct {
 	Explorations  int64          `json:"explorations"`
 }
 
-// AnalyzeRequest is the four-trace regression protocol by digest.
-type AnalyzeRequest struct {
-	OrigCorrect string `json:"orig_correct"`
-	NewCorrect  string `json:"new_correct"`
-	OrigRegr    string `json:"orig_regr"`
-	NewRegr     string `json:"new_regr"`
-	Removal     bool   `json:"removal,omitempty"`
-	MaxSeqs     int    `json:"max_sequences,omitempty"`
-}
-
 // AnalyzeResponse reports the candidate set.
 type AnalyzeResponse struct {
 	Sizes      regression.SetSizes `json:"sizes"`
@@ -443,7 +427,7 @@ type StatsResponse struct {
 	// divergences, and webhook deliveries.
 	Sentinel metrics.SentinelSnapshot `json:"sentinel"`
 	// Cluster is present only in cluster mode: this node's identity and
-	// its forwarding/fallback/prefetch counters.
+	// its forwarding/fallback counters.
 	Cluster *ClusterInfo `json:"cluster,omitempty"`
 }
 
@@ -631,9 +615,9 @@ func (s *Server) handleAnalyses(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRun is the generic analysis endpoint: any analysis in the
-// rprism registry, invoked with role-named corpus digests. Results with
-// a dedicated wire form (diff, regression) render exactly as their
-// legacy endpoints do; anything else is marshaled verbatim inside a
+// rprism registry, invoked with role-named corpus digests. Diff and
+// regression results render in their dedicated wire forms (DiffResponse,
+// AnalyzeResponse); anything else is marshaled verbatim inside a
 // RunResponse.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("analysis")
@@ -728,64 +712,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	// In cluster mode the left digest decides ownership: the owner holds
-	// (or hydrates once) both operands' warm caches. Session references
-	// pin the diff to the node holding the live session.
-	if s.maybeForward(w, r, nil, r.URL.Query().Get("left"), r.URL.Query().Get("right")) {
-		return
-	}
-	// Either side may be a stored digest or a live "session:<id>"
-	// reference — diffing a still-running capture against a corpus
-	// baseline is the live-debugging workflow.
-	left, leftSrc, ok := s.querySource(w, r, "left")
-	if !ok {
-		return
-	}
-	right, rightSrc, ok := s.querySource(w, r, "right")
-	if !ok {
-		return
-	}
-	if err := s.acquire(r); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, CodeQueueFull, err)
-		return
-	}
-	defer s.release()
-	ctx, cancel := s.analysisCtx(r)
-	defer cancel()
-	// The legacy endpoint is a thin alias of the registry's "diff"
-	// analysis; both paths share one implementation and one wire form.
-	out, err := s.eng.RunAnalysis(ctx, "diff", rprism.AnalysisRequest{
-		Sources: map[string]rprism.Source{
-			"left":  leftSrc,
-			"right": rightSrc,
-		},
-	})
-	if err != nil {
-		s.writeAnalysisErr(w, err)
-		return
-	}
-	res, ok := out.(*rprism.DiffResult)
-	if !ok {
-		// Register() permits replacing built-ins; a "diff" override with
-		// a foreign result type must not panic the legacy alias.
-		writeErr(w, http.StatusInternalServerError, CodeInternal,
-			fmt.Errorf("analysis \"diff\" returned %T, not a diff result", out))
-		return
-	}
-	// A completed diff hints the prefetcher: pull each operand's most
-	// similar bucket-resident partners onto local disk before the likely
-	// follow-up diff asks for them.
-	var hints []trace.Digest
-	for _, ref := range []string{left, right} {
-		if d, err := trace.ParseDigest(ref); err == nil {
-			hints = append(hints, d)
-		}
-	}
-	s.warmHint(hints...)
-	writeJSON(w, http.StatusOK, diffResponse(left, right, res, intQuery(r, "max", 20)))
-}
-
 func diffResponse(left, right string, res *diff.Result, maxSeqs int) DiffResponse {
 	resp := DiffResponse{
 		Left: left, Right: right,
@@ -818,59 +744,6 @@ func analyzeResponse(an *regression.Analysis, maxSeqs int) AnalyzeResponse {
 		Related:    append([]int{}, an.Related...),
 		Report:     an.Report(maxSeqs),
 	}
-}
-
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req AnalyzeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad JSON body: %w", err))
-		return
-	}
-	sources := make(map[string]rprism.Source, 4)
-	for _, f := range []struct{ field, ref string }{
-		{"orig_correct", req.OrigCorrect},
-		{"new_correct", req.NewCorrect},
-		{"orig_regr", req.OrigRegr},
-		{"new_regr", req.NewRegr},
-	} {
-		src, err := s.sourceRef(f.ref)
-		if err != nil {
-			if errors.Is(err, corpus.ErrSessionNotFound) || errors.Is(err, corpus.ErrNotFound) {
-				writeErr(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("field %q: %w", f.field, err))
-				return
-			}
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("field %q: %w", f.field, err))
-			return
-		}
-		sources[f.field] = src
-	}
-	if err := s.acquire(r); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, CodeQueueFull, err)
-		return
-	}
-	defer s.release()
-	ctx, cancel := s.analysisCtx(r)
-	defer cancel()
-	params, _ := json.Marshal(map[string]bool{"removal": req.Removal})
-	out, err := s.eng.RunAnalysis(ctx, "regression", rprism.AnalysisRequest{
-		Sources: sources,
-		Params:  params,
-	})
-	if err != nil {
-		s.writeAnalysisErr(w, err)
-		return
-	}
-	an, ok := out.(*rprism.RegressionAnalysis)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, CodeInternal,
-			fmt.Errorf("analysis \"regression\" returned %T, not a regression analysis", out))
-		return
-	}
-	maxSeqs := req.MaxSeqs
-	if maxSeqs == 0 {
-		maxSeqs = 10
-	}
-	writeJSON(w, http.StatusOK, analyzeResponse(an, maxSeqs))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -925,27 +798,6 @@ func (s *Server) pathDigest(w http.ResponseWriter, r *http.Request) (trace.Diges
 		return d, false
 	}
 	return d, true
-}
-
-// querySource resolves a query parameter holding a trace reference — a
-// content digest or "session:<id>" — to an engine source plus its label
-// for the response.
-func (s *Server) querySource(w http.ResponseWriter, r *http.Request, key string) (string, rprism.Source, bool) {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("missing query parameter %q", key))
-		return "", nil, false
-	}
-	src, err := s.sourceRef(v)
-	if err != nil {
-		if errors.Is(err, corpus.ErrSessionNotFound) || errors.Is(err, corpus.ErrNotFound) {
-			writeErr(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("parameter %q: %w", key, err))
-		} else {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("parameter %q: %w", key, err))
-		}
-		return "", nil, false
-	}
-	return v, src, true
 }
 
 func intQuery(r *http.Request, key string, def int) int {

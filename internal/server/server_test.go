@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -48,14 +50,25 @@ func tracePair(t *testing.T) (*trace.Trace, *trace.Trace) {
 	return good, bad
 }
 
-// gobBytes serializes a trace exactly as `rprism trace -out` would.
-func gobBytes(t *testing.T, tr *trace.Trace) []byte {
+// rsegBytes serializes a trace exactly as `rprism trace -out` would.
+func rsegBytes(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := tr.WriteRSEG(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// runDiff posts a diff of two trace references to /run/diff, rendering
+// at most maxSeqs sequences (0 = the server default, -1 = all).
+func runDiff(t *testing.T, base, left, right string, maxSeqs int, out any) (int, string) {
+	t.Helper()
+	body, err := json.Marshal(RunRequest{Traces: map[string]string{"left": left, "right": right}, MaxSeqs: maxSeqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doJSON(t, http.MethodPost, base+"/run/diff", body, out)
 }
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
@@ -122,7 +135,7 @@ func doJSON(t *testing.T, method, url string, body []byte, out any) (int, string
 func upload(t *testing.T, ts *httptest.Server, tr *trace.Trace) TraceInfo {
 	t.Helper()
 	var info TraceInfo
-	status, raw := doJSON(t, http.MethodPut, ts.URL+"/traces", gobBytes(t, tr), &info)
+	status, raw := doJSON(t, http.MethodPut, ts.URL+"/traces", rsegBytes(t, tr), &info)
 	if status != http.StatusCreated && status != http.StatusOK {
 		t.Fatalf("upload: status %d: %s", status, raw)
 	}
@@ -130,8 +143,8 @@ func upload(t *testing.T, ts *httptest.Server, tr *trace.Trace) TraceInfo {
 }
 
 // TestEndToEndDiffMatchesCLI is the acceptance path: upload two traces
-// over HTTP and check GET /diff reports exactly the diff the CLI
-// pipeline (gob load + rprism.Diff) produces on the same pair.
+// over HTTP and check POST /run/diff reports exactly the diff the CLI
+// pipeline (trace load + views-based diff) produces on the same pair.
 func TestEndToEndDiffMatchesCLI(t *testing.T) {
 	good, bad := tracePair(t)
 	ts, _ := newTestServer(t, Options{})
@@ -150,19 +163,18 @@ func TestEndToEndDiffMatchesCLI(t *testing.T) {
 
 	// The CLI path: load the same serialized bytes and run the default
 	// views-based diff, as `rprism diff -left good -right bad` does.
-	l, err := trace.ReadFrom(bytes.NewReader(gobBytes(t, good)))
+	l, err := trace.ReadAny("good", bytes.NewReader(rsegBytes(t, good)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := trace.ReadFrom(bytes.NewReader(gobBytes(t, bad)))
+	r, err := trace.ReadAny("bad", bytes.NewReader(rsegBytes(t, bad)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := diff.ViewDiff(l, r, diff.ViewOptions{})
 
 	var got DiffResponse
-	status, raw := doJSON(t, http.MethodGet,
-		fmt.Sprintf("%s/diff?left=%s&right=%s&max=-1", ts.URL, gi.ID, bi.ID), nil, &got)
+	status, raw := runDiff(t, ts.URL, gi.ID, bi.ID, -1, &got)
 	if status != http.StatusOK {
 		t.Fatalf("diff: status %d: %s", status, raw)
 	}
@@ -254,7 +266,13 @@ func TestUploadRejectsNonDenseEIDs(t *testing.T) {
 	tr.Append(1, "M.m/0", trace.Repr{}, trace.Event{Kind: trace.KindCall, Member: "M.m/0"})
 	tr.Append(1, "M.m/0", trace.Repr{}, trace.Event{Kind: trace.KindCall, Member: "M.m/0"})
 	tr.Entries[1].EID = 1 << 20
-	status, raw := doJSON(t, http.MethodPut, ts.URL+"/traces", gobBytes(t, tr), nil)
+	// JSONL carries each entry's id verbatim (the RSEG decoder already
+	// refuses such a file), so the crafted ids reach the corpus check.
+	var body bytes.Buffer
+	if err := tr.WriteJSONL(&body); err != nil {
+		t.Fatal(err)
+	}
+	status, raw := doJSON(t, http.MethodPut, ts.URL+"/traces", body.Bytes(), nil)
 	if status != http.StatusBadRequest {
 		t.Errorf("crafted EIDs: status %d: %s", status, raw)
 	}
@@ -267,7 +285,7 @@ func TestUploadRejectsNonDenseEIDs(t *testing.T) {
 func TestUploadTooLargeIs413(t *testing.T) {
 	good, _ := tracePair(t)
 	ts, _ := newTestServer(t, Options{MaxUploadBytes: 1024})
-	status, raw := doJSON(t, http.MethodPut, ts.URL+"/traces", gobBytes(t, good), nil)
+	status, raw := doJSON(t, http.MethodPut, ts.URL+"/traces", rsegBytes(t, good), nil)
 	if status != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized upload: status %d: %s", status, raw)
 	}
@@ -280,11 +298,11 @@ func TestAnalyzeEndpointMatchesLibrary(t *testing.T) {
 	gi := upload(t, ts, good)
 	bi := upload(t, ts, bad)
 
-	body, _ := json.Marshal(AnalyzeRequest{
-		OrigCorrect: gi.ID, NewCorrect: gi.ID, OrigRegr: gi.ID, NewRegr: bi.ID,
-	})
+	body, _ := json.Marshal(RunRequest{Traces: map[string]string{
+		"orig_correct": gi.ID, "new_correct": gi.ID, "orig_regr": gi.ID, "new_regr": bi.ID,
+	}})
 	var got AnalyzeResponse
-	status, raw := doJSON(t, http.MethodPost, ts.URL+"/analyze", body, &got)
+	status, raw := doJSON(t, http.MethodPost, ts.URL+"/run/regression", body, &got)
 	if status != http.StatusOK {
 		t.Fatalf("analyze: %d %s", status, raw)
 	}
@@ -317,13 +335,18 @@ func TestErrorPaths(t *testing.T) {
 		{"bad digest", http.MethodGet, ts.URL + "/traces/zzzz", nil, http.StatusBadRequest, CodeBadRequest},
 		{"unknown trace", http.MethodGet, ts.URL + "/traces/" + strings.Repeat("ab", 32), nil, http.StatusNotFound, CodeNotFound},
 		{"unknown views", http.MethodGet, ts.URL + "/traces/" + strings.Repeat("ab", 32) + "/views", nil, http.StatusNotFound, CodeNotFound},
-		{"diff missing param", http.MethodGet, ts.URL + "/diff?left=" + gi.ID, nil, http.StatusBadRequest, CodeBadRequest},
-		{"diff unknown right", http.MethodGet,
-			ts.URL + "/diff?left=" + gi.ID + "&right=" + strings.Repeat("cd", 32), nil, http.StatusNotFound, CodeNotFound},
-		{"analyze bad body", http.MethodPost, ts.URL + "/analyze", []byte("{"), http.StatusBadRequest, CodeBadRequest},
-		{"analyze bad digest", http.MethodPost, ts.URL + "/analyze",
-			[]byte(`{"orig_correct":"xx","new_correct":"xx","orig_regr":"xx","new_regr":"xx"}`),
+		{"run unknown right", http.MethodPost, ts.URL + "/run/diff",
+			[]byte(`{"traces":{"left":"` + gi.ID + `","right":"` + strings.Repeat("cd", 32) + `"}}`),
+			http.StatusNotFound, CodeNotFound},
+		{"run bad body", http.MethodPost, ts.URL + "/run/regression", []byte("{"), http.StatusBadRequest, CodeBadRequest},
+		{"run regression bad digest", http.MethodPost, ts.URL + "/run/regression",
+			[]byte(`{"traces":{"orig_correct":"xx","new_correct":"xx","orig_regr":"xx","new_regr":"xx"}}`),
 			http.StatusBadRequest, CodeBadRequest},
+		// The removed alias routes answer like any unknown endpoint.
+		{"removed GET /diff", http.MethodGet, ts.URL + "/diff?left=" + gi.ID + "&right=" + gi.ID, nil,
+			http.StatusNotFound, "not_found"},
+		{"removed POST /analyze", http.MethodPost, ts.URL + "/analyze", []byte(`{}`),
+			http.StatusNotFound, "not_found"},
 		{"run unknown analysis", http.MethodPost, ts.URL + "/run/nope", []byte(`{}`),
 			http.StatusNotFound, CodeUnknownAnaly},
 		{"run bad digest", http.MethodPost, ts.URL + "/run/diff",
@@ -355,7 +378,6 @@ func TestConcurrentDiffsSingleFlight(t *testing.T) {
 	gi := upload(t, ts, good)
 	bi := upload(t, ts, bad)
 
-	url := fmt.Sprintf("%s/diff?left=%s&right=%s", ts.URL, gi.ID, bi.ID)
 	const G = 8
 	results := make([]DiffResponse, G)
 	var wg sync.WaitGroup
@@ -363,7 +385,7 @@ func TestConcurrentDiffsSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if status, raw := doJSON(t, http.MethodGet, url, nil, &results[g]); status != http.StatusOK {
+			if status, raw := runDiff(t, ts.URL, gi.ID, bi.ID, 0, &results[g]); status != http.StatusOK {
 				t.Errorf("goroutine %d: status %d: %s", g, status, raw)
 			}
 		}(g)
@@ -379,8 +401,8 @@ func TestConcurrentDiffsSingleFlight(t *testing.T) {
 	if status, raw := doJSON(t, http.MethodGet, ts.URL+"/stats", nil, &stats); status != http.StatusOK {
 		t.Fatalf("stats: %d %s", status, raw)
 	}
-	if stats.Corpus.WebBuilds != 2 {
-		t.Errorf("web builds = %d under %d concurrent diffs, want 2 (single-flight)", stats.Corpus.WebBuilds, G)
+	if stats.Corpus.WebCache.Misses != 2 {
+		t.Errorf("web builds = %d under %d concurrent diffs, want 2 (single-flight)", stats.Corpus.WebCache.Misses, G)
 	}
 	if stats.Corpus.Traces != 2 || stats.Symbols.Distinct == 0 {
 		t.Errorf("stats sanity: %+v", stats)
@@ -466,68 +488,76 @@ func TestAnalysesEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunDiffMatchesLegacyEndpoint checks POST /run/diff returns exactly
-// what GET /diff returns on the same pair.
+// TestRunDiffMatchesLegacyEndpoint checks the migration of a former
+// GET /diff?left=L&right=R&max=N caller: POST /run/diff with the same
+// refs as the left/right roles and max_sequences=N answers in the same
+// wire form — labels echoing the refs, N sequences rendered and the rest
+// counted, a negative N rendering all, 20 by default.
 func TestRunDiffMatchesLegacyEndpoint(t *testing.T) {
 	good, bad := tracePair(t)
 	ts, _ := newTestServer(t, Options{})
 	gi := upload(t, ts, good)
 	bi := upload(t, ts, bad)
 
-	var legacy DiffResponse
-	status, raw := doJSON(t, http.MethodGet,
-		fmt.Sprintf("%s/diff?left=%s&right=%s", ts.URL, gi.ID, bi.ID), nil, &legacy)
-	if status != http.StatusOK {
-		t.Fatalf("legacy diff: %d %s", status, raw)
-	}
-
-	body, _ := json.Marshal(RunRequest{Traces: map[string]string{"left": gi.ID, "right": bi.ID}})
-	var generic DiffResponse
-	status, raw = doJSON(t, http.MethodPost, ts.URL+"/run/diff", body, &generic)
-	if status != http.StatusOK {
+	var all DiffResponse
+	if status, raw := runDiff(t, ts.URL, gi.ID, bi.ID, -1, &all); status != http.StatusOK {
 		t.Fatalf("run diff: %d %s", status, raw)
 	}
-
-	if generic.NumDiffs != legacy.NumDiffs || generic.NumSequences != legacy.NumSequences ||
-		generic.DiffLeft != legacy.DiffLeft || generic.DiffRight != legacy.DiffRight ||
-		generic.Left != legacy.Left || generic.Right != legacy.Right ||
-		len(generic.Sequences) != len(legacy.Sequences) {
-		t.Errorf("generic and legacy diff disagree:\n%+v\n%+v", generic, legacy)
+	if all.Left != gi.ID || all.Right != bi.ID {
+		t.Errorf("labels %q/%q, want the request refs %q/%q", all.Left, all.Right, gi.ID, bi.ID)
 	}
-	if generic.NumDiffs == 0 {
-		t.Error("no differences on the planted-bug pair")
+	if all.NumSequences < 3 || len(all.Sequences) != all.NumSequences || all.MoreSequences != 0 {
+		t.Fatalf("max_sequences=-1 must render every sequence: %d of %d (+%d)",
+			len(all.Sequences), all.NumSequences, all.MoreSequences)
+	}
+	var two DiffResponse
+	if status, raw := runDiff(t, ts.URL, gi.ID, bi.ID, 2, &two); status != http.StatusOK {
+		t.Fatalf("run diff: %d %s", status, raw)
+	}
+	if len(two.Sequences) != 2 || two.MoreSequences != all.NumSequences-2 || two.NumDiffs != all.NumDiffs {
+		t.Errorf("max_sequences=2: %d rendered, %d more, %d diffs; want 2, %d, %d",
+			len(two.Sequences), two.MoreSequences, two.NumDiffs, all.NumSequences-2, all.NumDiffs)
+	}
+	var def DiffResponse
+	if status, raw := runDiff(t, ts.URL, gi.ID, bi.ID, 0, &def); status != http.StatusOK {
+		t.Fatalf("run diff: %d %s", status, raw)
+	}
+	if want := min(all.NumSequences, 20); len(def.Sequences) != want {
+		t.Errorf("default renders %d sequences, want %d", len(def.Sequences), want)
 	}
 }
 
-// TestRunRegressionMatchesLegacyEndpoint checks POST /run/regression
-// returns exactly what POST /analyze returns on the same protocol.
+// TestRunRegressionMatchesLegacyEndpoint checks the migration of a
+// former POST /analyze caller: its four digest fields become the
+// /run/regression trace roles, "removal" moves into params, and
+// max_sequences keeps its meaning. The removal-mode answer must match
+// the library's (A − B) − C on the same traces.
 func TestRunRegressionMatchesLegacyEndpoint(t *testing.T) {
 	good, bad := tracePair(t)
 	ts, _ := newTestServer(t, Options{})
 	gi := upload(t, ts, good)
 	bi := upload(t, ts, bad)
 
-	legacyBody, _ := json.Marshal(AnalyzeRequest{
-		OrigCorrect: gi.ID, NewCorrect: gi.ID, OrigRegr: gi.ID, NewRegr: bi.ID,
+	body, _ := json.Marshal(RunRequest{
+		Traces: map[string]string{
+			"orig_correct": gi.ID, "new_correct": gi.ID, "orig_regr": gi.ID, "new_regr": bi.ID,
+		},
+		Params:  json.RawMessage(`{"removal": true}`),
+		MaxSeqs: 1,
 	})
-	var legacy AnalyzeResponse
-	status, raw := doJSON(t, http.MethodPost, ts.URL+"/analyze", legacyBody, &legacy)
-	if status != http.StatusOK {
-		t.Fatalf("legacy analyze: %d %s", status, raw)
-	}
-
-	genericBody, _ := json.Marshal(RunRequest{Traces: map[string]string{
-		"orig_correct": gi.ID, "new_correct": gi.ID, "orig_regr": gi.ID, "new_regr": bi.ID,
-	}})
-	var generic AnalyzeResponse
-	status, raw = doJSON(t, http.MethodPost, ts.URL+"/run/regression", genericBody, &generic)
+	var got AnalyzeResponse
+	status, raw := doJSON(t, http.MethodPost, ts.URL+"/run/regression", body, &got)
 	if status != http.StatusOK {
 		t.Fatalf("run regression: %d %s", status, raw)
 	}
 
-	if generic.Sizes != legacy.Sizes || generic.Candidates != legacy.Candidates ||
-		generic.Report != legacy.Report {
-		t.Errorf("generic and legacy regression disagree:\n%+v\n%+v", generic, legacy)
+	a := diff.ViewDiff(good, bad, diff.ViewOptions{})
+	b := diff.ViewDiff(good, good, diff.ViewOptions{})
+	c := diff.ViewDiff(good, bad, diff.ViewOptions{})
+	want := regression.Combine(a, b, c, true)
+	if got.Sizes != want.Sizes || got.Candidates != len(want.D) || got.Report != want.Report(1) {
+		t.Errorf("removal-mode regression: got sizes=%+v candidates=%d, want %+v %d\n%s\nwant report:\n%s",
+			got.Sizes, got.Candidates, want.Sizes, len(want.D), got.Report, want.Report(1))
 	}
 }
 
@@ -630,8 +660,7 @@ func TestServerRequestTimeout(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	start := time.Now()
-	status, raw := doJSON(t, http.MethodGet,
-		fmt.Sprintf("%s/diff?left=%s&right=%s", ts.URL, lid, rid), nil, nil)
+	status, raw := runDiff(t, ts.URL, lid.String(), rid.String(), 0, nil)
 	elapsed := time.Since(start)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("runaway diff: status %d (in %v): %s", status, elapsed, raw)
@@ -672,8 +701,7 @@ func TestDiffParallelismKnob(t *testing.T) {
 	bi := upload(t, ts, bad)
 
 	var base DiffResponse
-	if status, raw := doJSON(t, http.MethodGet,
-		fmt.Sprintf("%s/diff?left=%s&right=%s", ts.URL, gi.ID, bi.ID), nil, &base); status != http.StatusOK {
+	if status, raw := runDiff(t, ts.URL, gi.ID, bi.ID, 0, &base); status != http.StatusOK {
 		t.Fatalf("diff: %d %s", status, raw)
 	}
 	for _, par := range []int{1, 8} {
@@ -702,21 +730,20 @@ func TestDiffParallelismKnob(t *testing.T) {
 	}
 }
 
-// TestUploadSniffsFormats uploads the same trace in all three file
-// encodings; each must land on the identical content digest (the digest
-// is format-independent), with the later two deduplicating.
+// TestUploadSniffsFormats uploads the same trace in both accepted
+// encodings, RSEG and JSONL; each must land on the identical content
+// digest (the digest is format-independent), the second deduplicating.
+// A gob body — the file format of earlier releases — and random bytes
+// are refused with 400 bad_request, and nothing is stored for them.
 func TestUploadSniffsFormats(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	tr, _ := tracePair(t)
 
-	var rseg, jsonl bytes.Buffer
-	if err := tr.WriteRSEG(&rseg); err != nil {
-		t.Fatal(err)
-	}
+	var jsonl bytes.Buffer
 	if err := tr.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
-	bodies := [][]byte{rseg.Bytes(), gobBytes(t, tr), jsonl.Bytes()}
+	bodies := [][]byte{rsegBytes(t, tr), jsonl.Bytes()}
 
 	var first TraceInfo
 	for i, body := range bodies {
@@ -737,4 +764,37 @@ func TestUploadSniffsFormats(t *testing.T) {
 	if _, raw := doJSON(t, http.MethodGet, ts.URL+"/traces/"+first.ID, nil, nil); raw == "" {
 		t.Fatal("stored trace not retrievable")
 	}
+
+	for name, body := range map[string][]byte{
+		"gob":    gobUpload(t, tr),
+		"random": randomBytes(1 << 16),
+	} {
+		status, raw := doJSON(t, http.MethodPut, ts.URL+"/traces", body, nil)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s upload: status %d, want 400: %s", name, status, raw)
+		}
+		assertErrEnvelope(t, raw, CodeBadRequest)
+	}
+	var list []TraceInfo
+	if status, raw := doJSON(t, http.MethodGet, ts.URL+"/traces", nil, &list); status != http.StatusOK || len(list) != 1 {
+		t.Fatalf("rejected uploads changed the corpus: %d %s", status, raw)
+	}
+}
+
+// gobUpload encodes a trace with encoding/gob, as `rprism trace -out`
+// wrote files before RSEG.
+func gobUpload(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// randomBytes returns n bytes from a fixed-seed generator.
+func randomBytes(n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(1)).Read(b)
+	return b
 }

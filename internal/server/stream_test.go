@@ -129,8 +129,7 @@ func TestLiveCaptureEndToEnd(t *testing.T) {
 
 		// Mid-session: diff the live session against the corpus baseline.
 		var dr DiffResponse
-		diffURL := fmt.Sprintf("%s/diff?left=session:%s&right=%s", ts.URL, sid, baseID)
-		if code := getJSON(t, diffURL, &dr); code != 200 {
+		if code, _ := runDiff(t, ts.URL, "session:"+sid, baseID.String(), 0, &dr); code != 200 {
 			t.Fatalf("mid-session diff: HTTP %d", code)
 		}
 		if dr.Left != "session:"+sid || dr.Right != baseID.String() {
@@ -210,7 +209,7 @@ func TestLiveCaptureEndToEnd(t *testing.T) {
 			t.Errorf("batch-loaded copy not identical: created=%v err=%v", created, err)
 		}
 		// And its digest is addressable for normal analyses now.
-		if code := getJSON(t, fmt.Sprintf("%s/diff?left=%s&right=%s", ts.URL, id, baseID), nil); code != 200 {
+		if code, _ := runDiff(t, ts.URL, id.String(), baseID.String(), 0, nil); code != 200 {
 			t.Errorf("diff over finalized trace: HTTP %d", code)
 		}
 	}()

@@ -41,8 +41,7 @@ func ParseDigest(s string) (Digest, error) {
 
 // WriteCanonical writes the canonical binary encoding of the trace's
 // entries to w: a fixed field order with varint framing, independent of
-// gob type negotiation and of the process-local Sym fields (which gob
-// would include). The trace name is deliberately excluded — digests
+// any file encoding and of the process-local Sym fields. The trace name is deliberately excluded — digests
 // address content, so the same execution uploaded under two names
 // deduplicates to one stored trace.
 func (t *Trace) WriteCanonical(w io.Writer) error {

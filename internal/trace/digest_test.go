@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 )
 
@@ -65,16 +66,16 @@ func TestDigestSensitiveToContent(t *testing.T) {
 
 func TestDigestSurvivesSaveLoad(t *testing.T) {
 	a := digestFixture("roundtrip")
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "a.trace")
+	if err := a.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadFrom(&buf)
+	b, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if da, db := a.ComputeDigest(), b.ComputeDigest(); da != db {
-		t.Errorf("digest changed across gob round-trip: %s vs %s", da, db)
+		t.Errorf("digest changed across save/load: %s vs %s", da, db)
 	}
 }
 

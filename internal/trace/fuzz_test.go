@@ -1,10 +1,44 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+// FuzzReadAny throws arbitrary bytes at the upload decode path, which
+// sniffs the format and dispatches to the RSEG or JSONL decoder. It is
+// seeded with the golden fixtures of every encoding ever shipped, gob
+// included. The contract is total: any input either decodes to a trace
+// whose digest can be computed or fails with a *FormatError — no
+// panics, no other error type.
+func FuzzReadAny(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden.*"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("golden fixtures: %v (%d found)", err, len(paths))
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Add([]byte(`{"`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadAny("fuzz", bytes.NewReader(data))
+		if err != nil {
+			requireFormatError(t, err)
+			return
+		}
+		tr.ComputeDigest()
+	})
+}
 
 // FuzzRSEGDecode throws arbitrary bytes at the full RSEG read path:
 // structural parse, symbol block, every thread column, full

@@ -1,19 +1,24 @@
 // Package trace_test holds the cross-format compatibility suite: golden
 // fixture files in every on-disk encoding the project has ever shipped
 // (JSONL v1, JSONL v2, gob, RSEG plain and compressed), all encoding the
-// same fixture trace, all required to load to an identical canonical
-// digest and an equivalent view web. It lives in the external test
-// package so it can drive the views and diff layers the internal package
-// cannot import.
+// same fixture trace. Every encoding the loaders read must load to an
+// identical canonical digest and an equivalent view web; the retired
+// gob encoding must be refused with the migration command. It lives in
+// the external test package so it can drive the views and diff layers
+// the internal package cannot import.
 package trace_test
 
 import (
 	"bufio"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/diff"
@@ -56,29 +61,44 @@ func fixtureTrace() *trace.Trace {
 	return tr
 }
 
-// goldenFixtures maps each golden file to its writer. golden.v1.jsonl is
-// the one encoding no current API emits (the legacy headerless JSONL of
-// the original writer), so the update path reproduces it field by field.
+// goldenFixtures maps each loadable golden file to its writer.
+// golden.v1.jsonl is an encoding no current API emits (the legacy
+// headerless JSONL of the original writer), so the update path
+// reproduces it field by field.
 func goldenFixtures() map[string]func(path string, tr *trace.Trace) error {
-	save := func(f trace.Format) func(string, *trace.Trace) error {
-		return func(path string, tr *trace.Trace) error { return tr.SaveFormat(path, f) }
-	}
 	return map[string]func(string, *trace.Trace) error{
-		"golden.v2.jsonl": save(trace.FormatJSONL),
-		"golden.gob":      save(trace.FormatGob),
-		"golden.rseg":     save(trace.FormatRSEG),
-		"golden.rsegz": func(path string, tr *trace.Trace) error {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := tr.WriteRSEGOpts(f, trace.RSEGOptions{Compress: true}); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		},
+		"golden.v2.jsonl": saveWith((*trace.Trace).WriteJSONL),
+		"golden.rseg":     saveWith((*trace.Trace).WriteRSEG),
+		"golden.rsegz": saveWith(func(tr *trace.Trace, w io.Writer) error {
+			return tr.WriteRSEGOpts(w, trace.RSEGOptions{Compress: true})
+		}),
 		"golden.v1.jsonl": writeLegacyV1,
+	}
+}
+
+// retiredFixtures maps each golden file in an encoding the loaders no
+// longer read to its writer: the gob files of releases before RSEG,
+// which only `rprism convert` migrates.
+func retiredFixtures() map[string]func(path string, tr *trace.Trace) error {
+	return map[string]func(string, *trace.Trace) error{
+		"golden.gob": saveWith(func(tr *trace.Trace, w io.Writer) error {
+			return gob.NewEncoder(w).Encode(tr)
+		}),
+	}
+}
+
+// saveWith adapts a stream encoder to a file writer.
+func saveWith(encode func(*trace.Trace, io.Writer) error) func(string, *trace.Trace) error {
+	return func(path string, tr *trace.Trace) error {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := encode(tr, f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	}
 }
 
@@ -152,7 +172,8 @@ func writeLegacyV1(path string, tr *trace.Trace) error {
 // TestGoldenFormatCompat is the cross-version compatibility gate (run in
 // CI's format-compat job): every golden fixture, whatever its encoding
 // era, must load to the pinned canonical digest and build a view web
-// equivalent to the in-memory fixture's. Run with -update after an
+// equivalent to the in-memory fixture's; every retired fixture must be
+// refused with the migration command. Run with -update after an
 // intentional format change to regenerate the files — the v1/v2/gob
 // fixtures must never change once released, so -update failing to
 // reproduce the pinned digest is itself a compatibility break.
@@ -164,9 +185,11 @@ func TestGoldenFormatCompat(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for name, write := range goldenFixtures() {
-			if err := write(filepath.Join("testdata", name), tr); err != nil {
-				t.Fatalf("regenerate %s: %v", name, err)
+		for _, fixtures := range []map[string]func(string, *trace.Trace) error{goldenFixtures(), retiredFixtures()} {
+			for name, write := range fixtures {
+				if err := write(filepath.Join("testdata", name), tr); err != nil {
+					t.Fatalf("regenerate %s: %v", name, err)
+				}
 			}
 		}
 		if err := os.WriteFile(digestPath, []byte(tr.ComputeDigest().String()+"\n"), 0o644); err != nil {
@@ -201,6 +224,18 @@ func TestGoldenFormatCompat(t *testing.T) {
 			}
 		})
 	}
+	// Retired encodings are refused with the migration command; that
+	// they still convert to the pinned digest is cmd/rprism's
+	// TestConvertGoldenGob.
+	for name := range retiredFixtures() {
+		t.Run(name, func(t *testing.T) {
+			_, err := trace.Load(filepath.Join("testdata", name))
+			var fe *trace.FormatError
+			if !errors.As(err, &fe) || !strings.Contains(fe.Msg, "rprism convert") {
+				t.Fatalf("Load = %v, want a *FormatError naming rprism convert", err)
+			}
+		})
+	}
 }
 
 // TestRSEGRoundTripProperty pins the migration guarantee over varied
@@ -217,7 +252,7 @@ func TestRSEGRoundTripProperty(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/compress=%v", tr.Name, compress), func(t *testing.T) {
 				dir := t.TempDir()
 				jsonl := filepath.Join(dir, "t.jsonl")
-				if err := tr.SaveFormat(jsonl, trace.FormatJSONL); err != nil {
+				if err := saveWith((*trace.Trace).WriteJSONL)(jsonl, tr); err != nil {
 					t.Fatal(err)
 				}
 				loaded, err := trace.Load(jsonl)

@@ -2,55 +2,28 @@ package trace
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 )
 
-// Encode serializes the trace in a binary format (gob) suitable for the
-// offline analysis pipeline: RPRISM collects traces during execution and
-// analyzes them after they have been serialized to disk (§5).
-//
-// The entries' process-local Sym fields ride along (gob has no field
-// exclusion) and are discarded by ReadFrom's re-interning; stripping
-// them would cost a deep copy of every entry on save, so the few bytes
-// per entry are accepted. Readers must never trust stored Sym values.
-func (t *Trace) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(t); err != nil {
-		return fmt.Errorf("trace: encode %q: %w", t.Name, err)
-	}
-	return bw.Flush()
-}
-
-// ReadFrom deserializes a trace previously written with Encode. The gob
-// stream carries the canonical strings; Sym fields stored by the writing
-// process are ids into *its* symbol table, so they are re-interned into
-// this process's table here.
-func ReadFrom(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	t.RehashSyms()
-	return &t, nil
-}
-
 // ReadAny reads a trace of any supported format from a stream, sniffing
-// the encoding (RSEG, JSONL, or gob) from the first bytes. The name
-// labels the trace for formats that do not carry one (JSONL) and errors.
-// It is the upload-endpoint counterpart of Load: a bounded body whose
-// format the client chose.
+// the encoding (RSEG or JSONL) from the first bytes; anything else is a
+// *FormatError. The name labels the trace for formats that do not carry
+// one (JSONL) and errors. It is the upload-endpoint counterpart of Load:
+// a bounded body whose format the client chose.
 func ReadAny(name string, r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	prefix, err := br.Peek(4)
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("trace: read %s: %w", name, err)
 	}
-	switch SniffFormat(prefix) {
-	case FormatRSEG:
+	format, err := sniffFormat(prefix, name)
+	if err != nil {
+		return nil, err
+	}
+	if format == FormatRSEG {
 		// RSEG is indexed from the tail, so a stream must land in memory
 		// before parsing; upload paths already bound the body size.
 		data, err := io.ReadAll(br)
@@ -62,97 +35,84 @@ func ReadAny(name string, r io.Reader) (*Trace, error) {
 			return nil, err
 		}
 		return rd.Trace()
-	case FormatJSONL:
-		return ReadJSONL(name, br)
-	default:
-		return ReadFrom(br)
 	}
+	return ReadJSONL(name, br)
 }
 
-// Save writes the trace to a file in the default on-disk format (RSEG;
-// see rseg.go). Load reads any supported format back, so files written
-// by earlier gob-only versions of Save remain loadable.
-func (t *Trace) Save(path string) error { return t.SaveFormat(path, FormatRSEG) }
-
-// SaveFormat writes the trace to a file in an explicit format — the
-// migration hook for tooling (rprism convert) that must produce legacy
-// encodings.
-func (t *Trace) SaveFormat(path string, format Format) error {
+// Save writes the trace to a file in the on-disk format (RSEG; see
+// rseg.go).
+func (t *Trace) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: save: %w", err)
 	}
 	defer f.Close()
-	switch format {
-	case FormatRSEG:
-		err = t.WriteRSEG(f)
-	case FormatGob:
-		err = t.Encode(f)
-	case FormatJSONL:
-		err = t.WriteJSONL(f)
-	default:
-		err = fmt.Errorf("trace: save: unknown format %v", format)
-	}
-	if err != nil {
+	if err := t.WriteRSEG(f); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// SniffFormat detects the on-disk format of a trace file from its first
-// bytes: the RSEG magic, a JSON object open (JSONL, both versions), or
-// anything else (gob, whose streams for our types begin with a small
-// type-descriptor length byte — never '{' or 'R').
-func SniffFormat(prefix []byte) Format {
+// sniffFormat detects the encoding of a trace from its first bytes: the
+// RSEG magic, or a JSON object open (JSONL, both versions). Any other
+// prefix — including the gob files and segments of earlier releases,
+// which `rprism convert` migrates — is a *FormatError labelled with
+// path.
+func sniffFormat(prefix []byte, path string) (Format, error) {
 	switch {
 	case len(prefix) >= 4 && string(prefix[:4]) == rsegMagic:
-		return FormatRSEG
+		return FormatRSEG, nil
 	case len(prefix) >= 2 && prefix[0] == '{' && prefix[1] == '"':
-		return FormatJSONL
-	default:
-		return FormatGob
+		return FormatJSONL, nil
 	}
+	return 0, &FormatError{Path: path, Format: "trace", Msg: fmt.Sprintf(
+		"unrecognized prefix %q: neither RSEG nor JSONL (gob traces of earlier releases migrate with 'rprism convert -trace FILE', gob corpora and segment directories with 'rprism convert -dir DIR')",
+		prefix)}
 }
 
 // SniffFile detects the format of a trace file on disk.
 func SniffFile(path string) (Format, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return FormatGob, fmt.Errorf("trace: sniff: %w", err)
+		return 0, fmt.Errorf("trace: sniff: %w", err)
 	}
 	defer f.Close()
+	return sniffOpen(f, path)
+}
+
+// sniffOpen reads the format off an open file's first bytes.
+func sniffOpen(f *os.File, path string) (Format, error) {
 	var prefix [4]byte
 	n, err := io.ReadFull(f, prefix[:])
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return FormatGob, fmt.Errorf("trace: sniff %s: %w", path, err)
+		return 0, fmt.Errorf("trace: sniff %s: %w", path, err)
 	}
-	return SniffFormat(prefix[:n]), nil
+	return sniffFormat(prefix[:n], path)
 }
 
-// Load reads a trace from a file written by Save (any format version:
-// RSEG, gob, or JSONL — detected from the file's first bytes).
+// Load reads a trace from a file written by Save or WriteJSONL, the
+// format detected from the file's first bytes.
 func Load(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: load: %w", err)
 	}
 	defer f.Close()
-	var prefix [4]byte
-	n, rerr := io.ReadFull(f, prefix[:])
-	if rerr != nil && rerr != io.ErrUnexpectedEOF && rerr != io.EOF {
-		return nil, fmt.Errorf("trace: load %s: %w", path, rerr)
+	format, err := sniffOpen(f, path)
+	if err != nil {
+		return nil, err
+	}
+	if format == FormatRSEG {
+		return LoadRSEG(path)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("trace: load %s: %w", path, err)
 	}
-	switch SniffFormat(prefix[:n]) {
-	case FormatRSEG:
-		return LoadRSEG(path)
-	case FormatJSONL:
-		return ReadJSONL(filepath.Base(path), f)
-	default:
-		return ReadFrom(f)
+	t, err := ReadJSONL(filepath.Base(path), f)
+	if fe, ok := err.(*FormatError); ok {
+		fe.Path = path
 	}
+	return t, err
 }
 
 // LoadRSEG eagerly loads an RSEG file: map, materialize every thread,

@@ -9,9 +9,8 @@ import (
 
 // JSONL interchange: one record per line, for consumption by external
 // tooling (spreadsheets, jq, notebook analysis) and for streaming traces
-// between processes. The gob format of Encode/ReadFrom remains the
-// canonical on-disk form; JSONL is lossless too and round-trips through
-// ReadJSONL.
+// between processes. RSEG remains the on-disk form; JSONL is lossless
+// too and round-trips through ReadJSONL.
 //
 // Version 2 (current): the first line is a header record carrying the
 // trace name and a compact symbol block — the distinct strings referenced
@@ -192,19 +191,28 @@ func encodeWireEntry(fs *fileSyms, e *Entry) WireEntry {
 
 // ReadJSONL reconstructs a trace written by WriteJSONL — either format
 // version. The name parameter is used when the stream carries no header
-// (v1) or an empty header name.
+// (v1) or an empty header name. Any failure is a *FormatError at the
+// decoder's byte offset.
 func ReadJSONL(name string, r io.Reader) (*Trace, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
+	t, err := readJSONL(name, dec)
+	if err != nil {
+		return nil, &FormatError{Path: name, Format: "jsonl", Offset: dec.InputOffset(), Msg: err.Error()}
+	}
+	return t, nil
+}
+
+func readJSONL(name string, dec *json.Decoder) (*Trace, error) {
 	var first json.RawMessage
 	if err := dec.Decode(&first); err == io.EOF {
 		return New(name), nil
 	} else if err != nil {
-		return nil, fmt.Errorf("trace: jsonl decode: %w", err)
+		return nil, fmt.Errorf("decode: %w", err)
 	}
 	var hdr jsonHeader
 	if err := json.Unmarshal(first, &hdr); err == nil && hdr.Format == jsonlFormat {
 		if hdr.Version != jsonlVersion {
-			return nil, fmt.Errorf("trace: jsonl: unsupported version %d", hdr.Version)
+			return nil, fmt.Errorf("unsupported version %d", hdr.Version)
 		}
 		if hdr.Name != "" {
 			name = hdr.Name
@@ -225,7 +233,7 @@ func readJSONLv2(name string, symbols []string, dec *json.Decoder) (*Trace, erro
 		if err := dec.Decode(&je); err == io.EOF {
 			return t, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("trace: jsonl decode: %w", err)
+			return nil, fmt.Errorf("decode: %w", err)
 		}
 		e, err := wt.entry(&je)
 		if err != nil {
@@ -355,11 +363,11 @@ func readJSONLv1(name string, first json.RawMessage, dec *json.Decoder) (*Trace,
 	appendV1 := func(raw []byte) error {
 		var je jsonEntryV1
 		if err := json.Unmarshal(raw, &je); err != nil {
-			return fmt.Errorf("trace: jsonl decode: %w", err)
+			return fmt.Errorf("decode: %w", err)
 		}
 		kind, ok := kindByName[je.Kind]
 		if !ok {
-			return fmt.Errorf("trace: jsonl: unknown event kind %q", je.Kind)
+			return fmt.Errorf("unknown event kind %q", je.Kind)
 		}
 		e := Entry{
 			EID: je.EID, TID: je.TID, Method: je.Method,
@@ -383,7 +391,7 @@ func readJSONLv1(name string, first json.RawMessage, dec *json.Decoder) (*Trace,
 		if err := dec.Decode(&raw); err == io.EOF {
 			return t, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("trace: jsonl decode: %w", err)
+			return nil, fmt.Errorf("decode: %w", err)
 		}
 		if err := appendV1(raw); err != nil {
 			return nil, err

@@ -56,37 +56,25 @@ const (
 	rsegFlagCompressed = 1 << 0
 )
 
-// Format identifies an on-disk trace encoding. The zero value is the
-// current default (RSEG); the legacy encodings remain readable and
-// writable for migration.
+// Format identifies a trace encoding: RSEG on disk, JSONL for export
+// and interchange.
 type Format uint8
 
 const (
-	// FormatRSEG is the binary columnar segment format (default).
+	// FormatRSEG is the binary columnar segment format.
 	FormatRSEG Format = iota
-	// FormatGob is the legacy gob encoding of Encode/ReadFrom.
-	FormatGob
 	// FormatJSONL is the JSON-lines interchange format of WriteJSONL.
 	FormatJSONL
 )
 
-var formatNames = [...]string{"rseg", "gob", "jsonl"}
-
 func (f Format) String() string {
-	if int(f) < len(formatNames) {
-		return formatNames[f]
+	switch f {
+	case FormatRSEG:
+		return "rseg"
+	case FormatJSONL:
+		return "jsonl"
 	}
 	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
-// ParseFormat resolves a format name ("rseg", "gob", "jsonl").
-func ParseFormat(s string) (Format, bool) {
-	for i, n := range formatNames {
-		if n == s {
-			return Format(i), true
-		}
-	}
-	return FormatRSEG, false
 }
 
 // FormatError describes a structurally invalid trace file: where the

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -86,38 +88,85 @@ func TestRSEGSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestSaveFormatSniffRoundTrip writes a trace in each encoding a file
+// may hold — RSEG (Save), JSONL (WriteJSONL), and the gob of earlier
+// releases — and checks what sniffing and loading make of it: the two
+// current formats round-trip to the same digest, gob is refused with a
+// *FormatError that names the migration command.
 func TestSaveFormatSniffRoundTrip(t *testing.T) {
 	tr := multithreadedTrace()
 	want := tr.ComputeDigest()
-	for _, format := range []Format{FormatRSEG, FormatGob, FormatJSONL} {
-		t.Run(format.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		format Format
+		write  func(*Trace, string) error
+	}{
+		{"rseg", FormatRSEG, (*Trace).Save},
+		{"jsonl", FormatJSONL, writeJSONLFile},
+		{"gob", 0, writeGobFile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "t.seg")
-			if err := tr.SaveFormat(path, format); err != nil {
+			if err := tc.write(tr, path); err != nil {
 				t.Fatal(err)
 			}
-			if f, err := SniffFile(path); err != nil || f != format {
-				t.Fatalf("SniffFile = %v, %v; want %v", f, err, format)
+			f, err := SniffFile(path)
+			got, lerr := Load(path)
+			if tc.name == "gob" {
+				requireConvertHint(t, err)
+				requireConvertHint(t, lerr)
+				return
 			}
-			got, err := Load(path)
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || f != tc.format {
+				t.Fatalf("SniffFile = %v, %v; want %v", f, err, tc.format)
+			}
+			if lerr != nil {
+				t.Fatal(lerr)
 			}
 			if d := got.ComputeDigest(); d != want {
-				t.Errorf("%v round trip digest %s, want %s", format, d, want)
+				t.Errorf("%v round trip digest %s, want %s", tc.format, d, want)
 			}
 		})
 	}
 }
 
-func TestParseFormat(t *testing.T) {
-	for _, format := range []Format{FormatRSEG, FormatGob, FormatJSONL} {
-		got, ok := ParseFormat(format.String())
-		if !ok || got != format {
-			t.Errorf("ParseFormat(%q) = %v, %v", format.String(), got, ok)
-		}
+// writeJSONLFile saves a trace as JSONL.
+func writeJSONLFile(tr *Trace, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if _, ok := ParseFormat("tarball"); ok {
-		t.Error("ParseFormat accepted an unknown name")
+	if err := tr.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeGobFile saves a trace with encoding/gob, the file format of
+// releases before RSEG.
+func writeGobFile(tr *Trace, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := gob.NewEncoder(f).Encode(tr); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// requireConvertHint asserts err is the *FormatError of an unrecognized
+// file and tells the user how to migrate it.
+func requireConvertHint(t *testing.T, err error) {
+	t.Helper()
+	var fe *FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("error %v (%T), want *FormatError", err, err)
+	}
+	if !strings.Contains(fe.Msg, "rprism convert -dir") || !strings.Contains(fe.Msg, "rprism convert -trace") {
+		t.Errorf("error does not name the migration commands: %v", err)
 	}
 }
 
@@ -363,7 +412,7 @@ func TestSegmentOrderNumeric(t *testing.T) {
 	for i := 0; i < segs; i++ {
 		part := &Trace{Name: "bare", Entries: big.Entries[i*per : (i+1)*per]}
 		path := filepath.Join(dir, fmt.Sprintf("bare.%d.seg", i))
-		if err := part.SaveFormat(path, FormatRSEG); err != nil {
+		if err := part.Save(path); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,18 +446,20 @@ func TestSortSegmentPaths(t *testing.T) {
 }
 
 func TestLoadSegmentsMixedFormats(t *testing.T) {
-	// A directory migrated halfway — gob, JSONL, and RSEG segments side
-	// by side — loads fine, because Load sniffs per file.
+	// JSONL and RSEG segments side by side load fine, because Load
+	// sniffs per file. A gob segment inside the sequence fails the load
+	// with the migration command rather than being skipped.
 	big := manyThreadTrace(2, 9) // 18 entries, 3 segments of 6
-	dir := t.TempDir()
-	formats := []Format{FormatGob, FormatJSONL, FormatRSEG}
-	for i, format := range formats {
-		part := &Trace{Name: "mix", Entries: big.Entries[i*6 : (i+1)*6]}
-		path := filepath.Join(dir, fmt.Sprintf("mix.%06d.seg", i))
-		if err := part.SaveFormat(path, format); err != nil {
-			t.Fatal(err)
+	write := func(dir string, writers ...func(*Trace, string) error) {
+		for i, w := range writers {
+			part := &Trace{Name: "mix", Entries: big.Entries[i*6 : (i+1)*6]}
+			if err := w(part, filepath.Join(dir, fmt.Sprintf("mix.%06d.seg", i))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	dir := t.TempDir()
+	write(dir, writeJSONLFile, (*Trace).Save, writeJSONLFile)
 	got, err := LoadSegments(dir, "mix")
 	if err != nil {
 		t.Fatal(err)
@@ -416,6 +467,11 @@ func TestLoadSegmentsMixedFormats(t *testing.T) {
 	if d1, d2 := big.ComputeDigest(), got.ComputeDigest(); d1 != d2 {
 		t.Errorf("mixed-format reassembly changed content: %s vs %s", d1, d2)
 	}
+
+	dir = t.TempDir()
+	write(dir, (*Trace).Save, writeGobFile, (*Trace).Save)
+	_, err = LoadSegments(dir, "mix")
+	requireConvertHint(t, err)
 }
 
 func TestRSEGCompressionShrinksRepetitiveTraces(t *testing.T) {
@@ -439,11 +495,19 @@ func TestRSEGSmallerThanJSONL(t *testing.T) {
 }
 
 func TestSegmentWriterLegacyFormats(t *testing.T) {
-	// The writer still produces legacy segment sets on request.
-	for _, format := range []Format{FormatGob, FormatJSONL} {
-		t.Run(format.String(), func(t *testing.T) {
+	// The writer produces RSEG only; segment sets an earlier writer left
+	// in a legacy format still meet a defined outcome: JSONL reassembles,
+	// gob is refused with the migration command.
+	for _, tc := range []struct {
+		name  string
+		write func(*Trace, string) error
+	}{
+		{"gob", writeGobFile},
+		{"jsonl", writeJSONLFile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := NewSegmentWriterFormat(dir, "leg", 5, format)
+			w, err := NewSegmentWriter(dir, "leg", 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,10 +519,27 @@ func TestSegmentWriterLegacyFormats(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if f, err := SniffFile(filepath.Join(dir, "leg.000000.seg")); err != nil || f != format {
-				t.Fatalf("segment sniffs as %v, %v; want %v", f, err, format)
+			paths, err := filepath.Glob(filepath.Join(dir, "leg.*.seg"))
+			if err != nil || len(paths) != 3 {
+				t.Fatalf("segments %v, %v; want 3", paths, err)
+			}
+			for _, p := range paths {
+				if f, err := SniffFile(p); err != nil || f != FormatRSEG {
+					t.Fatalf("%s sniffs as %v, %v; want rseg", p, f, err)
+				}
+				seg, err := Load(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.write(seg, p); err != nil {
+					t.Fatal(err)
+				}
 			}
 			got, err := LoadSegments(dir, "leg")
+			if tc.name == "gob" {
+				requireConvertHint(t, err)
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -204,8 +204,7 @@ func (r *Reader) Select(tids ...ThreadID) (*Trace, error) {
 
 // Trace materializes the whole file into an eagerly decoded trace,
 // preserving original entry ids, and caches the result. For a segment
-// written mid-sequence the ids start at the segment's base, exactly as
-// the gob segments did.
+// written mid-sequence the ids start at the segment's base.
 func (r *Reader) Trace() (*Trace, error) {
 	r.mu.Lock()
 	if r.full != nil {

@@ -56,29 +56,21 @@ func sortSegmentPaths(paths []string, name string) {
 type SegmentWriter struct {
 	dir     string
 	name    string
-	limit   int    // entries per segment before a flush
-	format  Format // on-disk encoding of each segment
+	limit   int // entries per segment before a flush
 	current *Trace
 	base    EntryID // eid of the first entry in the current segment
 	next    EntryID
 	flushed int
 }
 
-// NewSegmentWriter creates a writer that stores segments of at most limit
-// entries under dir, in the default format (RSEG). A limit of 0 means
-// unbounded (a single segment).
+// NewSegmentWriter creates a writer that stores RSEG segments of at most
+// limit entries under dir. A limit of 0 means unbounded (a single
+// segment).
 func NewSegmentWriter(dir, name string, limit int) (*SegmentWriter, error) {
-	return NewSegmentWriterFormat(dir, name, limit, FormatRSEG)
-}
-
-// NewSegmentWriterFormat is NewSegmentWriter with an explicit segment
-// encoding — the migration hook for producing legacy gob/JSONL segment
-// sets. Loaders sniff per segment, so mixed directories stay readable.
-func NewSegmentWriterFormat(dir, name string, limit int, format Format) (*SegmentWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trace: segment dir: %w", err)
 	}
-	return &SegmentWriter{dir: dir, name: name, limit: limit, format: format, current: New(name)}, nil
+	return &SegmentWriter{dir: dir, name: name, limit: limit, current: New(name)}, nil
 }
 
 // Append records an entry, flushing the current segment to disk when the
@@ -103,7 +95,7 @@ func (w *SegmentWriter) Flush() error {
 		return nil
 	}
 	path := filepath.Join(w.dir, fmt.Sprintf("%s.%06d.seg", w.name, w.flushed))
-	if err := w.current.SaveFormat(path, w.format); err != nil {
+	if err := w.current.Save(path); err != nil {
 		return err
 	}
 	w.flushed++

@@ -320,12 +320,12 @@ func TestRoundTripIO(t *testing.T) {
 		Stack: []Frame{{Method: "main", Callee: Repr{Class: "Main"}}}})
 
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
+	if err := tr.WriteRSEG(&buf); err != nil {
+		t.Fatalf("WriteRSEG: %v", err)
 	}
-	got, err := ReadFrom(&buf)
+	got, err := ReadAny("rt", &buf)
 	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
+		t.Fatalf("ReadAny: %v", err)
 	}
 	if !reflect.DeepEqual(tr, got) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, tr)

@@ -14,16 +14,15 @@ type overlayJSON struct {
 	Replace map[string]string
 }
 
-// weaveOverlay is the default build integration: rewritten files land in
-// the work directory and an overlay file maps the originals onto them,
-// so the target tree is never touched. When the target module does not
+// weaveOverlay builds the woven binary: rewritten files land in the
+// work directory and an overlay file maps the originals onto them, so
+// the target tree is never touched. When the target module does not
 // already depend on repro, its go.mod is overlaid too, gaining a
 // `require repro v0.0.0` plus a local `replace` pointing at the runtime
-// checkout — the piece a pure -toolexec integration cannot do, because
-// the import graph is fixed before toolexec ever runs.
+// checkout.
 func weaveOverlay(ctx context.Context, cfg *Config, g *goRunner, res *Result, pkgs, selected []*listPkg, mainPkg *listPkg) error {
 	replace := map[string]string{}
-	if err := rewriteSelected(cfg, res, pkgs, selected, mainPkg, res.WorkDir, replace); err != nil {
+	if err := rewriteSelected(cfg, res, pkgs, selected, mainPkg, replace); err != nil {
 		return err
 	}
 
@@ -57,7 +56,7 @@ func weaveOverlay(ctx context.Context, cfg *Config, g *goRunner, res *Result, pk
 	args := []string{"build", "-overlay", overlayPath, "-o", res.Binary}
 	args = append(args, cfg.BuildFlags...)
 	args = append(args, cfg.Patterns...)
-	fmt.Fprintf(cfg.Stderr, "rprism weave: building %s (%d packages woven, overlay mode)\n", mainPkg.ImportPath, len(selected))
+	fmt.Fprintf(cfg.Stderr, "rprism weave: building %s (%d packages woven)\n", mainPkg.ImportPath, len(selected))
 	if _, err := g.run(ctx, args...); err != nil {
 		return fmt.Errorf("weave: building woven binary: %w\n(rewritten sources kept in %s)", err, res.WorkDir)
 	}

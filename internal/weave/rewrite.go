@@ -4,17 +4,11 @@
 // target — the role AspectJ load-time weaving plays for the paper's
 // original tool, played here at build time.
 //
-// Two drivers share one rewriting pass (this file):
-//
-//   - overlay mode (the default, overlay.go): the module's files are
-//     rewritten into a work directory and built with `go build -overlay`,
-//     which also lets the weaver graft a `require repro` + local
-//     `replace` onto the target's go.mod, so a module that has never
-//     heard of rprism still links the runtime;
-//   - toolexec mode (toolexec.go, `cmd/rprism-weave`): `go build
-//     -toolexec=rprism-weave` intercepts each compile, rewrites the
-//     package's sources on the fly, and splices prebuilt archives of the
-//     runtime into the compiler's and linker's importcfg.
+// The module's files are rewritten (this file) into a work directory
+// and built with `go build -overlay` (overlay.go), which also lets the
+// weaver graft a `require repro` + local `replace` onto the target's
+// go.mod, so a module that has never heard of rprism still links the
+// runtime.
 //
 // The rewriting itself is textual, not a reprinted AST: edits are
 // computed from the parsed syntax and applied as byte splices that never
@@ -47,7 +41,7 @@ const (
 // HookID builds the stable identifier of a woven function: derived only
 // from the package import path, receiver type name, function name, and
 // declared parameter count, so the same source produces the same id on
-// every build, machine, and weaving mode — the property trace
+// every build and machine — the property trace
 // correlation across program versions depends on.
 //
 //	repro/examples/weave.work/3          (function)

@@ -287,3 +287,32 @@ func TestArityTable(t *testing.T) {
 		}
 	}
 }
+
+func TestCloseOnlyRewrite(t *testing.T) {
+	res, err := RewritePackage(PackageInput{
+		ImportPath: "m",
+		MainPkg:    true,
+		CloseOnly:  true,
+		Files: []FileInput{{Name: "main.go", Src: []byte(`package main
+
+func helper() {}
+
+func spawn() { go helper() }
+
+func main() { spawn() }
+`)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(res.Files[0].Src)
+	if !strings.Contains(out, "func main() {defer __rprism_weave.Close(); ") {
+		t.Errorf("Close missing:\n%s", out)
+	}
+	if strings.Contains(out, ".Enter(") || strings.Contains(out, ".Go(") {
+		t.Errorf("close-only rewrite instrumented more than main:\n%s", out)
+	}
+	if res.Stats.Funcs != 0 || res.Stats.GoStmts != 0 {
+		t.Errorf("stats should be zero for close-only: %+v", res.Stats)
+	}
+}

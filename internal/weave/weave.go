@@ -10,40 +10,6 @@ import (
 	"strings"
 )
 
-// Mode selects the build-integration mechanism.
-type Mode int
-
-const (
-	// ModeOverlay rewrites sources into a work directory and builds with
-	// `go build -overlay` (default: simplest, debuggable, and able to
-	// graft the runtime dependency onto a foreign go.mod).
-	ModeOverlay Mode = iota
-	// ModeToolexec builds with `go build -toolexec=rprism-weave`,
-	// rewriting each package inside the compiler invocation itself.
-	ModeToolexec
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeOverlay:
-		return "overlay"
-	case ModeToolexec:
-		return "toolexec"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ParseMode parses a -weave-mode flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "overlay":
-		return ModeOverlay, nil
-	case "toolexec":
-		return ModeToolexec, nil
-	}
-	return 0, fmt.Errorf("weave: unknown mode %q (want overlay or toolexec)", s)
-}
-
 // Config configures one weaving build.
 type Config struct {
 	// Patterns are the package patterns to build (e.g. "./cmd/server");
@@ -64,8 +30,6 @@ type Config struct {
 	RuntimeDir string
 	// RuntimeImport overrides the injected glue import path (tests only).
 	RuntimeImport string
-	// Mode picks overlay (default) or toolexec integration.
-	Mode Mode
 	// BuildFlags are extra `go build` flags (-race, -tags, ...).
 	BuildFlags []string
 	// Output is the path for the woven binary; empty means
@@ -268,15 +232,7 @@ func Weave(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Binary = binary
 
-	switch cfg.Mode {
-	case ModeOverlay:
-		err = weaveOverlay(ctx, &cfg, g, res, pkgs, selected, mainPkg)
-	case ModeToolexec:
-		err = weaveToolexec(ctx, &cfg, g, res, pkgs, selected, mainPkg)
-	default:
-		err = fmt.Errorf("weave: unknown mode %v", cfg.Mode)
-	}
-	if err != nil {
+	if err := weaveOverlay(ctx, &cfg, g, res, pkgs, selected, mainPkg); err != nil {
 		return res, err
 	}
 	ok = true
@@ -284,15 +240,15 @@ func Weave(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // rewriteSelected runs the rewriting pass over the selected packages,
-// writing changed files under workDir/src and recording them in the
-// replace map (original path → rewritten path). Shared by both modes'
-// test paths; the overlay build consumes the replace map directly.
-func rewriteSelected(cfg *Config, res *Result, pkgs, selected []*listPkg, mainPkg *listPkg, workDir string, replace map[string]string) error {
+// writing changed files under <work dir>/src and recording them in the
+// replace map (original path → rewritten path) the overlay build
+// consumes.
+func rewriteSelected(cfg *Config, res *Result, pkgs, selected []*listPkg, mainPkg *listPkg, replace map[string]string) error {
 	lookup := exportLookup(pkgs)
 	if cfg.NoTypes {
 		lookup = nil
 	}
-	srcDir := filepath.Join(workDir, "src")
+	srcDir := filepath.Join(res.WorkDir, "src")
 	if err := os.MkdirAll(srcDir, 0o755); err != nil {
 		return err
 	}

@@ -268,28 +268,3 @@ func TestWeaveReproExample(t *testing.T) {
 		t.Errorf("forks/threads = %d/%d, want 3/4", stats.ByKind[trace.KindFork], stats.Threads)
 	}
 }
-
-// TestWeaveToolexecMode exercises the -toolexec integration end to end.
-// It prebuilds the runtime closure as archives, so the first run is
-// expensive; gated behind RPRISM_WEAVE_TOOLEXEC=1 (the CI weave-smoke
-// job sets it).
-func TestWeaveToolexecMode(t *testing.T) {
-	if os.Getenv("RPRISM_WEAVE_TOOLEXEC") == "" {
-		t.Skip("set RPRISM_WEAVE_TOOLEXEC=1 to run the toolexec-mode build")
-	}
-	root := repoRoot(t)
-	tr, _ := weaveAndRecord(t, Config{
-		Patterns: []string{"./examples/weave"},
-		Dir:      root,
-		Mode:     ModeToolexec,
-	})
-	members := callMembers(tr)
-	for _, want := range []string{
-		"repro/examples/weave.main/0",
-		"repro/examples/weave.counter.add/1",
-	} {
-		if !members[want] {
-			t.Errorf("missing woven call %s (have %v)", want, members)
-		}
-	}
-}

@@ -104,52 +104,6 @@ func Run(p *Program, opts RunOptions) (*RunResult, error) {
 	return interp.Run(p, opts)
 }
 
-// BuildViews constructs the linked view web over a trace: thread views,
-// method views, target-object views, and active-object views (§2.4).
-//
-// Deprecated: use (*Engine).Views with a Source; the engine caches the
-// built web and honors cancellation.
-func BuildViews(t *Trace) *Web { return views.Build(t) }
-
-// Diff compares two traces with the views-based differencing semantics of
-// Fig. 12 — linear in time and space.
-//
-// Deprecated: use (*Engine).Diff (or DiffWith), which caches view webs
-// across calls and honors context cancellation in the hot loops.
-func Diff(left, right *Trace, opts DiffOptions) *DiffResult {
-	return diff.ViewDiff(left, right, opts)
-}
-
-// DiffWebs compares two traces through their pre-built view webs,
-// skipping web construction. Webs are read-only during differencing, so
-// the same web can serve many concurrent diffs (the rprism-serve cache
-// path).
-//
-// Deprecated: use (*Engine).Diff with FromWeb sources.
-func DiffWebs(left, right *Web, opts DiffOptions) *DiffResult {
-	return diff.ViewDiffWebs(left, right, opts)
-}
-
-// DiffLCS compares two traces with the optimized-LCS baseline of Fig. 11.
-// It returns lcs.ErrMemoryBudget when the DP table would exceed the
-// configured budget.
-//
-// Deprecated: use (*Engine).DiffLCS, which honors context cancellation
-// between DP rows.
-func DiffLCS(left, right *Trace, opts LCSOptions) (*DiffResult, error) {
-	return diff.LCSDiff(left, right, opts)
-}
-
-// AnalyzeRegression runs the full §4.1 regression-cause analysis over the
-// four traces of the protocol.
-//
-// Deprecated: use (*Engine).AnalyzeRegression with RegressionSources;
-// the engine reuses cached webs across the three differencing passes and
-// honors cancellation.
-func AnalyzeRegression(in RegressionInput) (*RegressionAnalysis, error) {
-	return regression.Analyze(in)
-}
-
 // LoadTrace reads a trace file written by SaveTrace.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
 

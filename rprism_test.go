@@ -1,6 +1,7 @@
 package rprism
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,11 +44,16 @@ func TestCompileRunDiffPipeline(t *testing.T) {
 		t.Fatalf("outputs: %q %q", r1.Output, r2.Output)
 	}
 
-	d := Diff(r1.Trace, r2.Trace, DiffOptions{})
+	eng := NewEngine()
+	ctx := context.Background()
+	d, err := eng.Diff(ctx, FromTrace(r1.Trace), FromTrace(r2.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.NumDiffs() == 0 {
 		t.Fatal("no differences found")
 	}
-	l, err := DiffLCS(r1.Trace, r2.Trace, LCSOptions{})
+	l, err := eng.DiffLCS(ctx, FromTrace(r1.Trace), FromTrace(r2.Trace), LCSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,10 @@ func TestCompileRunDiffPipeline(t *testing.T) {
 		t.Fatal("LCS found no differences")
 	}
 
-	web := BuildViews(r1.Trace)
+	web, err := eng.Views(ctx, FromTrace(r1.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if web.Count().Total == 0 {
 		t.Fatal("no views built")
 	}
@@ -101,9 +110,12 @@ func TestAnalysesFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	web := BuildViews(r.Trace)
-
-	m := InferProtocol(web, "Counter")
+	eng := NewEngine()
+	ctx := context.Background()
+	m, err := eng.Infer(ctx, FromTrace(r.Trace), "Counter")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Objects != 1 || !m.Allows("bump", "bump") {
 		t.Errorf("protocol: %s", m)
 	}
@@ -113,7 +125,11 @@ func TestAnalysesFacade(t *testing.T) {
 	decl := ProtocolDecl{Class: "Counter", Allowed: map[string][]string{
 		"^": {"bump"}, "bump": {"bump"},
 	}}
-	if v := CheckProtocol(web, decl); len(v) != 0 {
+	v, err := eng.Check(ctx, FromTrace(r.Trace), decl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 0 {
 		t.Errorf("violations: %v", v)
 	}
 
@@ -126,7 +142,10 @@ func TestAnalysesFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ComputeImpact(Diff(r.Trace, r2.Trace, DiffOptions{}))
+	s, err := eng.Impact(ctx, FromTrace(r.Trace), FromTrace(r2.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Total == 0 || len(s.Classes) == 0 {
 		t.Errorf("impact surface empty: %+v", s)
 	}
