@@ -530,6 +530,9 @@ func writeJSONReport(path string) error {
 		}
 	})
 	putNs := rec.NsPerOp
+	if err := corpusScaleRows(record); err != nil {
+		return err
+	}
 	skTr := subjects.GenCorpusTrace(99, 0, 300)
 	rec = record("SketchCompute", func(b *testing.B) {
 		b.ReportAllocs()
@@ -780,4 +783,55 @@ func clusterServeRows(record func(string, func(*testing.B)) *BenchRecord,
 		}
 	})
 	return localNs, rec, nil
+}
+
+// corpusScaleRows records a Get miss and a Put of a 300-entry trace
+// beside 2 and 1000 stored traces (mirrors BenchmarkCorpusScale):
+// per-trace disk paths open files by name, so neither row may grow
+// with the corpus. A one-trace decoded cache and two traces read in
+// turn make every Get a miss, which is why the small corpus holds two.
+func corpusScaleRows(record func(string, func(*testing.B)) *BenchRecord) error {
+	for _, n := range []int{2, 1000} {
+		dir, err := os.MkdirTemp("", "rprism-bench-scale")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		store, err := corpus.New(dir, corpus.Options{TraceCacheSize: 1})
+		if err != nil {
+			return err
+		}
+		var ids [2]trace.Digest
+		for i := 0; i < n; i++ {
+			id, _, err := store.Put(subjects.GenCorpusTrace(1+i%10, i, 300))
+			if err != nil {
+				return err
+			}
+			if i < len(ids) {
+				ids[i] = id
+			}
+		}
+		record(fmt.Sprintf("CorpusGetMiss/traces=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := store.Get(ids[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		next := n // variants not yet stored, across the benchmark's rounds
+		record(fmt.Sprintf("CorpusPut/traces=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr := subjects.GenCorpusTrace(99, next, 300)
+				next++
+				b.StartTimer()
+				if _, _, err := store.Put(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	return nil
 }

@@ -92,17 +92,13 @@ func (s *Store) blobList(ctx context.Context, prefix string) ([]string, error) {
 	return keys, err
 }
 
-// uploadBlob writes a freshly stored trace through to the bucket:
-// every local segment file, the sketch sidecar (best effort, like its
+// uploadBlob writes a freshly stored trace through to the bucket: its
+// m.Segments segment files, the sketch sidecar (best effort, like its
 // local counterpart), and the meta object last as the commit marker.
 // Caller holds putMu, so the local files cannot change underneath.
 func (s *Store) uploadBlob(ctx context.Context, id trace.Digest, m Meta, metaRaw []byte) error {
-	segs, err := filepath.Glob(filepath.Join(s.dir, id.String()+".*.seg"))
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	sort.Strings(segs)
-	for _, p := range segs {
+	for i := 0; i < m.Segments; i++ {
+		p := trace.SegmentPath(s.dir, id.String(), i)
 		data, err := os.ReadFile(p)
 		if err != nil {
 			return fmt.Errorf("corpus: %w", err)
@@ -119,9 +115,11 @@ func (s *Store) uploadBlob(ctx context.Context, id trace.Digest, m Meta, metaRaw
 	return s.blobPut(ctx, s.blobKey(id.String()+".meta.json"), metaRaw)
 }
 
-// blobMeta fetches and decodes a trace's meta object.
+// blobMeta fetches and decodes a trace's meta object, as untrusted as
+// a local sidecar.
 func (s *Store) blobMeta(ctx context.Context, id trace.Digest) (Meta, error) {
-	raw, err := s.blobGet(ctx, s.blobKey(id.String()+".meta.json"))
+	key := s.blobKey(id.String() + ".meta.json")
+	raw, err := s.blobGet(ctx, key)
 	if err != nil {
 		if errors.Is(err, blob.ErrNotFound) {
 			s.mu.Lock()
@@ -131,11 +129,7 @@ func (s *Store) blobMeta(ctx context.Context, id trace.Digest) (Meta, error) {
 		}
 		return Meta{}, fmt.Errorf("corpus: blob meta %s: %w", id, err)
 	}
-	var m Meta
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return Meta{}, fmt.Errorf("corpus: blob meta %s: %w", id, err)
-	}
-	return m, nil
+	return decodeMeta(raw, id.String(), key)
 }
 
 // hydrate pulls a trace from the bucket into the local disk tier and
@@ -150,8 +144,11 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 		s.mu.Unlock()
 		return Meta{}, err
 	}
-	s.putMu.Lock()
-	defer s.putMu.Unlock()
+	unlock, err := s.lockWrites()
+	if err != nil {
+		return Meta{}, err
+	}
+	defer unlock()
 
 	s.mu.Lock()
 	m, ok := s.index[id]
@@ -160,51 +157,33 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 		return m, nil
 	}
 
-	m, err := s.blobMeta(ctx, id)
+	m, err = s.blobMeta(ctx, id)
 	if err != nil {
 		return Meta{}, err
 	}
-	// Download by listing rather than by reconstructing segment names:
-	// robust against a segment-numbering scheme change, and the strict
-	// load in Get still catches an incomplete set.
-	keys, err := s.blobList(ctx, s.blobKey(id.String()+"."))
-	if err != nil {
-		return Meta{}, fmt.Errorf("corpus: hydrate %s: %w", id, err)
-	}
-	cleanup := func() {
-		s.removeLocalFiles(id)
-	}
-	segs := 0
-	for _, k := range keys {
-		base := strings.TrimPrefix(k, s.blobPrefix)
-		if !strings.HasSuffix(base, ".seg") {
-			continue
+	// Fetch the segments by name from the meta's count, with no bucket
+	// LIST. Until the local sidecar below commits them, a crash leaves
+	// orphans that the next New sweeps.
+	for i := 0; i < m.Segments; i++ {
+		p := trace.SegmentPath(s.dir, id.String(), i)
+		data, err := s.blobGet(ctx, s.blobKey(filepath.Base(p)))
+		if err == nil {
+			err = os.WriteFile(p, data, 0o644)
 		}
-		data, err := s.blobGet(ctx, k)
 		if err != nil {
-			cleanup()
+			s.removeLocalFiles(id, m.Segments)
 			return Meta{}, fmt.Errorf("corpus: hydrate %s: %w", id, err)
 		}
-		if err := os.WriteFile(filepath.Join(s.dir, base), data, 0o644); err != nil {
-			cleanup()
-			return Meta{}, fmt.Errorf("corpus: hydrate %s: %w", id, err)
-		}
-		segs++
-	}
-	if segs == 0 {
-		cleanup()
-		return Meta{}, fmt.Errorf("corpus: hydrate %s: bucket has meta but no segments", id)
 	}
 	if data, err := s.blobGet(ctx, s.blobKey(id.String()+".sketch.json")); err == nil {
 		_ = os.WriteFile(s.sketchPath(id), data, 0o644)
 	}
 	raw, err := json.Marshal(m)
-	if err != nil {
-		cleanup()
-		return Meta{}, fmt.Errorf("corpus: %w", err)
+	if err == nil {
+		err = s.writeMeta(id, raw)
 	}
-	if err := os.WriteFile(s.metaPath(id), raw, 0o644); err != nil {
-		cleanup()
+	if err != nil {
+		s.removeLocalFiles(id, m.Segments)
 		return Meta{}, fmt.Errorf("corpus: %w", err)
 	}
 
@@ -217,13 +196,28 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 	return m, nil
 }
 
-// removeLocalFiles deletes a trace's disk-tier files (segments and
-// sidecars), ignoring what is already gone.
-func (s *Store) removeLocalFiles(id trace.Digest) {
-	segs, _ := filepath.Glob(filepath.Join(s.dir, id.String()+".*.seg"))
-	for _, p := range append(segs, s.metaPath(id), s.sketchPath(id)) {
-		_ = os.Remove(p)
+// removeLocalFiles deletes a trace's disk-tier files — the meta
+// sidecar first, as it is the commit marker, then the sketch and the
+// segments numbered below segs — returning the first failure other than
+// a file already gone. Segments are written in order, so removal stops
+// at the first one missing: an untrusted count bounds no work.
+func (s *Store) removeLocalFiles(id trace.Digest, segs int) error {
+	var first error
+	remove := func(p string) bool {
+		err := os.Remove(p)
+		if err != nil && !errors.Is(err, os.ErrNotExist) && first == nil {
+			first = err
+		}
+		return !errors.Is(err, os.ErrNotExist)
 	}
+	remove(s.metaPath(id))
+	remove(s.sketchPath(id))
+	for i := 0; i < segs; i++ {
+		if !remove(trace.SegmentPath(s.dir, id.String(), i)) {
+			break
+		}
+	}
+	return first
 }
 
 // touchLocal marks id most-recently-used in the disk tier and evicts
@@ -233,7 +227,7 @@ func (s *Store) removeLocalFiles(id trace.Digest) {
 func (s *Store) touchLocal(id trace.Digest) {
 	s.mu.Lock()
 	s.touchLocalLocked(id)
-	var evicted []trace.Digest
+	evicted := make(map[trace.Digest]int) // digest -> segment count
 	if s.blob != nil && s.opts.DiskCacheTraces > 0 {
 		for s.localLRU.Len() > s.opts.DiskCacheTraces {
 			oldest := s.localLRU.Back()
@@ -242,16 +236,17 @@ func (s *Store) touchLocal(id trace.Digest) {
 			delete(s.local, eid)
 			// The trace leaves the local index but stays resolvable: its
 			// meta moves to the remote cache and the next read hydrates.
-			if m, ok := s.index[eid]; ok {
+			m, ok := s.index[eid]
+			if ok {
 				s.remote[eid] = m
 				delete(s.index, eid)
 			}
-			evicted = append(evicted, eid)
+			evicted[eid] = m.Segments
 		}
 	}
 	s.mu.Unlock()
-	for _, eid := range evicted {
-		s.removeLocalFiles(eid)
+	for eid, segs := range evicted {
+		s.removeLocalFiles(eid, segs)
 		s.blobCounters.DiskEvictions.Add(1)
 	}
 }

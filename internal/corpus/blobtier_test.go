@@ -3,7 +3,11 @@ package corpus
 import (
 	"context"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/blob"
@@ -115,6 +119,10 @@ func TestBlobHydration(t *testing.T) {
 	}
 	if after := s2.Stats().Blob.Gets; after != gets {
 		t.Fatalf("second Get hit the bucket (%d -> %d gets)", gets, after)
+	}
+	// Hydration fetched the segments by name from the meta's count.
+	if lists := s2.Stats().Blob.Lists; lists != 0 {
+		t.Fatalf("hydration listed the bucket %d times, want 0", lists)
 	}
 	// Views on a bucket-only trace hydrates too.
 	s3, err := New(t.TempDir(), Options{Blob: mem})
@@ -290,5 +298,151 @@ func TestBlobEvictedTraceSurvivesStaleMemory(t *testing.T) {
 	// a is still in the decoded LRU from Put: memory hit.
 	if _, err := s.Get(a); err != nil {
 		t.Fatalf("memory-tier Get after disk eviction: %v", err)
+	}
+}
+
+// TestHydrateCrashLeavesOldState: a hydration that crashed after
+// writing the segments (and sketch) but before its meta sidecar leaves
+// orphans the next open sweeps; the trace is then still served from
+// the bucket.
+func TestHydrateCrashLeavesOldState(t *testing.T) {
+	mem := blob.NewMem()
+	s1, err := New(t.TempDir(), Options{Blob: mem, SegmentLimit: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustPut(t, s1, makeTrace("far", 5, 40))
+	m, _ := s1.Meta(id)
+
+	dir := t.TempDir()
+	for i := 0; i < m.Segments; i++ {
+		copyFile(t, trace.SegmentPath(s1.Dir(), id.String(), i), trace.SegmentPath(dir, id.String(), i))
+	}
+	copyFile(t, s1.sketchPath(id), filepath.Join(dir, id.String()+".sketch.json"))
+
+	s2, err := New(dir, Options{Blob: mem, VerifyOnLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.LocalLen() != 0 {
+		t.Fatalf("half-hydrated trace was indexed locally")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, id.String()+".*")); len(left) != 0 {
+		t.Fatalf("orphans survived reopen: %v", left)
+	}
+	if _, err := s2.Get(id); err != nil {
+		t.Fatalf("Get after crashed hydration: %v", err)
+	}
+}
+
+// TestHydrateMissingSegmentFails: a bucket whose meta counts a segment
+// it does not hold fails the hydration and leaves no local files.
+func TestHydrateMissingSegmentFails(t *testing.T) {
+	mem := blob.NewMem()
+	s1, err := New(t.TempDir(), Options{Blob: mem, SegmentLimit: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustPut(t, s1, makeTrace("holed", 6, 40))
+	ctx := context.Background()
+	if err := mem.Delete(ctx, filepath.Base(trace.SegmentPath("", id.String(), 1))); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s2, err := New(dir, Options{Blob: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Get(id); err == nil {
+		t.Fatal("Get hydrated a trace with a segment missing from the bucket")
+	}
+	left, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(left) != 1 || filepath.Base(left[0]) != "corpus.lock" {
+		t.Fatalf("failed hydration left files: %v", left)
+	}
+}
+
+// gatedBackend pauses the first Put or Get of a key ending in suffix,
+// closing entered, until release is closed.
+type gatedBackend struct {
+	blob.Backend
+	suffix           string
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g *gatedBackend) pause(key string) {
+	if strings.HasSuffix(key, g.suffix) {
+		g.once.Do(func() { close(g.entered); <-g.release })
+	}
+}
+
+func (g *gatedBackend) Put(ctx context.Context, key string, data []byte) error {
+	g.pause(key)
+	return g.Backend.Put(ctx, key, data)
+}
+
+func (g *gatedBackend) Get(ctx context.Context, key string) (io.ReadCloser, error) {
+	g.pause(key)
+	return g.Backend.Get(ctx, key)
+}
+
+// TestOpenDuringWriteSkipsSweep: a store opened on the directory while
+// another store's Put or hydration has written segments but not yet its
+// meta sidecar (paused here at the bucket's sketch object) must leave
+// those files alone, so the write still commits a trace that loads.
+func TestOpenDuringWriteSkipsSweep(t *testing.T) {
+	makeRacy := func() *trace.Trace { return makeTrace("racy", 3, 40) } // 3 segments
+	filled := blob.NewMem()
+	donor, err := New(t.TempDir(), Options{Blob: filled, SegmentLimit: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustPut(t, donor, makeRacy())
+
+	for _, tc := range []struct {
+		name   string
+		bucket blob.Backend
+		write  func(*Store) error
+	}{
+		{"put", blob.NewMem(), func(s *Store) error { _, _, err := s.Put(makeRacy()); return err }},
+		{"hydrate", filled, func(s *Store) error { _, err := s.Get(id); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			gate := &gatedBackend{Backend: tc.bucket, suffix: ".sketch.json",
+				entered: make(chan struct{}), release: make(chan struct{})}
+			w, err := New(dir, Options{Blob: gate, SegmentLimit: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- tc.write(w) }()
+			<-gate.entered
+			if _, err := os.Stat(trace.SegmentPath(dir, id.String(), 2)); err != nil {
+				t.Fatalf("paused write has not written its segments: %v", err)
+			}
+			if _, err := os.Stat(w.metaPath(id)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("paused write already has a sidecar: %v", err)
+			}
+			if _, err := New(dir, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			close(gate.release)
+			if err := <-done; err != nil {
+				t.Fatalf("write beside a reopen: %v", err)
+			}
+			if h := w.Stats().Blob.Hydrations; tc.name == "hydrate" && h != 1 {
+				t.Fatalf("hydrations = %d, want 1 (a healed load hides swept files)", h)
+			}
+			// No bucket here: this load can only come from disk.
+			r, err := New(dir, Options{VerifyOnLoad: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Get(id); err != nil {
+				t.Fatalf("trace written beside a reopen: %v", err)
+			}
+		})
 	}
 }

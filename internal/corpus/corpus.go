@@ -53,6 +53,11 @@ var ErrNotFound = errors.New("corpus: trace not found")
 // analysis pipeline indexes by EID and relies on that).
 var ErrInvalidTrace = errors.New("corpus: invalid trace")
 
+// ErrInvalidSidecar reports a meta sidecar (a local file or a bucket
+// object) the store refuses to trust: unparseable, naming another
+// digest, or recording counts no Put writes.
+var ErrInvalidSidecar = errors.New("corpus: invalid meta sidecar")
+
 // Options configure a Store. Zero values select the defaults.
 type Options struct {
 	// TraceCacheSize bounds the decoded-trace LRU (default 16 traces).
@@ -147,7 +152,9 @@ type Store struct {
 	// putMu serializes disk writes: without it, two Puts of the same
 	// content race os.Create truncations on the same segment files, and
 	// a failed rewrite could hole a trace the first writer admitted.
+	// lock is the directory's lock file (see lockWrites).
 	putMu sync.Mutex
+	lock  *os.File
 
 	mu       sync.Mutex
 	index    map[trace.Digest]Meta
@@ -230,30 +237,104 @@ func New(dir string, opts Options) (*Store, error) {
 			s.blobCounters.Retries.Add(1)
 		})
 	}
-	metas, err := filepath.Glob(filepath.Join(dir, "*.meta.json"))
+	// Sweep only under the exclusive lock: while any other store writes
+	// here (see lockWrites), the sweep is skipped. Without a lock file (a
+	// read-only directory) the store neither sweeps nor writes.
+	s.lock, _ = os.OpenFile(filepath.Join(dir, "corpus.lock"), os.O_RDONLY|os.O_CREATE, 0o644)
+	sweep := flock(s.lock, lockExclusive) == nil
+	if sweep {
+		defer flock(s.lock, lockRelease)
+	}
+	// The one directory read: every later per-trace path opens its files
+	// by name from the sidecar's segment count.
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: scan %s: %w", dir, err)
 	}
-	for _, p := range metas {
+	for _, f := range files {
+		idStr, ok := strings.CutSuffix(f.Name(), ".meta.json")
+		if !ok {
+			continue
+		}
+		p := filepath.Join(dir, f.Name())
 		raw, err := os.ReadFile(p)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %w", err)
 		}
-		var m Meta
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, fmt.Errorf("corpus: sidecar %s: %w", p, err)
-		}
-		id, err := trace.ParseDigest(m.ID)
+		m, err := decodeMeta(raw, idStr, p)
 		if err != nil {
-			return nil, fmt.Errorf("corpus: sidecar %s: %w", p, err)
+			return nil, err
 		}
-		if want := strings.TrimSuffix(filepath.Base(p), ".meta.json"); want != m.ID {
-			return nil, fmt.Errorf("corpus: sidecar %s names digest %s", p, m.ID)
-		}
+		id, _ := trace.ParseDigest(m.ID)
 		s.index[id] = m
 		s.touchLocalLocked(id)
 	}
+	if sweep {
+		s.sweepOrphans(files)
+	}
 	return s, nil
+}
+
+// sweepOrphans deletes what a crash left uncommitted: segments and a
+// sketch with no meta sidecar, a sidecar never renamed into place, and
+// segments numbered at or past their trace's count. Files not prefixed
+// by a digest are not the store's and stay.
+func (s *Store) sweepOrphans(files []os.DirEntry) {
+	for _, f := range files {
+		idStr, rest, _ := strings.Cut(f.Name(), ".")
+		id, err := trace.ParseDigest(idStr)
+		if err != nil {
+			continue
+		}
+		m, committed := s.index[id]
+		n, isSeg := trace.SegmentIndex(f.Name(), idStr)
+		if (isSeg && (!committed || n >= m.Segments)) ||
+			(rest == "sketch.json" && !committed) || rest == "meta.json.tmp" {
+			os.Remove(filepath.Join(s.dir, f.Name()))
+		}
+	}
+}
+
+// lockWrites serializes this store's disk writes and holds the lock
+// file's shared lock across them, so no New sweeps files a write has
+// not committed yet. It returns the unlock.
+func (s *Store) lockWrites() (func(), error) {
+	s.putMu.Lock()
+	if err := flock(s.lock, lockShared); err != nil {
+		s.putMu.Unlock()
+		return nil, fmt.Errorf("corpus: lock %s: %w", s.dir, err)
+	}
+	return func() { flock(s.lock, lockRelease); s.putMu.Unlock() }, nil
+}
+
+// writeMeta commits a trace's files by writing its meta sidecar under
+// a temporary name and renaming it into place, so a crash leaves either
+// no sidecar or a whole one.
+func (s *Store) writeMeta(id trace.Digest, raw []byte) error {
+	tmp := s.metaPath(id) + ".tmp"
+	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, s.metaPath(id))
+}
+
+// decodeMeta parses the meta sidecar of digest want. Sidecars are
+// untrusted input: Meta.Segments decides how many files a load opens,
+// so a count outside 1 <= Segments <= Entries is refused here, before
+// any I/O is sized by it.
+func decodeMeta(raw []byte, want, path string) (Meta, error) {
+	var m Meta
+	var msg string
+	if err := json.Unmarshal(raw, &m); err != nil {
+		msg = err.Error()
+	} else if _, err := trace.ParseDigest(want); err != nil || m.ID != want {
+		msg = fmt.Sprintf("names digest %q", m.ID)
+	} else if m.Segments < 1 || m.Entries < 1 || m.Segments > m.Entries {
+		msg = fmt.Sprintf("%d segments for %d entries (want 1 <= segments <= entries)", m.Segments, m.Entries)
+	} else {
+		return m, nil
+	}
+	return Meta{}, fmt.Errorf("%w %s: %s", ErrInvalidSidecar, path, msg)
 }
 
 // Dir returns the store's root directory.
@@ -290,8 +371,11 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 	// Serialize disk writes per store. Readers are unaffected (they
 	// take s.mu, not putMu), and a concurrent Put of the same content
 	// becomes a plain dedup once the first writer admits the digest.
-	s.putMu.Lock()
-	defer s.putMu.Unlock()
+	unlock, err := s.lockWrites()
+	if err != nil {
+		return id, false, err
+	}
+	defer unlock()
 
 	s.mu.Lock()
 	_, exists := s.index[id]
@@ -300,20 +384,6 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 		s.dedups.Add(1)
 		return id, false, nil
 	}
-
-	segPattern := filepath.Join(s.dir, id.String()+".*.seg")
-	removeSegs := func() {
-		if stale, err := filepath.Glob(segPattern); err == nil {
-			for _, p := range stale {
-				os.Remove(p)
-			}
-		}
-	}
-	// Clear orphans of an earlier failed attempt: LoadSegments and the
-	// segment count below glob by digest, so a stale high-numbered
-	// segment (e.g. from a run with a smaller SegmentLimit) would
-	// corrupt this trace.
-	removeSegs()
 
 	w, err := trace.NewSegmentWriter(s.dir, id.String(), s.opts.SegmentLimit)
 	if err != nil {
@@ -334,7 +404,8 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 		return w.Close()
 	}
 	if err := writeAll(); err != nil {
-		removeSegs()
+		// A flush that failed may have begun one more file.
+		s.removeLocalFiles(id, w.Segments()+1)
 		return id, false, err
 	}
 	sk := sketcher.Sketch()
@@ -343,31 +414,22 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 		// so a sketch-write failure must not fail an otherwise durable Put.
 		_ = os.WriteFile(s.sketchPath(id), raw, 0o644)
 	}
-	segs, err := filepath.Glob(segPattern)
-	if err != nil {
-		return id, false, fmt.Errorf("corpus: %w", err)
-	}
-	m := Meta{ID: id.String(), Name: t.Name, Entries: t.Len(), Segments: len(segs)}
+	m := Meta{ID: id.String(), Name: t.Name, Entries: t.Len(), Segments: w.Segments()}
 	raw, err := json.Marshal(m)
-	if err != nil {
-		removeSegs()
-		return id, false, fmt.Errorf("corpus: %w", err)
-	}
-	if err := os.WriteFile(s.metaPath(id), raw, 0o644); err != nil {
-		removeSegs()
-		os.Remove(s.sketchPath(id))
-		return id, false, fmt.Errorf("corpus: %w", err)
-	}
-	// Write through to the blob tier before admitting: a trace the
-	// index serves must be durable in the bucket, or a disk-tier
-	// eviction (or another cluster node's read) would lose it.
-	if s.blob != nil {
-		if err := s.uploadBlob(context.Background(), id, m, raw); err != nil {
-			removeSegs()
-			os.Remove(s.metaPath(id))
-			os.Remove(s.sketchPath(id))
-			return id, false, fmt.Errorf("corpus: blob write-through: %w", err)
+	// Write through to the blob tier before the local sidecar commits: a
+	// trace the index serves must be durable in the bucket, or a
+	// disk-tier eviction (or another cluster node's read) would lose it.
+	if err == nil && s.blob != nil {
+		if err = s.uploadBlob(context.Background(), id, m, raw); err != nil {
+			err = fmt.Errorf("blob write-through: %w", err)
 		}
+	}
+	if err == nil {
+		err = s.writeMeta(id, raw)
+	}
+	if err != nil {
+		s.removeLocalFiles(id, m.Segments)
+		return id, false, fmt.Errorf("corpus: %w", err)
 	}
 
 	s.sketchComputed.Add(1)
@@ -484,22 +546,19 @@ func (s *Store) Get(id trace.Digest) (*trace.Trace, error) {
 // is harmless — both copies are immutable and identical.
 //
 // The store is strict where the capture-recovery loader is
-// forgiving: a content-addressed trace that loads short — truncated
-// tail skipped, or fewer entries than its sidecar recorded — is
-// corruption, not a crash to salvage, and serving the prefix would
-// silently break the digest contract every analysis relies on.
+// forgiving: a content-addressed trace that loads short — a segment
+// missing or undecodable, or fewer entries than its sidecar recorded —
+// is corruption, not a crash to salvage, and serving the prefix would
+// silently break the digest contract every analysis relies on. Only
+// the m.Segments files the sidecar names are opened.
 func (s *Store) loadLocal(id trace.Digest, m Meta) (*trace.Trace, error) {
-	t, rep, err := trace.LoadSegmentsReport(s.dir, id.String())
+	t, err := trace.LoadSegmentCount(s.dir, id.String(), m.Segments)
 	if err != nil {
-		return nil, fmt.Errorf("corpus: load %s: %w", id, err)
+		return nil, fmt.Errorf("corpus: trace %s corrupted on disk: %w", id, err)
 	}
-	if rep.Truncated() || t.Len() != m.Entries {
-		detail := rep.Warning
-		if detail == "" {
-			detail = "segment set incomplete"
-		}
-		return nil, fmt.Errorf("corpus: trace %s corrupted on disk: loaded %d of %d entries (%s)",
-			id, t.Len(), m.Entries, detail)
+	if t.Len() != m.Entries {
+		return nil, fmt.Errorf("corpus: trace %s corrupted on disk: loaded %d of %d entries",
+			id, t.Len(), m.Entries)
 	}
 	t.Name = m.Name // segments are named by digest; restore the label
 	if s.opts.VerifyOnLoad {
@@ -640,20 +699,23 @@ func (s *Store) ViewsCtx(ctx context.Context, id trace.Digest) (*views.Web, erro
 // deletable too.
 func (s *Store) Delete(id trace.Digest) error {
 	s.mu.Lock()
-	if _, ok := s.index[id]; !ok {
-		_, wasRemote := s.remote[id]
-		if !wasRemote && s.blob != nil {
-			// Not known locally at all: the bucket decides existence.
-			s.mu.Unlock()
-			if _, err := s.blobMeta(context.Background(), id); err != nil {
-				return err
-			}
-			s.mu.Lock()
-		} else if !wasRemote {
+	m, ok := s.index[id]
+	if !ok {
+		m, ok = s.remote[id]
+	}
+	if !ok {
+		if s.blob == nil {
 			err := s.notFoundLocked(id)
 			s.mu.Unlock()
 			return err
 		}
+		// Not known locally at all: the bucket decides existence.
+		s.mu.Unlock()
+		var err error
+		if m, err = s.blobMeta(context.Background(), id); err != nil {
+			return err
+		}
+		s.mu.Lock()
 	}
 	delete(s.index, id)
 	s.dropLocalLocked(id)
@@ -669,14 +731,8 @@ func (s *Store) Delete(id trace.Digest) error {
 	s.mu.Unlock()
 	s.lsh.Remove(id)
 
-	segs, err := filepath.Glob(filepath.Join(s.dir, id.String()+".*.seg"))
-	if err != nil {
+	if err := s.removeLocalFiles(id, m.Segments); err != nil {
 		return fmt.Errorf("corpus: %w", err)
-	}
-	for _, p := range append(segs, s.metaPath(id), s.sketchPath(id)) {
-		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("corpus: %w", err)
-		}
 	}
 	if s.blob != nil {
 		return s.deleteBlob(context.Background(), id)

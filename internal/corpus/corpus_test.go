@@ -1,15 +1,18 @@
 package corpus
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/diff"
+	"repro/internal/subjects"
 	"repro/internal/trace"
 )
 
@@ -26,7 +29,7 @@ func makeTrace(name string, seed, n int) *trace.Trace {
 	return t
 }
 
-func mustPut(t *testing.T, s *Store, tr *trace.Trace) trace.Digest {
+func mustPut(t testing.TB, s *Store, tr *trace.Trace) trace.Digest {
 	t.Helper()
 	id, _, err := s.Put(tr)
 	if err != nil {
@@ -232,36 +235,165 @@ func TestPutRejectsNonDenseEIDs(t *testing.T) {
 	}
 }
 
-func TestPutClearsStaleSegments(t *testing.T) {
+// dropDecoded empties the decoded-trace LRU, so the next Get of any
+// trace is a disk-tier miss.
+func dropDecoded(s *Store) {
+	s.mu.Lock()
+	s.traces = make(map[trace.Digest]*list.Element)
+	s.traceLRU.Init()
+	s.mu.Unlock()
+}
+
+// TestStaleSegmentIgnoredThenSweptAtOpen: a high-numbered segment left
+// by an earlier failed attempt (e.g. under a smaller segment limit) is
+// never opened by a load, since loads open exactly the segments the
+// sidecar counts, and the next open sweeps it.
+func TestStaleSegmentIgnoredThenSweptAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(dir, Options{TraceCacheSize: 1, SegmentLimit: 16, VerifyOnLoad: true})
+	s, err := New(dir, Options{SegmentLimit: 16, VerifyOnLoad: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a failed earlier attempt (e.g. under a smaller segment
-	// limit): orphaned high-numbered segments with no meta sidecar.
 	tr := makeTrace("retry", 9, 40)
 	tr.EnsureSyms()
 	id := tr.ComputeDigest()
-	stale := filepath.Join(dir, id.String()+".000099.seg")
+	stale := trace.SegmentPath(dir, id.String(), 99)
 	if err := os.WriteFile(stale, []byte("junk from a failed put"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustPut(t, s, tr); got != id {
 		t.Fatalf("digest mismatch: %s vs %s", got, id)
 	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Error("stale segment survived Put")
-	}
-	// Push the trace out of the LRU and reload from disk: the stored
-	// segments must reassemble (and re-verify) cleanly.
-	mustPut(t, s, makeTrace("filler", 10, 20))
+	dropDecoded(s)
 	if _, err := s.Get(id); err != nil {
-		t.Fatalf("reload after stale-segment cleanup: %v", err)
+		t.Fatalf("reload beside a stale segment: %v", err)
 	}
 	m, _ := s.Meta(id)
 	if m.Segments != 3 { // 40 entries / 16 per segment
 		t.Errorf("meta counts %d segments, want 3", m.Segments)
+	}
+
+	s2, err := New(dir, Options{VerifyOnLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Error("stale segment survived reopen")
+	}
+	if _, err := s2.Get(id); err != nil {
+		t.Fatalf("reload after the sweep: %v", err)
+	}
+}
+
+// TestPutCrashLeavesOldState simulates a crash at each write point of
+// Put by copying the files a completed Put wrote, up to that point,
+// into a store that holds one other trace. Reopening must show the old
+// state — the other trace only, no orphan file of the new one — and a
+// retried Put must then succeed.
+func TestPutCrashLeavesOldState(t *testing.T) {
+	src := t.TempDir()
+	donor, err := New(src, Options{SegmentLimit: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := makeTrace("crashy", 7, 40) // 3 segments
+	id := mustPut(t, donor, tr)
+	seg := func(i int) string { return filepath.Base(trace.SegmentPath("", id.String(), i)) }
+	metaRaw, err := os.ReadFile(donor.metaPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		point string
+		files []string
+		tmp   bool // the sidecar written under its temporary name
+	}{
+		{"after some segments", []string{seg(0), seg(1)}, false},
+		{"after all segments", []string{seg(0), seg(1), seg(2)}, false},
+		{"after the sketch", []string{seg(0), seg(1), seg(2), id.String() + ".sketch.json"}, false},
+		{"before the meta sidecar", []string{seg(0), seg(1), seg(2), id.String() + ".sketch.json"}, true},
+	} {
+		t.Run(tc.point, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(dir, Options{SegmentLimit: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := mustPut(t, s, makeTrace("old", 8, 30))
+			for _, f := range tc.files {
+				copyFile(t, filepath.Join(src, f), filepath.Join(dir, f))
+			}
+			if tc.tmp {
+				if err := os.WriteFile(filepath.Join(dir, id.String()+".meta.json.tmp"), metaRaw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			foreign := filepath.Join(dir, "notes.000001.seg")
+			if err := os.WriteFile(foreign, []byte("not the store's"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err = New(dir, Options{SegmentLimit: 16, VerifyOnLoad: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ids := s.List(); len(ids) != 1 || ids[0].ID != old.String() {
+				t.Fatalf("reopened store lists %v, want only %s", ids, old)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, id.String()+".*")); len(left) != 0 {
+				t.Fatalf("orphans survived reopen: %v", left)
+			}
+			if _, err := os.Stat(foreign); err != nil {
+				t.Errorf("sweep removed a file the store does not own: %v", err)
+			}
+			if _, err := s.Get(old); err != nil {
+				t.Fatalf("old trace after crash: %v", err)
+			}
+			if got := mustPut(t, s, makeTrace("crashy", 7, 40)); got != id {
+				t.Fatalf("retried Put stored %s, want %s", got, id)
+			}
+			dropDecoded(s)
+			if _, err := s.Get(id); err != nil {
+				t.Fatalf("Get after retried Put: %v", err)
+			}
+		})
+	}
+}
+
+func copyFile(t testing.TB, from, to string) {
+	t.Helper()
+	raw, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRejectsImplausibleSidecar: Meta.Segments decides how many
+// files a load opens, so a sidecar whose counts no Put writes is
+// refused at open with ErrInvalidSidecar.
+func TestOpenRejectsImplausibleSidecar(t *testing.T) {
+	id := makeTrace("x", 1, 5).ComputeDigest().String()
+	for name, body := range map[string]string{
+		"zero segments":          `{"id":"` + id + `","entries":5,"segments":0}`,
+		"zero entries":           `{"id":"` + id + `","entries":0,"segments":1}`,
+		"more segments than ent": `{"id":"` + id + `","entries":2,"segments":3}`,
+		"negative":               `{"id":"` + id + `","entries":-1,"segments":-1}`,
+		"other digest":           `{"id":"` + strings.Repeat("0", 64) + `","entries":5,"segments":1}`,
+		"not json":               `{"id":`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, id+".meta.json"), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(dir, Options{}); !errors.Is(err, ErrInvalidSidecar) {
+				t.Fatalf("New = %v, want ErrInvalidSidecar", err)
+			}
+		})
 	}
 }
 
@@ -436,5 +568,45 @@ func BenchmarkCorpusGetCold(b *testing.B) {
 		if tr.Len() != 8*2500 {
 			b.Fatalf("loaded %d entries", tr.Len())
 		}
+	}
+}
+
+// BenchmarkCorpusScale measures a Get miss and a Put of a 300-entry
+// trace against corpora of 1 and 1000 stored traces: per-trace disk
+// paths open files by name, so neither may grow with the corpus.
+func BenchmarkCorpusScale(b *testing.B) {
+	for _, n := range []int{1, 1000} {
+		dir := b.TempDir()
+		s, err := New(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var first trace.Digest
+		for i := 0; i < n; i++ {
+			id := mustPut(b, s, subjects.GenCorpusTrace(1+i%10, i, 300))
+			if i == 0 {
+				first = id
+			}
+		}
+		b.Run(fmt.Sprintf("get-miss/traces=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dropDecoded(s)
+				b.StartTimer()
+				if _, err := s.Get(first); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("put/traces=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr := subjects.GenCorpusTrace(99, n+i, 300)
+				b.StartTimer()
+				mustPut(b, s, tr)
+			}
+		})
 	}
 }

@@ -581,33 +581,9 @@ func (f *rsegFile) decodeThread(ti rsegThreadInfo, wt *wireTable) ([]Entry, erro
 	// allocation per entry. Decoded entries are read-only by contract
 	// (Reader.Thread shares its cache slice), so neighboring entries
 	// sharing a backing array is safe, and the decode drops from O(n)
-	// small allocations to O(n/slab).
-	var reprSlab []Repr
-	allocReprs := func(n int) []Repr {
-		if n > len(reprSlab) {
-			size := 1024
-			if n > size {
-				size = n
-			}
-			reprSlab = make([]Repr, size)
-		}
-		out := reprSlab[:n:n]
-		reprSlab = reprSlab[n:]
-		return out
-	}
-	var frameSlab []Frame
-	allocFrames := func(n int) []Frame {
-		if n > len(frameSlab) {
-			size := 256
-			if n > size {
-				size = n
-			}
-			frameSlab = make([]Frame, size)
-		}
-		out := frameSlab[:n:n]
-		frameSlab = frameSlab[n:]
-		return out
-	}
+	// small allocations to O(log n + n/slab).
+	reprs := slab[Repr]{next: 16, limit: 1024}
+	frames := slab[Frame]{next: 16, limit: 256}
 
 	prev := EntryID(0)
 	for i := 0; i < ti.count; i++ {
@@ -657,7 +633,7 @@ func (f *rsegFile) decodeThread(ti rsegThreadInfo, wt *wireTable) ([]Entry, erro
 			return nil, err
 		}
 		if nArgs > 0 {
-			e.Event.Args = allocReprs(int(nArgs))
+			e.Event.Args = reprs.take(int(nArgs))
 			for j := range e.Event.Args {
 				if e.Event.Args[j], err = args.repr(wt); err != nil {
 					return nil, err
@@ -669,7 +645,7 @@ func (f *rsegFile) decodeThread(ti rsegThreadInfo, wt *wireTable) ([]Entry, erro
 			return nil, err
 		}
 		if nFrames > 0 {
-			e.Event.Stack = allocFrames(int(nFrames))
+			e.Event.Stack = frames.take(int(nFrames))
 			for j := range e.Event.Stack {
 				fr := &e.Event.Stack[j]
 				if fr.MethodSym, fr.Method, err = stacks.symref(wt, "frame method"); err != nil {
@@ -691,6 +667,24 @@ func (f *rsegFile) decodeThread(ti rsegThreadInfo, wt *wireTable) ([]Entry, erro
 		}
 	}
 	return entries, nil
+}
+
+// slab hands out short slices carved from a shared backing array that
+// starts at next elements and doubles up to limit, so a thread holding
+// few args or frames allocates few.
+type slab[T any] struct {
+	buf         []T
+	next, limit int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.buf) {
+		s.buf = make([]T, max(s.next, n))
+		s.next = min(2*s.next, s.limit)
+	}
+	out := s.buf[:n:n]
+	s.buf = s.buf[n:]
+	return out
 }
 
 // rsegCursor walks a byte region, reporting every malformation as a

@@ -10,9 +10,18 @@ import (
 	"strings"
 )
 
-// segmentIndex extracts the numeric segment index from a path of the
-// form <dir>/<name>.<index>.seg.
-func segmentIndex(path, name string) (int, bool) {
+// SegmentPath names segment i of the segmented trace name under dir:
+// <dir>/<name>.<i>.seg, the index zero-padded to six digits. Readers
+// that know a trace's segment count open its files by this name rather
+// than listing the directory.
+func SegmentPath(dir, name string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s.%06d.seg", name, i))
+}
+
+// SegmentIndex extracts the numeric segment index from a path of the
+// form <dir>/<name>.<index>.seg, the inverse of SegmentPath (it also
+// accepts the bare indices foreign producers write).
+func SegmentIndex(path, name string) (int, bool) {
 	base := filepath.Base(path)
 	mid, ok := strings.CutPrefix(base, name+".")
 	if !ok {
@@ -35,8 +44,8 @@ func segmentIndex(path, name string) (int, bool) {
 // them rather than silently reordering.
 func sortSegmentPaths(paths []string, name string) {
 	sort.SliceStable(paths, func(i, j int) bool {
-		ni, oki := segmentIndex(paths[i], name)
-		nj, okj := segmentIndex(paths[j], name)
+		ni, oki := SegmentIndex(paths[i], name)
+		nj, okj := SegmentIndex(paths[j], name)
 		switch {
 		case oki && okj:
 			return ni < nj
@@ -94,7 +103,7 @@ func (w *SegmentWriter) Flush() error {
 	if len(w.current.Entries) == 0 {
 		return nil
 	}
-	path := filepath.Join(w.dir, fmt.Sprintf("%s.%06d.seg", w.name, w.flushed))
+	path := SegmentPath(w.dir, w.name, w.flushed)
 	if err := w.current.Save(path); err != nil {
 		return err
 	}
@@ -106,6 +115,10 @@ func (w *SegmentWriter) Flush() error {
 
 // Close flushes any remaining entries.
 func (w *SegmentWriter) Close() error { return w.Flush() }
+
+// Segments returns how many segment files the writer has flushed: after
+// Close, the trace occupies SegmentPath(dir, name, 0..Segments()-1).
+func (w *SegmentWriter) Segments() int { return w.flushed }
 
 // SegmentLoadReport describes what LoadSegmentsReport recovered: how
 // many segments were read and whether a truncated trailing segment
@@ -155,28 +168,60 @@ func LoadSegmentsReport(dir, name string) (*Trace, *SegmentLoadReport, error) {
 		return nil, nil, fmt.Errorf("trace: no segments match %q", pattern)
 	}
 	sortSegmentPaths(paths, name)
-	out := New(name)
+	return reassemble(len(paths), func(i int) string { return paths[i] }, name, true)
+}
+
+// LoadSegmentCount is the strict loader for a trace of n segments: it
+// opens exactly SegmentPath(dir, name, 0..n-1), never listing dir, and
+// fails if any of them is missing or does not decode. A stray
+// higher-numbered segment is never read.
+func LoadSegmentCount(dir, name string, n int) (*Trace, error) {
+	t, _, err := reassemble(n, func(i int) string { return SegmentPath(dir, name, i) }, name, false)
+	return t, err
+}
+
+// reassemble loads segment files path(0..n-1) in order into one trace,
+// checking that entry ids run on consecutively from 0. Nothing is sized
+// from n, which may come from an untrusted count. The first segment's
+// trace is adopted as it is, so a single-segment trace is never copied.
+// With salvageTail set, a last segment that fails to decode is skipped
+// and reported instead of failing the load.
+func reassemble(n int, path func(int) string, name string, salvageTail bool) (*Trace, *SegmentLoadReport, error) {
+	var out *Trace
 	rep := &SegmentLoadReport{}
-	for i, p := range paths {
+	for i := 0; i < n; i++ {
+		p := path(i)
 		seg, err := Load(p)
 		if err != nil {
-			if i == len(paths)-1 && len(out.Entries) > 0 {
+			if salvageTail && i == n-1 && out != nil && out.Len() > 0 {
 				rep.SkippedTail = p
 				rep.Warning = fmt.Sprintf(
 					"skipped truncated trailing segment %s (crash mid-write?): %v; recovered %d entries from %d segment(s)",
-					p, err, len(out.Entries), rep.Segments)
-				return out, rep, nil
+					p, err, out.Len(), rep.Segments)
+				break
 			}
 			return nil, nil, err
 		}
-		for _, e := range seg.Entries {
-			if int(e.EID) != len(out.Entries) {
+		base := 0
+		if out != nil {
+			base = out.Len()
+		}
+		for j := range seg.Entries {
+			if int(seg.Entries[j].EID) != base+j {
 				return nil, nil, fmt.Errorf("trace: segment %s: entry id %d out of order (want %d)",
-					p, e.EID, len(out.Entries))
+					p, seg.Entries[j].EID, base+j)
 			}
-			out.Entries = append(out.Entries, e)
+		}
+		if out == nil {
+			out = seg
+		} else {
+			out.Entries = append(out.Entries, seg.Entries...)
 		}
 		rep.Segments++
 	}
+	if out == nil {
+		return nil, nil, fmt.Errorf("trace: no segments of %s", name)
+	}
+	out.Name = name
 	return out, rep, nil
 }

@@ -131,6 +131,47 @@ func TestLoadSegmentsDetectsGap(t *testing.T) {
 	}
 }
 
+// TestLoadSegmentCountIsStrict: the counted loader reads exactly the
+// segments named, ignores any beyond them, and fails on a missing or
+// truncated one wherever it sits — including the tail the forgiving
+// loader would skip.
+func TestLoadSegmentCountIsStrict(t *testing.T) {
+	dir := t.TempDir()
+	writeSegmented(t, dir, "run", 30, 10)
+	if err := os.WriteFile(SegmentPath(dir, "run", 7), []byte("stray"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadSegmentCount(dir, "run", 3)
+	if err != nil || got.Len() != 30 || got.Name != "run" {
+		t.Fatalf("LoadSegmentCount beside a stray segment = %v, %v", got, err)
+	}
+	if _, err := LoadSegmentCount(dir, "run", 4); err == nil {
+		t.Error("LoadSegmentCount accepted a missing fourth segment")
+	}
+	corrupt(t, SegmentPath(dir, "run", 2), "truncate-half")
+	if _, err := LoadSegmentCount(dir, "run", 3); err == nil {
+		t.Error("LoadSegmentCount skipped a truncated tail")
+	}
+}
+
+func TestSegmentWriterCountsSegments(t *testing.T) {
+	w, err := NewSegmentWriter(t.TempDir(), "n", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		if _, err := w.Append(1, "C.m/0", Repr{}, Event{Kind: KindCall, Member: "C.m/0"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Segments() != 3 {
+		t.Errorf("Segments() = %d after 25 entries at 10 per segment, want 3", w.Segments())
+	}
+}
+
 // corrupt truncates or scribbles over a segment file per the mode.
 func corrupt(t *testing.T, path, mode string) {
 	t.Helper()
