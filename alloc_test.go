@@ -74,6 +74,28 @@ func TestViewDiffAllocsBelowStringKeyedBaseline(t *testing.T) {
 	}
 }
 
+// baselineWebsDiffAllocs is diff.ViewDiffWebs's AllocsPerRun on
+// pre-built webs of the rhinoPair(30) pair, measured when every =e
+// compare copied both entries and every exploration made its own maps
+// and anchor slices. The compare kernel reads entries in place and
+// reuses per-unit scratch; the guard holds it 15% below that figure.
+const baselineWebsDiffAllocs = 1533
+
+func TestViewDiffWebsAllocsBelowCopyingBaseline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation behavior")
+	}
+	l, r := rhinoPair(t, 30)
+	wl, wr := views.Build(l), views.Build(r)
+	got := testing.AllocsPerRun(10, func() {
+		diff.ViewDiffWebs(wl, wr, diff.ViewOptions{Parallelism: 1})
+	})
+	if limit := float64(baselineWebsDiffAllocs) * 0.85; got > limit {
+		t.Errorf("diff.ViewDiffWebs allocates %.0f/run, above %.0f (the copying baseline %d less 15%%)",
+			got, limit, baselineWebsDiffAllocs)
+	}
+}
+
 // maxSegmentLoadOverhead bounds what a corpus Get miss allocates, as a
 // multiple of the entries slice it returns. A miss decodes each thread
 // block into its own slice and scatters them into the trace's one: two

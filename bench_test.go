@@ -155,7 +155,7 @@ func BenchmarkMotivatingExample(b *testing.B) {
 
 // ---- micro-benchmarks over the pipeline stages ----
 
-func mustRun(b *testing.B, p *lang.Program, args ...string) *trace.Trace {
+func mustRun(b testing.TB, p *lang.Program, args ...string) *trace.Trace {
 	b.Helper()
 	res, err := interp.Run(p, interp.Options{Args: args})
 	if err != nil {
@@ -167,7 +167,7 @@ func mustRun(b *testing.B, p *lang.Program, args ...string) *trace.Trace {
 	return res.Trace
 }
 
-func rhinoPair(b *testing.B, stmts int) (*trace.Trace, *trace.Trace) {
+func rhinoPair(b testing.TB, stmts int) (*trace.Trace, *trace.Trace) {
 	b.Helper()
 	prog := lang.MustParse(subjects.RhinoSource())
 	good := mustRun(b, prog, subjects.GenScript(stmts, 5))

@@ -21,9 +21,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/diff"
+	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/regression"
 	"repro/internal/server"
 	"repro/internal/subjects"
 	"repro/internal/trace"
@@ -72,6 +74,10 @@ type BenchRecord struct {
 	// ServeDiffForwarded (one cluster forwarding hop) vs ServeDiffLocal
 	// (the owner answers directly).
 	SlowdownVsLocal float64 `json:"slowdown_vs_local,omitempty"`
+	// NsPerCompare is a differencing row's wall time per =e compare: what
+	// one compare of the paper's speedup unit costs, all other work of
+	// the row included.
+	NsPerCompare float64 `json:"ns_per_compare,omitempty"`
 }
 
 // BenchReport is the file written by -json: the perf trajectory of the
@@ -233,6 +239,31 @@ func writeJSONReport(path string) error {
 	})
 	rec.ComparesPerOp = ed.Stats.Compares
 	rec.DiffsPerOp = ed.NumDiffs()
+
+	// The exploration-heavy hot path: the three passes of a §4.1
+	// regression over cached webs, whose diffs explore hundreds of
+	// linked-view windows each (the pair above explores fewer than 100).
+	quad, err := experiments.RhinoQuad()
+	if err != nil {
+		return err
+	}
+	qw := regression.Webs{
+		OrigCorrect: views.Build(quad.OrigCorrect), NewCorrect: views.Build(quad.NewCorrect),
+		OrigRegr: views.Build(quad.OrigRegr), NewRegr: views.Build(quad.NewRegr),
+	}
+	var an *regression.Analysis
+	rec = record("RegressionQuadrupleCached", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if an, err = regression.AnalyzeWebs(qw, false, diff.ViewOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	rec.ComparesPerOp = an.A.Stats.Compares + an.B.Stats.Compares + an.C.Stats.Compares
+	rec.DiffsPerOp = an.A.NumDiffs() + an.B.NumDiffs() + an.C.NumDiffs()
+	rec.NsPerCompare = rec.NsPerOp / float64(rec.ComparesPerOp)
 
 	// The parallel hot paths: the per-thread-pair diff worker pool and
 	// the sharded web build, on a multithreaded subject. The workers=1

@@ -16,11 +16,14 @@ import (
 // the one being asked to stop). Returns cmd.Wait's error.
 func runChild(cmd *exec.Cmd) error {
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
+	// Register before the child starts: a signal that arrives as soon as
+	// it runs must be relayed, not lost.
 	sigs := make(chan os.Signal, 4)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	if err := cmd.Start(); err != nil {
+		signal.Stop(sigs)
+		return err
+	}
 	done := make(chan struct{})
 	go func() {
 		for {

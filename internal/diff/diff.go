@@ -87,19 +87,24 @@ type Result struct {
 // NumDiffs returns the total number of differing entries.
 func (r *Result) NumDiffs() int { return len(r.DiffLeft) + len(r.DiffRight) }
 
-// counter wraps EventEqual with compare-operation accounting.
-type counter struct{ compares int64 }
+// counter wraps EventEqual with compare-operation accounting: equal
+// compares entry i of l with entry j of r, in place.
+type counter struct {
+	l, r     []trace.Entry
+	compares int64
+}
 
-func (c *counter) equal(a, b trace.Entry) bool {
+func (c *counter) equal(i, j int) bool {
 	c.compares++
-	return trace.EventEqual(a, b)
+	return trace.EventEqual(&c.l[i], &c.r[j])
 }
 
 // diffsFromSimilar derives the sorted difference set of one side.
 func diffsFromSimilar(t *trace.Trace, similar map[trace.EntryID]bool) []trace.EntryID {
 	var out []trace.EntryID
-	for _, e := range t.Entries {
-		if e.IsEOF() {
+	for i := range t.Entries {
+		e := &t.Entries[i]
+		if e.Event.Kind == trace.KindEOF {
 			continue
 		}
 		if !similar[e.EID] {

@@ -186,6 +186,7 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web) (*Result, Inc
 	for _, u := range dirty {
 		rlen := viewLen(wr, views.ThreadName(u.rid))
 		u.ctx, u.wl, u.wr, u.budget = nil, nil, nil, nil
+		u.entL, u.entR, u.keysL, u.keysR, u.lc, u.rc = nil, nil, nil, nil, nil, nil
 		next[pairKey{u.lid, u.rid}] = &cachedUnit{u: u, rightLen: rlen}
 	}
 
@@ -264,8 +265,9 @@ func (inc *Incremental) refreshDiffs(r *trace.Trace, leftChanged, rightInterior 
 	}
 	rebuild := rightInterior
 	if !rebuild {
-		for _, e := range r.Entries[inc.diffRLen:] {
-			if e.IsEOF() {
+		for i := inc.diffRLen; i < len(r.Entries); i++ {
+			e := &r.Entries[i]
+			if e.Event.Kind == trace.KindEOF {
 				continue
 			}
 			if e.EID <= inc.diffRMax {
@@ -281,8 +283,8 @@ func (inc *Incremental) refreshDiffs(r *trace.Trace, leftChanged, rightInterior 
 	if rebuild {
 		inc.diffR = diffsFromSimilar(r, inc.simR)
 		inc.diffRMax = -1
-		for _, e := range r.Entries {
-			if !e.IsEOF() && e.EID > inc.diffRMax {
+		for i := range r.Entries {
+			if e := &r.Entries[i]; e.Event.Kind != trace.KindEOF && e.EID > inc.diffRMax {
 				inc.diffRMax = e.EID
 			}
 		}

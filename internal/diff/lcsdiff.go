@@ -29,9 +29,8 @@ func LCSDiff(l, r *trace.Trace, opts LCSOptions) (*Result, error) {
 // LCSDiffCtx is LCSDiff with cancellation: the quadratic DP (or
 // Hirschberg recursion) polls ctx between rows and aborts with its error.
 func LCSDiffCtx(ctx context.Context, l, r *trace.Trace, opts LCSOptions) (*Result, error) {
-	cnt := &counter{}
-	eq := func(i, j int) bool { return cnt.equal(l.Entries[i], r.Entries[j]) }
-	pairs, st, err := lcs.Compute(l.Len(), r.Len(), eq, lcs.Options{
+	cnt := &counter{l: l.Entries, r: r.Entries}
+	pairs, st, err := lcs.Compute(l.Len(), r.Len(), cnt.equal, lcs.Options{
 		Algorithm:    opts.Algorithm,
 		MemoryBudget: opts.MemoryBudget,
 		Ctx:          ctx,
@@ -63,12 +62,12 @@ func gapSequences(l, r *trace.Trace, pairs []lcs.Pair) []Sequence {
 	emit := func(lEnd, rEnd int) {
 		var seq Sequence
 		for i := li; i < lEnd; i++ {
-			if !l.Entries[i].IsEOF() {
+			if l.Entries[i].Event.Kind != trace.KindEOF {
 				seq.Left = append(seq.Left, trace.EntryID(i))
 			}
 		}
 		for j := ri; j < rEnd; j++ {
-			if !r.Entries[j].IsEOF() {
+			if r.Entries[j].Event.Kind != trace.KindEOF {
 				seq.Right = append(seq.Right, trace.EntryID(j))
 			}
 		}

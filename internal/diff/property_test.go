@@ -125,8 +125,8 @@ func TestPropertyViewsNeverWorseThanTrivial(t *testing.T) {
 		}
 		for eid := range res.SimilarLeft {
 			found := false
-			for _, re := range r.Entries {
-				if trace.EventEqual(l.Entries[eid], re) {
+			for j := range r.Entries {
+				if trace.EventEqual(&l.Entries[eid], &r.Entries[j]) {
 					found = true
 					break
 				}

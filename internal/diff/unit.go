@@ -32,6 +32,10 @@ type unit struct {
 	lid, rid trace.ThreadID
 	budget   *lcs.Budget // shared DP-cell pool, nil = unlimited
 
+	// Both sides' entries and class keys, indexed by entry id.
+	entL, entR   []trace.Entry
+	keysL, keysR []uint64
+
 	// Outputs, merged by the orchestrator.
 	seqs         []Sequence
 	similarLeft  map[trace.EntryID]bool
@@ -43,6 +47,13 @@ type unit struct {
 	memo       map[memoKey]bool
 	peakCells  int64 // largest windowed-LCS DP table (cells)
 	maxAnchors int   // widest anchor set of a single divergence
+
+	// Exploration scratch, reset by each explore; the map values index rc.
+	lc, rc   []linked
+	byKey    map[corrKey]int
+	byOffset map[int]int
+	seen     map[views.Name]bool
+	anchors  []anchor
 
 	// Incremental-cache support (Incremental): when trackTail is set the
 	// unit records every right-side view it windowed over where the
@@ -58,16 +69,21 @@ func newUnit(ctx context.Context, opts ViewOptions, wl, wr *views.Web,
 	lid, rid trace.ThreadID, budget *lcs.Budget) *unit {
 	return &unit{
 		ctx: ctx, opts: opts, wl: wl, wr: wr, lid: lid, rid: rid, budget: budget,
+		entL: wl.Trace.Entries, entR: wr.Trace.Entries,
+		keysL: wl.ClassKeys(), keysR: wr.ClassKeys(),
+		byKey: make(map[corrKey]int), byOffset: make(map[int]int), seen: make(map[views.Name]bool),
 		similarLeft:  make(map[trace.EntryID]bool),
 		similarRight: make(map[trace.EntryID]bool),
 	}
 }
 
-// equal is the counted =e comparison — the paper's speedup unit. The
-// counter is unit-local; totals are summed at merge.
-func (u *unit) equal(a, b trace.Entry) bool {
+// equal is the counted =e comparison of entries l and r — the paper's
+// speedup unit. Entries whose class keys differ are never =e; a key
+// match is confirmed in place, so a hash collision never correlates.
+// The counter is unit-local; totals are summed at merge.
+func (u *unit) equal(l, r trace.EntryID) bool {
 	u.compares++
-	return trace.EventEqual(a, b)
+	return u.keysL[l] == u.keysR[r] && trace.EventEqual(&u.entL[l], &u.entR[r])
 }
 
 // canceled polls the context every 256 bumps. Once an error is observed
@@ -160,8 +176,7 @@ func (u *unit) evalPair() {
 		if u.canceled() {
 			return
 		}
-		el, er := u.wl.Trace.Entries[L[i]], u.wr.Trace.Entries[R[j]]
-		if u.equal(el, er) {
+		if u.equal(L[i], R[j]) {
 			// STEP-VIEW-MATCH
 			flush()
 			u.mark(L[i], R[j])
@@ -314,11 +329,11 @@ func (u *unit) scan(L, R []trace.EntryID, i, j, limit int) (int, int, bool) {
 			if i+di >= len(L) || j+dj >= len(R) {
 				continue
 			}
-			if !u.equal(u.wl.Trace.Entries[L[i+di]], u.wr.Trace.Entries[R[j+dj]]) {
+			if !u.equal(L[i+di], R[j+dj]) {
 				continue
 			}
 			confirmed := i+di+1 >= len(L) || j+dj+1 >= len(R) ||
-				u.equal(u.wl.Trace.Entries[L[i+di+1]], u.wr.Trace.Entries[R[j+dj+1]])
+				u.equal(L[i+di+1], R[j+dj+1])
 			if confirmed {
 				return i + di, j + dj, true
 			}
@@ -349,39 +364,40 @@ func (u *unit) explore(thL, thR views.Name, L, R []trace.EntryID, i, j int) []an
 	if u.memo == nil {
 		u.memo = make(map[memoKey]bool)
 	}
-	lc := u.collectLinked(u.wl, L, i)
-	rc := u.collectLinked(u.wr, R, j)
+	u.lc = u.collectLinked(u.lc, u.wl, L, i)
+	u.rc = u.collectLinked(u.rc, u.wr, R, j)
+	lc, rc := u.lc, u.rc
 
 	// Index the right side by correlation keys.
-	byKey := make(map[corrKey]linked, len(rc))
-	for _, rk := range rc {
-		keys, n := correlationKeys(rk)
+	clear(u.byKey)
+	for ri := range rc {
+		keys, n := correlationKeys(&rc[ri])
 		for _, k := range keys[:n] {
-			if _, dup := byKey[k]; !dup {
-				byKey[k] = rk
+			if _, dup := u.byKey[k]; !dup {
+				u.byKey[k] = ri
 			}
 		}
 	}
 
 	budget := u.opts.MaxExplore
-	var out []anchor
 	// The thread views themselves are trivially correlated (they are the
 	// pair being evaluated): a local window LCS around the divergence
 	// point anchors nearby reorderings.
-	out = append(out, u.windowLCS(thL, thR,
-		linked{name: thL, eid: L[i], offset: 0},
-		linked{name: thR, eid: R[j], offset: 0}, &budget)...)
-	for _, lk := range lc {
+	out := u.windowLCS(u.anchors[:0], thL, thR,
+		&linked{name: thL, eid: L[i], offset: 0},
+		&linked{name: thR, eid: R[j], offset: 0}, &budget)
+	for li := range lc {
 		if budget <= 0 {
 			break
 		}
+		lk := &lc[li]
 		keys, n := correlationKeys(lk)
 		for _, k := range keys[:n] {
-			rk, ok := byKey[k]
-			if !ok || rk.name.Type != lk.name.Type {
+			ri, ok := u.byKey[k]
+			if !ok || rc[ri].name.Type != lk.name.Type {
 				continue
 			}
-			out = append(out, u.windowLCS(thL, thR, lk, rk, &budget)...)
+			out = u.windowLCS(out, thL, thR, lk, &rc[ri], &budget)
 			break
 		}
 	}
@@ -389,23 +405,25 @@ func (u *unit) explore(thL, thR views.Name, L, R []trace.EntryID, i, j int) []an
 		// Relaxed context-sensitive correlation: pair views whose linking
 		// entries sit at the same distance from the point of divergence,
 		// tolerating renamed/split/combined methods.
-		byOffset := make(map[int]linked, len(rc))
-		for _, rk := range rc {
-			if _, dup := byOffset[rk.offset]; !dup {
-				byOffset[rk.offset] = rk
+		clear(u.byOffset)
+		for ri := range rc {
+			if _, dup := u.byOffset[rc[ri].offset]; !dup {
+				u.byOffset[rc[ri].offset] = ri
 			}
 		}
-		for _, lk := range lc {
+		for li := range lc {
 			if budget <= 0 {
 				break
 			}
-			rk, ok := byOffset[lk.offset]
-			if !ok || rk.name.Type != lk.name.Type {
+			lk := &lc[li]
+			ri, ok := u.byOffset[lk.offset]
+			if !ok || rc[ri].name.Type != lk.name.Type {
 				continue
 			}
-			out = append(out, u.windowLCS(thL, thR, lk, rk, &budget)...)
+			out = u.windowLCS(out, thL, thR, lk, &rc[ri], &budget)
 		}
 	}
+	u.anchors = out
 	if len(out) > u.maxAnchors {
 		u.maxAnchors = len(out)
 	}
@@ -432,14 +450,14 @@ const (
 // method signature for CM; class+seq and class+value for TO; class+seq
 // for AO (either TO criterion suffices, §3.1). Returns the keys in a
 // fixed-size array to keep the exploration path allocation-free.
-func correlationKeys(lk linked) ([2]corrKey, int) {
+func correlationKeys(lk *linked) ([2]corrKey, int) {
 	var keys [2]corrKey
 	switch lk.name.Type {
 	case views.Method:
 		keys[0] = corrKey{kind: ckMethod, a: lk.name.Key}
 		return keys, 1
 	case views.TargetObject:
-		t := lk.entry.Event.Target
+		t := &lk.entry.Event.Target
 		n := 0
 		if t.Loc != trace.NoLoc && t.Seq != 0 {
 			keys[n] = corrKey{kind: ckTargetSeq, a: uint64(t.ClassSym), b: uint64(t.Seq)}
@@ -451,7 +469,7 @@ func correlationKeys(lk linked) ([2]corrKey, int) {
 		}
 		return keys, n
 	case views.ActiveObject:
-		s := lk.entry.Self
+		s := &lk.entry.Self
 		if s.Loc != trace.NoLoc && s.Seq != 0 {
 			keys[0] = corrKey{kind: ckActiveSeq, a: uint64(s.ClassSym), b: uint64(s.Seq)}
 			return keys, 1
@@ -474,16 +492,17 @@ func anyAhead(anchors []anchor, i, j int) bool {
 type linked struct {
 	name   views.Name
 	eid    trace.EntryID
-	entry  trace.Entry
+	entry  *trace.Entry
 	offset int // distance from the divergence point in the thread view
 }
 
 // collectLinked gathers the distinct non-thread views linked from entries
 // within ±δ of position pos in the thread view, keeping the first linking
-// entry per view.
-func (u *unit) collectLinked(w *views.Web, tv []trace.EntryID, pos int) []linked {
-	seen := make(map[views.Name]bool)
-	var out []linked
+// entry per view. It overwrites out from its start.
+func (u *unit) collectLinked(out []linked, w *views.Web, tv []trace.EntryID, pos int) []linked {
+	clear(u.seen)
+	seen := u.seen
+	out = out[:0]
 	lo, hi := pos-u.opts.Radius, pos+u.opts.Radius
 	if lo < 0 {
 		lo = 0
@@ -501,7 +520,7 @@ func (u *unit) collectLinked(w *views.Web, tv []trace.EntryID, pos int) []linked
 			out = append(out, linked{
 				name:   n,
 				eid:    eid,
-				entry:  w.Trace.Entries[eid],
+				entry:  &w.Trace.Entries[eid],
 				offset: p - pos,
 			})
 		}
@@ -510,23 +529,23 @@ func (u *unit) collectLinked(w *views.Web, tv []trace.EntryID, pos int) []linked
 }
 
 // windowLCS computes the LCS over fixed ω-windows of a correlated view
-// pair, centered at the linking entries, and converts matched pairs into
-// anchors (memoized per window bucket so repeated divergences nearby do
-// not recompute the same comparison). The DP table draws on the shared
+// pair, centered at the linking entries, and appends matched pairs to
+// out as anchors (memoized per window bucket so repeated divergences
+// nearby do not recompute the same comparison). The DP table draws on the shared
 // cell budget when one is configured, and its peak size feeds the unit's
 // memory accounting.
-func (u *unit) windowLCS(thL, thR views.Name, lk, rk linked, budget *int) []anchor {
+func (u *unit) windowLCS(out []anchor, thL, thR views.Name, lk, rk *linked, budget *int) []anchor {
 	if *budget <= 0 {
-		return nil
+		return out
 	}
 	lpos, okL := u.wl.PosIn(lk.name, lk.eid)
 	rpos, okR := u.wr.PosIn(rk.name, rk.eid)
 	if !okL || !okR {
-		return nil
+		return out
 	}
 	key := memoKey{lk.name, rk.name, lpos / u.opts.Window, rpos / u.opts.Window}
 	if u.memo[key] {
-		return nil
+		return out
 	}
 	u.memo[key] = true
 	u.explorations++
@@ -548,11 +567,9 @@ func (u *unit) windowLCS(thL, thR views.Name, lk, rk linked, budget *int) []anch
 	lwin := u.wl.Window(lk.name, lk.eid, u.opts.Window)
 	rwin := u.wr.Window(rk.name, rk.eid, u.opts.Window)
 	if len(lwin) == 0 || len(rwin) == 0 {
-		return nil
+		return out
 	}
-	eq := func(a, b int) bool {
-		return u.equal(u.wl.Trace.Entries[lwin[a]], u.wr.Trace.Entries[rwin[b]])
-	}
+	eq := func(a, b int) bool { return u.equal(lwin[a], rwin[b]) }
 	pairs, st, err := lcs.Compute(len(lwin), len(rwin), eq, lcs.Options{Ctx: u.ctx, Budget: u.budget})
 	if st.Cells > u.peakCells {
 		u.peakCells = st.Cells
@@ -566,9 +583,8 @@ func (u *unit) windowLCS(thL, thR views.Name, lk, rk linked, budget *int) []anch
 		if !errors.Is(err, lcs.ErrMemoryBudget) && u.err == nil {
 			u.err = err
 		}
-		return nil
+		return out
 	}
-	out := make([]anchor, 0, len(pairs))
 	for _, p := range pairs {
 		a := anchor{eidL: lwin[p.I], eidR: rwin[p.J], posL: -1, posR: -1}
 		if pos, ok := u.wl.PosIn(thL, a.eidL); ok {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/lcs"
 	"repro/internal/regression"
 	"repro/internal/subjects"
+	"repro/internal/trace"
 	"repro/internal/views"
 )
 
@@ -385,4 +386,44 @@ func MotivatingExample() (string, error) {
 		ev.TruePositives, ev.FalsePositives, ev.FalseNegatives)
 	b.WriteString(an.Report(7))
 	return b.String(), nil
+}
+
+// RhinoQuad traces a fixed §4.1 quadruple of one injected Rhino
+// regression: inject.Inject's bug of seed 14 (a typo in an argument of
+// Compiler.compileStmt) breaks the output of GenScript(15, 1), the
+// regressing input, and runs but passes on GenScript(15, 3). Its three
+// diffs each explore hundreds of linked-view windows, as the injected
+// bugs of Fig. 14 do, so it is the repo's fixed exploration-heavy
+// regression workload (bench rows and pinned compare counts).
+func RhinoQuad() (*subjects.Traces, error) {
+	prog := lang.MustParse(subjects.RhinoSource())
+	mutated, _, ok := inject.Inject(prog, 14)
+	if !ok {
+		return nil, errors.New("rhino quadruple: no injection site")
+	}
+	tr := &subjects.Traces{Outputs: map[string]string{}}
+	for _, run := range []struct {
+		p      *lang.Program
+		script int64
+		name   string
+		dst    **trace.Trace
+	}{
+		{prog, 3, "orig-correct", &tr.OrigCorrect}, {mutated, 3, "new-correct", &tr.NewCorrect},
+		{prog, 1, "orig-regr", &tr.OrigRegr}, {mutated, 1, "new-regr", &tr.NewRegr},
+	} {
+		res, err := interp.Run(run.p, interp.Options{
+			Args: []string{subjects.GenScript(15, run.script)}, TraceName: run.name,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if res.Err != nil {
+			return nil, fmt.Errorf("rhino quadruple: %s: %v", run.name, res.Err)
+		}
+		*run.dst, tr.Outputs[run.name] = res.Trace, res.Output
+	}
+	if tr.Outputs["orig-regr"] == tr.Outputs["new-regr"] || tr.Outputs["orig-correct"] != tr.Outputs["new-correct"] {
+		return nil, errors.New("rhino quadruple: the injected bug no longer regresses only the regressing input")
+	}
+	return tr, nil
 }

@@ -91,7 +91,7 @@ func NewSketcher() *Sketcher {
 // the sketch is a function of the entry multiset only.
 func (s *Sketcher) Add(e *trace.Entry) {
 	s.sk.Total++
-	if e.IsEOF() {
+	if e.Event.Kind == trace.KindEOF {
 		return
 	}
 	s.sk.Entries++
@@ -99,7 +99,7 @@ func (s *Sketcher) Add(e *trace.Entry) {
 		s.seenTID[e.TID] = struct{}{}
 		s.sk.Threads++
 	}
-	ch := eventClassHash(e)
+	ch := trace.EventClassHash(e)
 	s.sk.Counts[ch&(CountBuckets-1)]++
 	s.feature(ch)
 	s.feature(strFeature('m', e.Method))
@@ -136,8 +136,8 @@ func (s *Sketcher) feature(f uint64) {
 		return
 	}
 	s.seenFeat[f] = struct{}{}
-	h1 := splitmix64(f)
-	h2 := splitmix64(f^0x9e3779b97f4a7c15) | 1
+	h1 := trace.Mix64(0, f)
+	h2 := trace.Mix64(0, f^0x9e3779b97f4a7c15) | 1
 	v := h1
 	for i := range s.sk.MinHash {
 		if v < s.sk.MinHash[i] {
@@ -191,89 +191,17 @@ func EstimatedJaccard(a, b *Sketch) float64 {
 func (sk *Sketch) BandKeys() [Bands]uint64 {
 	var keys [Bands]uint64
 	for b := 0; b < Bands; b++ {
-		h := uint64(fnvOffset) ^ uint64(b)*fnvPrime
+		h := uint64(trace.HashOffset) ^ uint64(b)*trace.HashPrime
 		for r := 0; r < BandRows; r++ {
-			h = mix64(h, sk.MinHash[b*BandRows+r])
+			h = trace.Mix64(h, sk.MinHash[b*BandRows+r])
 		}
 		keys[b] = h
 	}
 	return keys
 }
 
-// ---- event-class hashing ----
-
-// eventClassHash hashes the fields trace.EventEqual compares — and only
-// those — so EventEqual(a, b) implies equal hashes. Kind always; fork
-// and end events hash their stack shape (method + callee class per
-// frame); every other kind hashes member, target value-representation
-// (class, hash, str — never Loc or Seq, which are version-unstable and
-// excluded from =e), and each argument's value-representation. Strings
-// are hashed length-prefixed so field boundaries cannot alias.
-func eventClassHash(e *trace.Entry) uint64 {
-	ev := &e.Event
-	h := uint64(fnvOffset)
-	h = mix64(h, uint64(ev.Kind))
-	switch ev.Kind {
-	case trace.KindFork, trace.KindEnd:
-		h = mix64(h, uint64(len(ev.Stack)))
-		for i := range ev.Stack {
-			h = mixStr(h, ev.Stack[i].Method)
-			h = mixStr(h, ev.Stack[i].Callee.Class)
-		}
-	default:
-		h = mixStr(h, ev.Member)
-		h = mixRepr(h, &ev.Target)
-		h = mix64(h, uint64(len(ev.Args)))
-		for i := range ev.Args {
-			h = mixRepr(h, &ev.Args[i])
-		}
-	}
-	return h
-}
-
 func strFeature(tag byte, s string) uint64 {
-	h := uint64(fnvOffset)
-	h = mix64(h, uint64(tag))
-	return mixStr(h, s)
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func mixStr(h uint64, s string) uint64 {
-	h = mix64(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-func mixRepr(h uint64, r *trace.Repr) uint64 {
-	h = mix64(h, r.Hash)
-	h = mixStr(h, r.Class)
-	return mixStr(h, r.Str)
-}
-
-// mix64 folds a word into the running hash: xor, then the bijective
-// splitmix64 finalizer. Collisions of the combined state require the
-// xor-ed inputs to collide exactly, and the full-width finalizer is a
-// fraction of the byte-at-a-time FNV chain it replaces — this is the
-// inner loop of Store.Put's sketching pass.
-func mix64(h, v uint64) uint64 {
-	return splitmix64(h ^ v)
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator — a cheap,
-// well-distributed 64-bit mixer, fixed here so every process hashes
-// features identically (sketches must be comparable across machines).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return trace.MixString(trace.Mix64(trace.HashOffset, uint64(tag)), s)
 }
 
 // ---- persistence ----

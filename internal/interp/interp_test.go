@@ -447,7 +447,7 @@ class Main {
 			t.Fatal("trace lengths differ across runs")
 		}
 		for j := range first.Trace.Entries {
-			if !trace.EventEqual(first.Trace.Entries[j], again.Trace.Entries[j]) {
+			if !trace.EventEqual(&first.Trace.Entries[j], &again.Trace.Entries[j]) {
 				t.Fatalf("entry %d differs across runs", j)
 			}
 			if first.Trace.Entries[j].TID != again.Trace.Entries[j].TID {
@@ -732,7 +732,7 @@ class Main {
 		t.Fatalf("segmented %d entries, in-memory %d", got.Len(), mem.Trace.Len())
 	}
 	for i := range got.Entries {
-		if !trace.EventEqual(got.Entries[i], mem.Trace.Entries[i]) {
+		if !trace.EventEqual(&got.Entries[i], &mem.Trace.Entries[i]) {
 			t.Fatalf("entry %d differs between segmented and in-memory runs", i)
 		}
 	}

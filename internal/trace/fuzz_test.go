@@ -104,3 +104,56 @@ func FuzzWireDecoder(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEventClassHash checks the invariant the diff kernels and the
+// similarity index rest on: EventEqual(a, b) implies equal
+// EventClassHash. Entries decode over a four-word vocabulary, so pairs
+// are often =e, and cover every kind: EOF entries with junk in the
+// fields =e ignores, fork and end stacks, stacks on kinds that ignore
+// them, both sides interned (unequal strings make unequal Syms), and
+// either side left at NoSym, where EventEqual falls back to strings.
+func FuzzEventClassHash(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 0, 2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 2, 1, 1, 1, 1, 1, 1, 0})
+	fork := []byte{0, 1, 1, 1, 1, 1, 1, 6, 1, 1, 1, 1, 1, 1, 0, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1}
+	f.Add(append(append([]byte{}, fork...), fork...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, rest := fuzzEntry(data)
+		b, _ := fuzzEntry(rest)
+		if EventEqual(&a, &b) && EventClassHash(&a) != EventClassHash(&b) {
+			t.Fatalf("=e entries hash apart:\n%v\n%v", a, b)
+		}
+	})
+}
+
+// fuzzEntry decodes one entry from the front of data (zeros past its
+// end) and returns the rest.
+func fuzzEntry(data []byte) (Entry, []byte) {
+	next := func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
+	vocab := [...]string{"", "a", "ab", "Int"}
+	repr := func() Repr {
+		return Repr{Loc: Loc(next(3)), Class: vocab[next(4)], Hash: uint64(next(3)), Str: vocab[next(4)], Seq: next(2)}
+	}
+	e := Entry{TID: ThreadID(next(2)), Method: vocab[next(4)], Self: repr()}
+	ev := &e.Event
+	ev.Kind = EventKind(next(8))
+	ev.Member = vocab[next(4)]
+	ev.Target = repr()
+	for n := next(3); n > 0; n-- {
+		ev.Args = append(ev.Args, repr())
+	}
+	for n := next(3); n > 0; n-- {
+		ev.Stack = append(ev.Stack, Frame{Method: vocab[next(4)], Caller: repr(), Callee: repr()})
+	}
+	if next(2) == 1 {
+		internEntry(&e, false)
+	}
+	return e, data
+}

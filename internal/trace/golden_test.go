@@ -238,6 +238,39 @@ func TestGoldenFormatCompat(t *testing.T) {
 	}
 }
 
+// goldenClassHashes are trace.EventClassHash of the fixture's entries,
+// computed by the similarity index's own class hash before it moved to
+// package trace. Persisted sketches count these values, so a change
+// here silently invalidates every .sketch.json sidecar in a corpus.
+var goldenClassHashes = []uint64{
+	0x9752a8e5aa02bc9d, 0x93434e27136fb1f9, 0x93434e27136fb1f9, 0x5dba4a7497487f7d,
+	0xe0ba7dc9f832001f, 0x9d961adf3b0e1c96, 0x4237a86bf6f7e5a7, 0xfea60ca5e28ef1dd,
+	0x0bf980ca2520db51, 0xf579ac19eb91e657, 0x8da49caeb26052fd, 0xcd37b91067a90bc3,
+	0xd019c42c3b0460a5, 0xb51673af20150c1c, 0x8808a2e7bc0da961, 0xe032156dffa4b0f3,
+	0xe032156dffa4b0f3, 0x6f9cbb08480da229,
+}
+
+// TestGoldenEventClassHash pins the =e class key of every entry of every
+// loadable golden fixture.
+func TestGoldenEventClassHash(t *testing.T) {
+	for name := range goldenFixtures() {
+		t.Run(name, func(t *testing.T) {
+			tr, err := trace.Load(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Len() != len(goldenClassHashes) {
+				t.Fatalf("%d entries, want %d", tr.Len(), len(goldenClassHashes))
+			}
+			for i := range tr.Entries {
+				if got := trace.EventClassHash(&tr.Entries[i]); got != goldenClassHashes[i] {
+					t.Errorf("entry %d: class hash %#016x, want %#016x", i, got, goldenClassHashes[i])
+				}
+			}
+		})
+	}
+}
+
 // TestRSEGRoundTripProperty pins the migration guarantee over varied
 // trace shapes: writing any trace as RSEG and loading it back yields an
 // identical canonical digest and an equivalent view web — the property

@@ -96,8 +96,9 @@ func (r Repr) HasValue() bool { return r.Hash != 0 || r.Str != "" }
 // numbers are deliberately ignored (§3.1: "locations by themselves are
 // unsuitable for comparison across different program versions"). When
 // both sides carry interned symbols the comparison is three word
-// compares; otherwise it falls back to the strings.
-func (r Repr) ValueEqual(o Repr) bool {
+// compares; otherwise it falls back to the strings. Both sides are read
+// in place.
+func (r *Repr) ValueEqual(o *Repr) bool {
 	if r.Hash != o.Hash {
 		return false
 	}
@@ -176,7 +177,9 @@ type Entry struct {
 	MethodSym Sym `json:"-"`
 }
 
-// IsEOF reports whether the entry is trace padding.
+// IsEOF reports whether the entry is trace padding. Loops over whole
+// traces test Event.Kind instead: calling this through a *Entry copies
+// the entry.
 func (e Entry) IsEOF() bool { return e.Event.Kind == KindEOF }
 
 func (e Entry) String() string {
@@ -318,8 +321,9 @@ func PadEOF(l, r *Trace) {
 func (t *Trace) ThreadIDs() []ThreadID {
 	seen := make(map[ThreadID]bool)
 	var ids []ThreadID
-	for _, e := range t.Entries {
-		if e.IsEOF() || seen[e.TID] {
+	for i := range t.Entries {
+		e := &t.Entries[i]
+		if e.Event.Kind == KindEOF || seen[e.TID] {
 			continue
 		}
 		seen[e.TID] = true

@@ -114,7 +114,7 @@ func TestEventEqualIgnoresLocationAndSeq(t *testing.T) {
 	b.Event.Target.Seq = 42
 	b.TID = 5
 	b.EID = 17
-	if !EventEqual(a, b) {
+	if !EventEqual(&a, &b) {
 		t.Error("entries differing only in location/seq/context must be =e")
 	}
 }
@@ -125,31 +125,31 @@ func TestEventEqualDistinguishes(t *testing.T) {
 
 	diffValue := base
 	diffValue.Event.Args = []Repr{intRepr(1)}
-	if EventEqual(base, diffValue) {
+	if EventEqual(&base, &diffValue) {
 		t.Error("different written values must not be =e")
 	}
 
 	diffField := base
 	diffField.Event.Member = "g"
-	if EventEqual(base, diffField) {
+	if EventEqual(&base, &diffField) {
 		t.Error("different fields must not be =e")
 	}
 
 	diffKind := base
 	diffKind.Event.Kind = KindGet
-	if EventEqual(base, diffKind) {
+	if EventEqual(&base, &diffKind) {
 		t.Error("different kinds must not be =e")
 	}
 
 	diffClass := base
 	diffClass.Event.Target.Class = "D"
-	if EventEqual(base, diffClass) {
+	if EventEqual(&base, &diffClass) {
 		t.Error("different target classes must not be =e")
 	}
 
 	diffArity := base
 	diffArity.Event.Args = nil
-	if EventEqual(base, diffArity) {
+	if EventEqual(&base, &diffArity) {
 		t.Error("different arities must not be =e")
 	}
 }
@@ -165,11 +165,11 @@ func TestEventEqualForkByStackShape(t *testing.T) {
 	a := mkFork("main", "startWorkers")
 	b := mkFork("main", "startWorkers")
 	b.Event.Member = "12" // different child tid must not matter
-	if !EventEqual(a, b) {
+	if !EventEqual(&a, &b) {
 		t.Error("forks with identical spawn stacks must be =e")
 	}
 	c := mkFork("main", "other")
-	if EventEqual(a, c) {
+	if EventEqual(&a, &c) {
 		t.Error("forks with different spawn stacks must not be =e")
 	}
 }
@@ -293,7 +293,7 @@ func TestPrimReprAndObjectRepr(t *testing.T) {
 	if empty.HasValue() {
 		t.Error("opted-out object must have empty value representation")
 	}
-	if !ObjectRepr(9, "C", 3, s, true).ValueEqual(o) {
+	if o9 := ObjectRepr(9, "C", 3, s, true); !o9.ValueEqual(&o) {
 		t.Error("value equality must ignore loc and seq")
 	}
 }
@@ -303,7 +303,7 @@ func TestReprValueEqualReflexiveProperty(t *testing.T) {
 		r := Repr{Loc: Loc(loc), Class: class, Hash: hash, Str: str, Seq: seq}
 		o := r
 		o.Loc, o.Seq = Loc(loc+1), seq+1
-		return r.ValueEqual(r) && r.ValueEqual(o)
+		return r.ValueEqual(&r) && r.ValueEqual(&o)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

@@ -89,11 +89,14 @@ func buildSerial(ctx context.Context, t *trace.Trace) (*Web, error) {
 		views:   make(map[Name]*View),
 		byEntry: make([][]Name, len(t.Entries)),
 		objects: make(map[trace.Loc]ObjectInfo),
+		keys:    make([]uint64, len(t.Entries)),
 	}
-	// First pass: size the arena exactly, so slices into it stay valid.
+	// First pass: size the arena exactly, so slices into it stay valid,
+	// and key every entry.
 	total := 0
 	for i := range t.Entries {
 		total += nameCount(&t.Entries[i])
+		w.keys[i] = trace.EventClassHash(&t.Entries[i])
 	}
 	arena := make([]Name, 0, total)
 	for i := range t.Entries {
@@ -136,14 +139,15 @@ type buildShard struct {
 	err     error
 }
 
-// scan is the first parallel pass: compute every entry's names into the
-// shard arena (exact-sized by a local count), link byEntry, and tally
-// per-view counts. byEntry is shared across shards but each entry id is
-// written by exactly one shard.
-func (s *buildShard) scan(ctx context.Context, t *trace.Trace, byEntry [][]Name) {
+// scan is the first parallel pass: key every entry, compute its names
+// into the shard arena (exact-sized by a local count), link byEntry, and
+// tally per-view counts. byEntry and keys are shared across shards but
+// each entry id is written by exactly one shard.
+func (s *buildShard) scan(ctx context.Context, t *trace.Trace, byEntry [][]Name, keys []uint64) {
 	total := 0
 	for i := s.lo; i < s.hi; i++ {
 		total += nameCount(&t.Entries[i])
+		keys[i] = trace.EventClassHash(&t.Entries[i])
 	}
 	s.arena = make([]Name, 0, total)
 	s.counts = make(map[Name]int)
@@ -202,6 +206,7 @@ func buildParallel(ctx context.Context, t *trace.Trace, workers int) (*Web, erro
 		views:   make(map[Name]*View),
 		byEntry: make([][]Name, len(t.Entries)),
 		objects: make(map[trace.Loc]ObjectInfo),
+		keys:    make([]uint64, len(t.Entries)),
 	}
 	// Contiguous shards, remainder spread over the first few.
 	shards := make([]*buildShard, workers)
@@ -222,7 +227,7 @@ func buildParallel(ctx context.Context, t *trace.Trace, workers int) (*Web, erro
 		wg.Add(1)
 		go func(s *buildShard) {
 			defer wg.Done()
-			s.scan(ctx, t, w.byEntry)
+			s.scan(ctx, t, w.byEntry, w.keys)
 		}(s)
 	}
 	wg.Wait()

@@ -30,15 +30,15 @@ func CorrelateMethod(a, b trace.Entry) bool {
 // correspond when their value representations are equal, or when their
 // class-specific object creation sequence numbers (and classes) are equal.
 func CorrelateTarget(a, b trace.Entry) bool {
-	return objectsCorrelate(a.Event.Target, b.Event.Target)
+	return objectsCorrelate(&a.Event.Target, &b.Event.Target)
 }
 
 // CorrelateActive implements XAO on the executing receivers ρ.
 func CorrelateActive(a, b trace.Entry) bool {
-	return objectsCorrelate(a.Self, b.Self)
+	return objectsCorrelate(&a.Self, &b.Self)
 }
 
-func objectsCorrelate(x, y trace.Repr) bool {
+func objectsCorrelate(x, y *trace.Repr) bool {
 	if x.ClassSym != trace.NoSym && y.ClassSym != trace.NoSym {
 		if x.ClassSym != y.ClassSym {
 			return false
@@ -82,7 +82,8 @@ type threadDesc struct {
 // empty ancestry.
 func describeThreads(t *trace.Trace) []threadDesc {
 	forked := make(map[trace.ThreadID][]trace.Frame)
-	for _, e := range t.Entries {
+	for i := range t.Entries {
+		e := &t.Entries[i]
 		if e.Event.Kind != trace.KindFork {
 			continue
 		}
@@ -134,7 +135,8 @@ func NewThreadMatcher(l *trace.Trace) *ThreadMatcher {
 // Match computes XTH between the pinned left trace and the snapshot r,
 // scanning only entries beyond the previous snapshot's length.
 func (m *ThreadMatcher) Match(r *trace.Trace) ThreadMatch {
-	for _, e := range r.Entries[m.scanned:] {
+	for i := m.scanned; i < len(r.Entries); i++ {
+		e := &r.Entries[i]
 		if e.Event.Kind == trace.KindFork {
 			var child trace.ThreadID
 			for _, c := range e.Event.Member {
@@ -142,7 +144,7 @@ func (m *ThreadMatcher) Match(r *trace.Trace) ThreadMatch {
 			}
 			m.forked[child] = e.Event.Stack
 		}
-		if !e.IsEOF() && !m.seen[e.TID] {
+		if e.Event.Kind != trace.KindEOF && !m.seen[e.TID] {
 			m.seen[e.TID] = true
 			m.order = append(m.order, e.TID)
 		}

@@ -37,6 +37,7 @@ type IncrementalBuilder struct {
 	byEntry [][]Name
 	views   map[Name]*View
 	objects map[trace.Loc]ObjectInfo
+	keys    []uint64
 }
 
 // NewIncrementalBuilder returns an empty builder for a trace with the
@@ -81,6 +82,7 @@ func (b *IncrementalBuilder) Append(entries []trace.Entry) error {
 	(&trace.Trace{Entries: b.entries[start:]}).EnsureSyms()
 	for range entries {
 		b.byEntry = append(b.byEntry, nil)
+		b.keys = append(b.keys, 0)
 	}
 	if len(entries) >= parallelBuildThreshold {
 		b.appendSharded(start)
@@ -96,6 +98,7 @@ func (b *IncrementalBuilder) appendSerial(start int) {
 	total := 0
 	for i := start; i < len(b.entries); i++ {
 		total += nameCount(&b.entries[i])
+		b.keys[i] = trace.EventClassHash(&b.entries[i])
 	}
 	arena := make([]Name, 0, total)
 	for i := start; i < len(b.entries); i++ {
@@ -153,7 +156,7 @@ func (b *IncrementalBuilder) appendSharded(start int) {
 		wg.Add(1)
 		go func(s *buildShard) {
 			defer wg.Done()
-			s.scan(context.Background(), t, b.byEntry)
+			s.scan(context.Background(), t, b.byEntry, b.keys)
 		}(s)
 	}
 	wg.Wait()
@@ -218,9 +221,9 @@ func (b *IncrementalBuilder) SnapshotTrace() *trace.Trace {
 // Snapshot returns a query-ready Web over everything appended so far.
 // The web is immutable from the reader's perspective: view maps and the
 // object index are copied (O(views + objects)), while the heavy
-// structures — arenas, entry-id lists, the link table — are shared with
-// the builder via length-capped slices whose visible prefixes are never
-// rewritten by later Appends.
+// structures — arenas, entry-id lists, the link table, the class keys —
+// are shared with the builder via length-capped slices whose visible
+// prefixes are never rewritten by later Appends.
 func (b *IncrementalBuilder) Snapshot() *Web {
 	n := len(b.entries)
 	vs := make(map[Name]*View, len(b.views))
@@ -237,14 +240,15 @@ func (b *IncrementalBuilder) Snapshot() *Web {
 		byEntry: b.byEntry[:n:n],
 		arenas:  b.arenas[:len(b.arenas):len(b.arenas)],
 		objects: objs,
+		keys:    b.keys[:n:n],
 	}
 }
 
 // Equivalent reports whether two webs are semantically identical: same
 // trace entries, same views with the same entry-id lists, same per-entry
-// links, same object index, same MemBytes. Arena chunking — one arena
-// per build shard or per incremental batch — is an implementation detail
-// and deliberately not compared, which is why incremental-vs-batch
+// links and class keys, same object index, same MemBytes. Arena
+// chunking — one arena per build shard or per incremental batch — is an
+// implementation detail and deliberately not compared, which is why incremental-vs-batch
 // equivalence checks use this instead of reflect.DeepEqual on the Web.
 // It returns nil on equivalence or an error naming the first difference.
 func Equivalent(a, c *Web) error {
@@ -286,6 +290,14 @@ func Equivalent(a, c *Web) error {
 			if ae[j] != ce[j] {
 				return fmt.Errorf("entry %d link %d differs: %v vs %v", eid, j, ae[j], ce[j])
 			}
+		}
+	}
+	if len(a.keys) != len(c.keys) {
+		return fmt.Errorf("class key counts differ: %d vs %d", len(a.keys), len(c.keys))
+	}
+	for eid := range a.keys {
+		if a.keys[eid] != c.keys[eid] {
+			return fmt.Errorf("entry %d class keys differ: %x vs %x", eid, a.keys[eid], c.keys[eid])
 		}
 	}
 	if len(a.objects) != len(c.objects) {

@@ -198,7 +198,14 @@ type Web struct {
 	byEntry [][]Name // view names per entry id (the union of the ω mappings)
 	arenas  [][]Name // backing storage for byEntry slices, one per build shard
 	objects map[trace.Loc]ObjectInfo
+	keys    []uint64 // =e class key per entry id (trace.EventClassHash)
 }
+
+// ClassKeys returns trace.EventClassHash of every entry, indexed by entry
+// id and computed at build. Entries with different keys are never =e,
+// so a differ compares keys before calling trace.EventEqual. The slice
+// is shared; callers must not write it.
+func (w *Web) ClassKeys() []uint64 { return w.keys }
 
 // View returns the view with the given name, or nil.
 func (w *Web) View(n Name) *View { return w.views[n] }
@@ -327,20 +334,22 @@ const (
 	sliceHeaderSize = 24
 	entryIDBytes    = 8
 	objectInfoBytes = 56
+	classKeyBytes   = 8
 )
 
 // MemBytes accounts the web's own memory — the name arenas, the
-// per-entry link table, every view's entry-id list, and the object
-// index — excluding the underlying trace. It counts logical lengths, not
-// allocator capacities, so the figure is identical however the web was
-// built (any Workers setting) and is the deterministic web term of the
-// differ's Stats.MemBytes.
+// per-entry link table and class keys, every view's entry-id list, and
+// the object index — excluding the underlying trace. It counts logical
+// lengths, not allocator capacities, so the figure is identical however
+// the web was built (any Workers setting) and is the deterministic web
+// term of the differ's Stats.MemBytes.
 func (w *Web) MemBytes() int64 {
 	var b int64
 	for _, a := range w.arenas {
 		b += int64(len(a)) * nameBytes
 	}
 	b += int64(len(w.byEntry)) * sliceHeaderSize
+	b += int64(len(w.keys)) * classKeyBytes
 	for _, v := range w.views {
 		b += int64(len(v.EIDs))*entryIDBytes + sliceHeaderSize + nameBytes
 	}
