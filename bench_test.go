@@ -193,22 +193,27 @@ func mtPair(b *testing.B, workers, iters int) (*trace.Trace, *trace.Trace) {
 // BenchmarkViewDiffParallel measures the intra-diff worker pool on a
 // medium multithreaded subject over cached webs: workers=1 is the serial
 // baseline, the other rows show the wall-clock scaling (every row
-// produces the identical Result). Speedup rows also land in
-// `rprism-bench -json`.
+// produces the identical Result).
 func BenchmarkViewDiffParallel(b *testing.B) {
 	l, r := mtPair(b, 8, 150)
 	wl, wr := views.Build(l), views.Build(r)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
-			var compares int64
+			var res *diff.Result
 			for i := 0; i < b.N; i++ {
-				res := diff.ViewDiffWebs(wl, wr, diff.ViewOptions{Parallelism: w})
-				compares = res.Stats.Compares
+				res = diff.ViewDiffWebs(wl, wr, diff.ViewOptions{Parallelism: w})
 			}
-			b.ReportMetric(float64(compares), "compares/op")
+			reportDiff(b, res)
 		})
 	}
+}
+
+// reportDiff attaches a differencing row's domain numbers: the =e
+// compares behind the paper's speedup claim and the differences found.
+func reportDiff(b *testing.B, res *diff.Result) {
+	b.ReportMetric(float64(res.Stats.Compares), "compares/op")
+	b.ReportMetric(float64(res.NumDiffs()), "diffs/op")
 }
 
 // BenchmarkViewsBuildParallel measures the two-pass sharded web build
@@ -260,12 +265,11 @@ func BenchmarkViewsBuild(b *testing.B) {
 func BenchmarkViewDiffMedium(b *testing.B) {
 	l, r := rhinoPair(b, 30)
 	b.ResetTimer()
-	var compares int64
+	var res *diff.Result
 	for i := 0; i < b.N; i++ {
-		res := diff.ViewDiff(l, r, diff.ViewOptions{})
-		compares = res.Stats.Compares
+		res = diff.ViewDiff(l, r, diff.ViewOptions{})
 	}
-	b.ReportMetric(float64(compares), "compares/op")
+	reportDiff(b, res)
 }
 
 func BenchmarkLCSDiffMedium(b *testing.B) {
@@ -474,20 +478,25 @@ func BenchmarkEngineDiffCached(b *testing.B) {
 	}
 	b.Run("webs", func(b *testing.B) {
 		b.ReportAllocs()
+		var res *diff.Result
 		for i := 0; i < b.N; i++ {
-			diff.ViewDiffWebs(wl, wr, diff.ViewOptions{})
+			res = diff.ViewDiffWebs(wl, wr, diff.ViewOptions{})
 		}
+		reportDiff(b, res)
 	})
 	b.Run("engine", func(b *testing.B) {
 		eng := NewEngine(WithCorpus(store))
 		left, right := FromCorpus(lid), FromCorpus(rid)
 		ctx := context.Background()
 		b.ReportAllocs()
+		var res *diff.Result
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Diff(ctx, left, right); err != nil {
+			var err error
+			if res, err = eng.Diff(ctx, left, right); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportDiff(b, res)
 	})
 }
 

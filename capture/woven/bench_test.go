@@ -10,8 +10,7 @@ import (
 // the three states a woven binary runs in: hooks disabled (the common
 // case — the binary was built woven but is not being recorded), hooks
 // recording to an in-memory-buffered disk sink, and the unwoven
-// baseline (a plain function call). rprism-bench -json reports the
-// recording/unwoven ratio as slowdown_vs_unwoven.
+// baseline (a plain function call).
 
 //go:noinline
 func unwovenStep(n int) int { return n + 1 }

@@ -6,6 +6,14 @@
 //	rprism-bench -exp fig14b    Fig. 14(b) speedup histogram
 //	rprism-bench -exp myfaces   §4.2 motivating-example walkthrough
 //	rprism-bench -exp all       everything
+//
+// With -json it instead reads the output of the repository's `go test`
+// benchmarks from stdin and writes one machine-readable report to
+// stdout: a row per benchmark with ns/op, B/op, allocs/op, its custom
+// metrics, the median and spread over -count repeats, and the ratios of
+// rows paired over the same input:
+//
+//	go test -run '^$' -bench . -benchmem -count 5 ./... | rprism-bench -exp none -json > BENCH.json
 package main
 
 import (
@@ -20,20 +28,21 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1, table2, fig14a, fig14b, myfaces, all, none")
 	bugs := flag.Int("bugs", 0, "override number of injected bugs for fig14 experiments")
-	jsonPath := flag.String("json", "", "write machine-readable hot-path measurements (ns/op, allocs/op, compares/op, symbol stats) to this file")
+	asJSON := flag.Bool("json", false, "read `go test -bench` output from stdin and write the JSON benchmark report to stdout (needs -exp none)")
 	flag.Parse()
 
-	if *exp != "none" {
-		if err := run(*exp, *bugs); err != nil {
-			fmt.Fprintln(os.Stderr, "rprism-bench:", err)
-			os.Exit(1)
-		}
+	var err error
+	switch {
+	case *asJSON && *exp != "none":
+		err = fmt.Errorf("-json writes the report to stdout; pass -exp none")
+	case *asJSON:
+		err = writeJSONReport(os.Stdin, os.Stdout)
+	case *exp != "none":
+		err = run(*exp, *bugs)
 	}
-	if *jsonPath != "" {
-		if err := writeJSONReport(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "rprism-bench:", err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rprism-bench:", err)
+		os.Exit(1)
 	}
 }
 

@@ -446,3 +446,51 @@ func TestOpenDuringWriteSkipsSweep(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkBlobGet measures a Get through the blob tier: "hydrated" on a
+// fresh store whose disk tier already holds the trace (decode only),
+// "cold" on a fresh store over an empty directory (list, download and
+// decode the segments). The ratio of the two is what a disk-tier miss
+// pays for hydration.
+func BenchmarkBlobGet(b *testing.B) {
+	bucket := blob.NewMem()
+	dir := b.TempDir()
+	seed, err := New(dir, Options{Blob: bucket})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id, _, err := seed.Put(benchCorpusTrace(8, 2500))
+	if err != nil {
+		b.Fatal(err)
+	}
+	get := func(b *testing.B, dir string) {
+		s, err := New(dir, Options{Blob: bucket})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Get(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("hydrated", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			get(b, dir)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cold, err := os.MkdirTemp("", "blobget-cold")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			get(b, cold)
+			b.StopTimer()
+			os.RemoveAll(cold)
+			b.StartTimer()
+		}
+	})
+}

@@ -574,6 +574,8 @@ func BenchmarkCorpusGetCold(b *testing.B) {
 // BenchmarkCorpusScale measures a Get miss and a Put of a 300-entry
 // trace against corpora of 1 and 1000 stored traces: per-trace disk
 // paths open files by name, so neither may grow with the corpus.
+// Every Put stores a variant not stored before, in every round the
+// benchmark runs, so no round measures the dedup path.
 func BenchmarkCorpusScale(b *testing.B) {
 	for _, n := range []int{1, 1000} {
 		dir := b.TempDir()
@@ -599,13 +601,17 @@ func BenchmarkCorpusScale(b *testing.B) {
 				}
 			}
 		})
+		next := n
 		b.Run(fmt.Sprintf("put/traces=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				tr := subjects.GenCorpusTrace(99, n+i, 300)
+				tr := subjects.GenCorpusTrace(99, next, 300)
+				next++
 				b.StartTimer()
-				mustPut(b, s, tr)
+				if _, created, err := s.Put(tr); err != nil || !created {
+					b.Fatalf("put of a new variant: created=%v err=%v", created, err)
+				}
 			}
 		})
 	}

@@ -13,8 +13,7 @@ type CacheCounters struct {
 }
 
 // CacheSnapshot is a point-in-time JSON-friendly copy of one cache's
-// counters plus its current residency, as surfaced in /stats and
-// rprism-bench -json.
+// counters plus its current residency, as surfaced in /stats.
 type CacheSnapshot struct {
 	Len       int     `json:"len"` // entries currently resident
 	Cap       int     `json:"cap"` // configured bound

@@ -61,7 +61,7 @@ func BenchmarkSentinelIncrementalRediff(b *testing.B) {
 			b.ReportMetric(float64(st.Dirty)/float64(st.Pairs), "dirty_ratio")
 		}
 		if b.Elapsed() > 0 {
-			b.ReportMetric(float64(tailLen)*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
+			b.ReportMetric(float64(tailLen)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 		}
 	})
 	b.Run("full", func(b *testing.B) {

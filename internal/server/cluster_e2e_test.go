@@ -36,7 +36,7 @@ type clusterNode struct {
 // startCluster boots n nodes over one shared S3-stub bucket. Every
 // node's disk tier is capped at diskCache decoded traces, so a corpus
 // larger than that only fits in the bucket.
-func startCluster(t *testing.T, n, diskCache int) []*clusterNode {
+func startCluster(t testing.TB, n, diskCache int) []*clusterNode {
 	t.Helper()
 	stub := blob.NewS3Stub("corpus", "test-access", "test-secret", "us-east-1")
 	stubSrv := httptest.NewServer(stub)
@@ -109,7 +109,7 @@ func startCluster(t *testing.T, n, diskCache int) []*clusterNode {
 	return nodes
 }
 
-func waitHealthy(t *testing.T, url string) {
+func waitHealthy(t testing.TB, url string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -385,5 +385,45 @@ func TestClusterStatsAggregation(t *testing.T) {
 		if p.ID == nodes[2].id && p.Healthy {
 			t.Fatalf("dead peer reported healthy: %+v", p)
 		}
+	}
+}
+
+// BenchmarkServeDiffCluster measures one POST /run/diff on a two-node
+// ring when the receiving node owns the left trace ("local") and when
+// the request lands on the other node and takes one forwarding hop
+// ("forwarded"). The ratio of the two is the forwarding tax: proxying,
+// not recomputing.
+func BenchmarkServeDiffCluster(b *testing.B) {
+	nodes := startCluster(b, 2, 0)
+	l, r := tracePair(b)
+	var ids [2]string
+	for i, tr := range []*trace.Trace{l, r} {
+		var info TraceInfo
+		if status, raw := doJSON(b, http.MethodPut, nodes[0].url+"/traces", rsegBytes(b, tr), &info); status != http.StatusCreated {
+			b.Fatalf("upload: status %d: %s", status, raw)
+		}
+		ids[i] = info.ID
+	}
+	local, other := nodes[0], nodes[1]
+	if ownerOf(nodes, ids[0]) != local.id {
+		local, other = other, local
+	}
+	// Both rows are served by the owner: one untimed diff there builds
+	// the webs, so neither row pays for the first build.
+	if status, raw := runDiff(b, local.url, ids[0], ids[1], 0, nil); status != http.StatusOK {
+		b.Fatalf("warm-up diff: status %d: %s", status, raw)
+	}
+	for _, sub := range []struct {
+		name string
+		node *clusterNode
+	}{{"local", local}, {"forwarded", other}} {
+		b.Run(sub.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if status, raw := runDiff(b, sub.node.url, ids[0], ids[1], 0, nil); status != http.StatusOK {
+					b.Fatalf("diff via %s: status %d: %s", sub.node.id, status, raw)
+				}
+			}
+		})
 	}
 }

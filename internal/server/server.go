@@ -73,8 +73,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -220,8 +222,30 @@ func (s *Server) Handler() http.Handler {
 		}
 		// The mux's own 404/405 responses are plain text; interpose so
 		// every error that leaves this server wears the JSON envelope.
-		mux.ServeHTTP(&jsonErrorWriter{ResponseWriter: w}, r)
+		ew := &jsonErrorWriter{ResponseWriter: w}
+		defer recoverHandler(ew, r)
+		mux.ServeHTTP(ew, r)
 	})
+}
+
+// recoverHandler answers a panic on the handler goroutine with a 500 in
+// the internal envelope and logs the stack. Once a header has gone out
+// the status can no longer change, so it re-panics http.ErrAbortHandler:
+// net/http then drops the connection, and the client sees a cut
+// response rather than one that looks complete.
+func recoverHandler(w *jsonErrorWriter, r *http.Request) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	if v == http.ErrAbortHandler {
+		panic(v)
+	}
+	log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+	if w.wroteHeader {
+		panic(http.ErrAbortHandler)
+	}
+	writeErr(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("internal error: %v", v))
 }
 
 // jsonErrorWriter rewrites plain-text error responses originating in the
@@ -231,9 +255,11 @@ func (s *Server) Handler() http.Handler {
 type jsonErrorWriter struct {
 	http.ResponseWriter
 	intercepted bool
+	wroteHeader bool // a status line has gone out
 }
 
 func (w *jsonErrorWriter) WriteHeader(status int) {
+	w.wroteHeader = true
 	if (status == http.StatusNotFound || status == http.StatusMethodNotAllowed) &&
 		w.Header().Get("Content-Type") != "application/json" {
 		w.intercepted = true
@@ -254,6 +280,7 @@ func (w *jsonErrorWriter) Write(b []byte) (int, error) {
 	if w.intercepted {
 		return len(b), nil // swallow the plain-text body; the envelope is out
 	}
+	w.wroteHeader = true
 	return w.ResponseWriter.Write(b)
 }
 

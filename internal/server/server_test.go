@@ -28,7 +28,7 @@ import (
 
 // tracePair runs the Rhino-like subject twice — once clean, once with the
 // planted arithmetic bug — exactly like the CLI's own workloads.
-func tracePair(t *testing.T) (*trace.Trace, *trace.Trace) {
+func tracePair(t testing.TB) (*trace.Trace, *trace.Trace) {
 	t.Helper()
 	// Seed 11 makes the planted bug fire even on a short script (the
 	// a%13/12 term needs an addition with a ≡ 12 mod 13 to diverge).
@@ -51,7 +51,7 @@ func tracePair(t *testing.T) (*trace.Trace, *trace.Trace) {
 }
 
 // rsegBytes serializes a trace exactly as `rprism trace -out` would.
-func rsegBytes(t *testing.T, tr *trace.Trace) []byte {
+func rsegBytes(t testing.TB, tr *trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteRSEG(&buf); err != nil {
@@ -62,7 +62,7 @@ func rsegBytes(t *testing.T, tr *trace.Trace) []byte {
 
 // runDiff posts a diff of two trace references to /run/diff, rendering
 // at most maxSeqs sequences (0 = the server default, -1 = all).
-func runDiff(t *testing.T, base, left, right string, maxSeqs int, out any) (int, string) {
+func runDiff(t testing.TB, base, left, right string, maxSeqs int, out any) (int, string) {
 	t.Helper()
 	body, err := json.Marshal(RunRequest{Traces: map[string]string{"left": left, "right": right}, MaxSeqs: maxSeqs})
 	if err != nil {
@@ -105,7 +105,7 @@ func assertErrEnvelope(t *testing.T, raw, wantCode string) {
 	}
 }
 
-func doJSON(t *testing.T, method, url string, body []byte, out any) (int, string) {
+func doJSON(t testing.TB, method, url string, body []byte, out any) (int, string) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -426,6 +426,30 @@ func TestWorkerPoolRejectsWhenSaturated(t *testing.T) {
 	status, raw := doJSON(t, http.MethodGet, ts.URL+"/traces/"+gi.ID+"/views", nil, nil)
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("saturated pool returned %d: %s", status, raw)
+	}
+}
+
+// TestHandlerRecoversPanic: an analysis that panics on the handler
+// goroutine answers 500 in the internal envelope instead of a dropped
+// connection, and the worker slots it held come back — more panics than
+// workers, then a normal diff still runs.
+func TestHandlerRecoversPanic(t *testing.T) {
+	rprism.Register("test-panic", func(context.Context, *rprism.Engine, rprism.AnalysisRequest) (any, error) {
+		panic("analysis bug")
+	})
+	good, bad := tracePair(t)
+	const workers = 2
+	ts, _ := newTestServer(t, Options{Workers: workers, QueueTimeout: time.Second})
+	gi, bi := upload(t, ts, good), upload(t, ts, bad)
+	for i := 0; i < workers+1; i++ {
+		status, raw := doJSON(t, http.MethodPost, ts.URL+"/run/test-panic", []byte(`{}`), nil)
+		if status != http.StatusInternalServerError {
+			t.Fatalf("panicking analysis #%d: status %d: %s", i, status, raw)
+		}
+		assertErrEnvelope(t, raw, CodeInternal)
+	}
+	if status, raw := runDiff(t, ts.URL, gi.ID, bi.ID, 0, nil); status != http.StatusOK {
+		t.Fatalf("diff after panics: status %d: %s", status, raw)
 	}
 }
 

@@ -198,8 +198,7 @@ func TestIncrementalAppendValidation(t *testing.T) {
 
 // BenchmarkIncrementalAppend measures streaming-ingestion throughput:
 // entries appended per second through the incremental builder in
-// capture-sized segments. rprism-bench reports the same figure as its
-// entries_per_sec row.
+// capture-sized segments.
 func BenchmarkIncrementalAppend(b *testing.B) {
 	tr := shardedFixture(1<<15, 42)
 	const seg = 4096

@@ -70,28 +70,33 @@ func BenchmarkTopKPruned(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Search(ctx, FromCorpus(query), SearchOptions{K: 10}); err != nil {
+		if pruned, err = eng.Search(ctx, FromCorpus(query), SearchOptions{K: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(pruned.Evaluated), "evaluated/op")
 }
 
 func BenchmarkTopKExhaustive(b *testing.B) {
 	eng, query := benchSearchCorpus(b)
 	ctx := context.Background()
 	b.ResetTimer()
+	var res *SearchResult
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Search(ctx, FromCorpus(query), SearchOptions{K: 10, Exhaustive: true}); err != nil {
+		var err error
+		if res, err = eng.Search(ctx, FromCorpus(query), SearchOptions{K: 10, Exhaustive: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Evaluated), "evaluated/op")
 }
 
-// BenchmarkSketchCompute isolates the per-Put sketching cost; read next
-// to BenchmarkCorpusPut (internal/corpus) it bounds the ingest overhead
-// the index adds — the acceptance budget is <5% of Store.Put.
+// BenchmarkSketchCompute isolates the per-Put sketching cost. Its trace
+// is the first one BenchmarkCorpusScale's put/traces=1 row stores, so
+// the ratio of the two bounds the ingest overhead the index adds — the
+// acceptance budget is <5% of Store.Put.
 func BenchmarkSketchCompute(b *testing.B) {
-	tr := subjects.GenCorpusTrace(1, 0, 300)
+	tr := subjects.GenCorpusTrace(99, 1, 300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		index.SketchTrace(tr)
