@@ -124,10 +124,8 @@ type Stats struct {
 	SegmentsOnDisk int   `json:"segments_on_disk"` // sum of segment-file counts
 	OpenSessions   int   `json:"open_sessions"`    // append-open live sessions
 	SessionEntries int   `json:"session_entries"`  // entries buffered across open sessions
-	TraceCacheLen  int   `json:"trace_cache_len"`
-	WebCacheLen    int   `json:"web_cache_len"`
-	WebWaits       int64 `json:"web_waits"` // coalesced onto another goroutine's build
-	Evictions      int64 `json:"evictions"` // trace + web LRU evictions
+	WebWaits       int64 `json:"web_waits"`        // coalesced onto another goroutine's build
+	Evictions      int64 `json:"evictions"`        // trace + web LRU evictions
 	Puts           int64 `json:"puts"`
 	Dedups         int64 `json:"dedups"` // Puts that found the digest already stored
 	// TraceCache and WebCache are the per-LRU hit/miss/eviction counts:
@@ -743,19 +741,16 @@ func (s *Store) Delete(id trace.Digest) error {
 // Stats snapshots the store.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{
-		Traces:        len(s.index),
-		TraceCacheLen: s.traceLRU.Len(),
-		WebCacheLen:   s.webLRU.Len(),
-	}
+	st := Stats{Traces: len(s.index)}
+	traceLen, webLen := s.traceLRU.Len(), s.webLRU.Len()
 	for _, m := range s.index {
 		st.EntriesOnDisk += m.Entries
 		st.SegmentsOnDisk += m.Segments
 	}
 	s.mu.Unlock()
 	st.OpenSessions, st.SessionEntries = s.sessionStats()
-	st.TraceCache = s.traceCache.Snapshot(st.TraceCacheLen, s.opts.TraceCacheSize)
-	st.WebCache = s.webCache.Snapshot(st.WebCacheLen, s.opts.WebCacheSize)
+	st.TraceCache = s.traceCache.Snapshot(traceLen, s.opts.TraceCacheSize)
+	st.WebCache = s.webCache.Snapshot(webLen, s.opts.WebCacheSize)
 	st.WebWaits = s.webWaits.Load()
 	st.Evictions = st.TraceCache.Evictions + st.WebCache.Evictions
 	st.Puts = s.puts.Load()

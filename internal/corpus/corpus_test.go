@@ -132,8 +132,8 @@ func TestTraceLRUEviction(t *testing.T) {
 		ids[i] = mustPut(t, s, makeTrace(fmt.Sprintf("t%d", i), i, 20))
 	}
 	st := s.Stats()
-	if st.TraceCacheLen != 2 {
-		t.Errorf("trace cache holds %d, want 2", st.TraceCacheLen)
+	if st.TraceCache.Len != 2 {
+		t.Errorf("trace cache holds %d, want 2", st.TraceCache.Len)
 	}
 	if st.Evictions == 0 {
 		t.Error("no evictions recorded")

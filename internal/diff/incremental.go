@@ -3,9 +3,7 @@ package diff
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"repro/internal/lcs"
 	"repro/internal/trace"
 	"repro/internal/views"
 )
@@ -79,7 +77,6 @@ func viewLen(w *views.Web, n views.Name) int {
 // never rewritten.
 type Incremental struct {
 	wl      *views.Web
-	wlBytes int64 // wl.MemBytes(), fixed for the Incremental's lifetime
 	opts    ViewOptions
 	tm      *views.ThreadMatcher
 	pairs   map[pairKey]*cachedUnit
@@ -111,7 +108,6 @@ type Incremental struct {
 func NewIncremental(baseline *views.Web, opts ViewOptions) *Incremental {
 	return &Incremental{
 		wl:       baseline,
-		wlBytes:  baseline.MemBytes(),
 		opts:     opts,
 		tm:       views.NewThreadMatcher(baseline.Trace),
 		pairs:    make(map[pairKey]*cachedUnit),
@@ -146,14 +142,7 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web) (*Result, Inc
 	}
 	opts := inc.opts.withDefaults()
 	tm := inc.tm.Match(wr.Trace)
-
-	lids := make([]trace.ThreadID, 0, len(tm.Pairs))
-	for lid := range tm.Pairs {
-		lids = append(lids, lid)
-	}
-	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
-
-	budget := lcs.NewBudget(opts.LCSCellBudget)
+	lids := pairOrder(tm)
 	units := make([]*unit, len(lids))
 	var dirty []*unit
 	next := make(map[pairKey]*cachedUnit, len(lids))
@@ -165,7 +154,7 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web) (*Result, Inc
 			next[key] = c
 			continue
 		}
-		u := newUnit(ctx, opts, inc.wl, wr, lid, rid, budget)
+		u := newUnit(ctx, opts, inc.wl, wr, lid, rid)
 		u.trackTail = true
 		units[i] = u
 		dirty = append(dirty, u)
@@ -180,12 +169,12 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web) (*Result, Inc
 			return nil, st, u.err
 		}
 	}
-	// Admit the fresh evaluations. Dropping the web/context/budget
+	// Admit the fresh evaluations. Dropping the web and context
 	// references keeps a cached unit from pinning old snapshots or
 	// context chains; nothing after evalPair reads them.
 	for _, u := range dirty {
 		rlen := viewLen(wr, views.ThreadName(u.rid))
-		u.ctx, u.wl, u.wr, u.budget = nil, nil, nil, nil
+		u.ctx, u.wl, u.wr = nil, nil, nil
 		u.entL, u.entR, u.keysL, u.keysR, u.lc, u.rc = nil, nil, nil, nil, nil, nil
 		next[pairKey{u.lid, u.rid}] = &cachedUnit{u: u, rightLen: rlen}
 	}
@@ -213,7 +202,7 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web) (*Result, Inc
 	_, rightInterior := syncMembership(inc.refR, inc.simR, touchedR, inc.diffRMax)
 	inc.refreshDiffs(wr.Trace, leftChanged, rightInterior)
 
-	return inc.buildResult(wr, tm, units), st, nil
+	return assemble(inc.wl, wr, tm, units, inc.simL, inc.simR, inc.diffL, inc.diffR), st, nil
 }
 
 // updateRefs applies a reference-count delta for every entry a unit
@@ -290,44 +279,4 @@ func (inc *Incremental) refreshDiffs(r *trace.Trace, leftChanged, rightInterior 
 		}
 	}
 	inc.diffRLen = len(r.Entries)
-}
-
-// buildResult assembles the Result from the cached units and the merged
-// similarity/difference state. It mirrors mergeUnits exactly — same
-// unit order, same unmatched-thread sequences, same filtering, same
-// Stats — so an incremental Result is byte-identical to a from-scratch
-// one over the same snapshot (TestIncrementalRediffEquivalence pins
-// this); only the union and difference computations are amortized.
-func (inc *Incremental) buildResult(wr *views.Web, tm views.ThreadMatch, units []*unit) *Result {
-	l, r := inc.wl.Trace, wr.Trace
-	res := &Result{
-		Left: l, Right: r,
-		SimilarLeft:  inc.simL,
-		SimilarRight: inc.simR,
-	}
-	var st Stats
-	for _, u := range units {
-		res.Sequences = append(res.Sequences, u.seqs...)
-		st.Compares += u.compares
-		st.ViewExplorations += u.explorations
-		st.MemBytes += u.memBytes()
-	}
-	st.MemBytes += inc.wlBytes + wr.MemBytes()
-
-	for _, lid := range tm.LeftOnly {
-		if v := inc.wl.ThreadView(lid); v != nil {
-			res.Sequences = append(res.Sequences, Sequence{Kind: Delete, Left: v.EIDs})
-		}
-	}
-	for _, rid := range tm.RightOnly {
-		if v := wr.ThreadView(rid); v != nil {
-			res.Sequences = append(res.Sequences, Sequence{Kind: Insert, Right: v.EIDs})
-		}
-	}
-
-	res.DiffLeft = inc.diffL
-	res.DiffRight = inc.diffR
-	res.Sequences = filterSequences(res.Sequences, inc.simL, inc.simR)
-	res.Stats = st
-	return res
 }

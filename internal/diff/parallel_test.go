@@ -89,31 +89,6 @@ func TestParallelDiffMatchesSerial(t *testing.T) {
 	awaitGoroutines(t, baseline)
 }
 
-// TestParallelDiffSharedCellBudget re-runs the equivalence with a tight
-// shared lcs.Budget: units block on the pool instead of failing, so even
-// a budget that fits exactly one window at a time must not change the
-// result at any parallelism.
-func TestParallelDiffSharedCellBudget(t *testing.T) {
-	l := synthTraceMT("l", 400, 4, 17)
-	r := mutateTrace(l, 18)
-	wl, wr := views.Build(l), views.Build(r)
-
-	// One 15-window LCS table is at most (2*15+2)^2 = 1024 cells.
-	opts := ViewOptions{Parallelism: 1, LCSCellBudget: 1024}
-	serial := ViewDiffWebs(wl, wr, opts)
-	unbounded := ViewDiffWebs(wl, wr, ViewOptions{Parallelism: 1})
-	if !reflect.DeepEqual(serial, unbounded) {
-		t.Fatal("a budget large enough for every single window must not change the serial result")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		opts.Parallelism = workers
-		par := ViewDiffWebs(wl, wr, opts)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d with shared budget diverged from serial", workers)
-		}
-	}
-}
-
 // TestParallelDiffCancellation proves all units unwind promptly: a
 // pre-canceled context fails before any unit starts, and a cancellation
 // mid-evaluation returns within a bounded delay with every worker

@@ -2,7 +2,6 @@ package diff
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/lcs"
 	"repro/internal/trace"
@@ -30,7 +29,6 @@ type unit struct {
 	opts     ViewOptions
 	wl, wr   *views.Web
 	lid, rid trace.ThreadID
-	budget   *lcs.Budget // shared DP-cell pool, nil = unlimited
 
 	// Both sides' entries and class keys, indexed by entry id.
 	entL, entR   []trace.Entry
@@ -65,10 +63,9 @@ type unit struct {
 	tailViews map[views.Name]int
 }
 
-func newUnit(ctx context.Context, opts ViewOptions, wl, wr *views.Web,
-	lid, rid trace.ThreadID, budget *lcs.Budget) *unit {
+func newUnit(ctx context.Context, opts ViewOptions, wl, wr *views.Web, lid, rid trace.ThreadID) *unit {
 	return &unit{
-		ctx: ctx, opts: opts, wl: wl, wr: wr, lid: lid, rid: rid, budget: budget,
+		ctx: ctx, opts: opts, wl: wl, wr: wr, lid: lid, rid: rid,
 		entL: wl.Trace.Entries, entR: wr.Trace.Entries,
 		keysL: wl.ClassKeys(), keysR: wr.ClassKeys(),
 		byKey: make(map[corrKey]int), byOffset: make(map[int]int), seen: make(map[views.Name]bool),
@@ -219,8 +216,8 @@ func (u *unit) evalPair() {
 		// The scan limit escalates after consecutive failures so that
 		// one-sided insertions larger than MaxScan (which a fixed-limit
 		// scan with pairwise consumption would never realign past) are
-		// eventually bridged; it is capped by the remaining work so total
-		// scan cost stays proportional to the trace length.
+		// eventually bridged. scan caps it by the remaining work; so does
+		// the backoff region below.
 		limit := u.opts.MaxScan << failStreak
 		if rem := (len(L) - i) + (len(R) - j); limit > rem {
 			limit = rem
@@ -296,7 +293,14 @@ func (u *unit) resyncLimit(L, R []trace.EntryID, i, j int, anchors []anchor, lim
 // of §3.2) would cascade misalignment downstream. An unconfirmed
 // candidate is kept as a fallback and returned if no confirmed pair turns
 // up within a few further diagonals.
+//
+// limit is capped by the entries remaining on both sides, beyond which
+// every diagonal is empty, so total scan cost stays proportional to the
+// trace length whatever limit a caller passes.
 func (u *unit) scan(L, R []trace.EntryID, i, j, limit int) (int, int, bool) {
+	if rem := (len(L) - i) + (len(R) - j); limit > rem {
+		limit = rem
+	}
 	fallbackI, fallbackJ := -1, -1
 	fallbackDeadline := 0
 	for s := 1; s <= limit; s++ {
@@ -531,9 +535,8 @@ func (u *unit) collectLinked(out []linked, w *views.Web, tv []trace.EntryID, pos
 // windowLCS computes the LCS over fixed ω-windows of a correlated view
 // pair, centered at the linking entries, and appends matched pairs to
 // out as anchors (memoized per window bucket so repeated divergences
-// nearby do not recompute the same comparison). The DP table draws on the shared
-// cell budget when one is configured, and its peak size feeds the unit's
-// memory accounting.
+// nearby do not recompute the same comparison). The DP table's peak size
+// feeds the unit's memory accounting.
 func (u *unit) windowLCS(out []anchor, thL, thR views.Name, lk, rk *linked, budget *int) []anchor {
 	if *budget <= 0 {
 		return out
@@ -570,17 +573,16 @@ func (u *unit) windowLCS(out []anchor, thL, thR views.Name, lk, rk *linked, budg
 		return out
 	}
 	eq := func(a, b int) bool { return u.equal(lwin[a], rwin[b]) }
-	pairs, st, err := lcs.Compute(len(lwin), len(rwin), eq, lcs.Options{Ctx: u.ctx, Budget: u.budget})
+	pairs, st, err := lcs.Compute(len(lwin), len(rwin), eq, lcs.Options{Ctx: u.ctx})
 	if st.Cells > u.peakCells {
 		u.peakCells = st.Cells
 	}
 	if err != nil {
-		// A window exceeding the whole shared budget is skipped — that
-		// outcome is deterministic. Anything else is cancellation (from
-		// the DP rows or a blocked Reserve) and must stick to the unit:
-		// swallowing it would let a unit finish "successfully" with the
-		// aborted window's anchors silently missing.
-		if !errors.Is(err, lcs.ErrMemoryBudget) && u.err == nil {
+		// The only error is cancellation from the DP rows, and it must
+		// stick to the unit: swallowing it would let a unit finish
+		// "successfully" with the aborted window's anchors silently
+		// missing.
+		if u.err == nil {
 			u.err = err
 		}
 		return out

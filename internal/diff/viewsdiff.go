@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/lcs"
 	"repro/internal/trace"
 	"repro/internal/views"
 )
@@ -44,13 +43,6 @@ type ViewOptions struct {
 	// the Result is byte-identical for every setting. 0 means
 	// GOMAXPROCS; 1 is the serial path (no goroutines spawned).
 	Parallelism int
-	// LCSCellBudget caps the DP cells all units of this diff may hold
-	// live at once during windowed-LCS exploration (0 = unlimited). Units
-	// needing cells while the pool is full block until others release —
-	// scheduling changes, results do not. Only a single window larger
-	// than the whole budget fails its exploration, a condition
-	// independent of scheduling, so determinism is preserved.
-	LCSCellBudget int64
 }
 
 // DefaultViewOptions returns the configuration used throughout the
@@ -98,20 +90,6 @@ func ViewDiff(l, r *trace.Trace, opts ViewOptions) *Result {
 	return ViewDiffWebs(views.Build(l), views.Build(r), opts)
 }
 
-// ViewDiffCtx is ViewDiff with cancellation: both web constructions and
-// the differencing evaluation poll ctx and abort with its error.
-func ViewDiffCtx(ctx context.Context, l, r *trace.Trace, opts ViewOptions) (*Result, error) {
-	wl, err := views.BuildCtx(ctx, l)
-	if err != nil {
-		return nil, err
-	}
-	wr, err := views.BuildCtx(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	return ViewDiffWebsCtx(ctx, wl, wr, opts)
-}
-
 // ViewDiffWebs runs the views-based differencing semantics over
 // pre-built view webs, skipping web construction entirely. This is the
 // entry point for callers that amortize Build across many diffs — the
@@ -141,21 +119,11 @@ func ViewDiffWebs(wl, wr *views.Web, opts ViewOptions) *Result {
 // lets the analysis service kill runaway diffs.
 func ViewDiffWebsCtx(ctx context.Context, wl, wr *views.Web, opts ViewOptions) (*Result, error) {
 	opts = opts.withDefaults()
-	l, r := wl.Trace, wr.Trace
-	tm := views.MatchThreads(l, r)
-
-	// Deterministic order over matched pairs: ascending left tid. Units
-	// are created, and their outputs merged, in this order.
-	lids := make([]trace.ThreadID, 0, len(tm.Pairs))
-	for lid := range tm.Pairs {
-		lids = append(lids, lid)
-	}
-	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
-
-	budget := lcs.NewBudget(opts.LCSCellBudget)
+	tm := views.MatchThreads(wl.Trace, wr.Trace)
+	lids := pairOrder(tm)
 	units := make([]*unit, len(lids))
 	for i, lid := range lids {
-		units[i] = newUnit(ctx, opts, wl, wr, lid, tm.Pairs[lid], budget)
+		units[i] = newUnit(ctx, opts, wl, wr, lid, tm.Pairs[lid])
 	}
 	runUnits(ctx, units, opts.Parallelism)
 	for _, u := range units {
@@ -164,34 +132,52 @@ func ViewDiffWebsCtx(ctx context.Context, wl, wr *views.Web, opts ViewOptions) (
 		}
 	}
 
-	return mergeUnits(wl, wr, tm, units), nil
-}
-
-// mergeUnits performs the deterministic merge of evaluated units into a
-// Result: sequences concatenate in unit (ascending left tid) order;
-// similarity marks union — a unit may mark entries on other threads via
-// cross-thread anchors, so subtraction and sequence filtering run only
-// after every unit has merged. It is shared by the from-scratch path
-// (ViewDiffWebsCtx) and the incremental path (Incremental.Rediff), which
-// is what makes an incremental Result byte-identical to a from-scratch
-// one over the same snapshot: the per-unit outputs are equal, and the
-// merge is a pure function of them.
-func mergeUnits(wl, wr *views.Web, tm views.ThreadMatch, units []*unit) *Result {
-	l, r := wl.Trace, wr.Trace
-	res := &Result{
-		Left: l, Right: r,
-		SimilarLeft:  make(map[trace.EntryID]bool),
-		SimilarRight: make(map[trace.EntryID]bool),
-	}
-	var st Stats
+	simL := make(map[trace.EntryID]bool)
+	simR := make(map[trace.EntryID]bool)
 	for _, u := range units {
-		res.Sequences = append(res.Sequences, u.seqs...)
 		for id := range u.similarLeft {
-			res.SimilarLeft[id] = true
+			simL[id] = true
 		}
 		for id := range u.similarRight {
-			res.SimilarRight[id] = true
+			simR[id] = true
 		}
+	}
+	return assemble(wl, wr, tm, units, simL, simR,
+		diffsFromSimilar(wl.Trace, simL), diffsFromSimilar(wr.Trace, simR)), nil
+}
+
+// pairOrder returns the matched left tids in ascending order. Units are
+// created, and their outputs assembled, in this order, which makes the
+// Result independent of map iteration and scheduling.
+func pairOrder(tm views.ThreadMatch) []trace.ThreadID {
+	lids := make([]trace.ThreadID, 0, len(tm.Pairs))
+	for lid := range tm.Pairs {
+		lids = append(lids, lid)
+	}
+	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
+	return lids
+}
+
+// assemble finishes a Result from units evaluated in pairOrder and the
+// union of their similarity marks (simL, simR) with the difference sets
+// it leaves. Sequences concatenate in unit order, followed by the
+// unmatched threads' whole views; filtering runs last, because a unit
+// may mark entries inside another unit's sequences via cross-thread
+// anchors. Stats sum the units' counters plus both webs' memory. Both
+// ViewDiffWebsCtx and Incremental.Rediff finish here, which is what
+// makes an incremental Result byte-identical to a from-scratch one over
+// the same snapshot: the per-unit outputs are equal, and assembly is a
+// pure function of them.
+func assemble(wl, wr *views.Web, tm views.ThreadMatch, units []*unit,
+	simL, simR map[trace.EntryID]bool, diffL, diffR []trace.EntryID) *Result {
+	res := &Result{
+		Left: wl.Trace, Right: wr.Trace,
+		SimilarLeft: simL, SimilarRight: simR,
+		DiffLeft: diffL, DiffRight: diffR,
+	}
+	st := &res.Stats
+	for _, u := range units {
+		res.Sequences = append(res.Sequences, u.seqs...)
 		st.Compares += u.compares
 		st.ViewExplorations += u.explorations
 		st.MemBytes += u.memBytes()
@@ -209,11 +195,7 @@ func mergeUnits(wl, wr *views.Web, tm views.ThreadMatch, units []*unit) *Result 
 			res.Sequences = append(res.Sequences, Sequence{Kind: Insert, Right: v.EIDs})
 		}
 	}
-
-	res.DiffLeft = diffsFromSimilar(l, res.SimilarLeft)
-	res.DiffRight = diffsFromSimilar(r, res.SimilarRight)
-	res.Sequences = filterSequences(res.Sequences, res.SimilarLeft, res.SimilarRight)
-	res.Stats = st
+	res.Sequences = filterSequences(res.Sequences, simL, simR)
 	return res
 }
 

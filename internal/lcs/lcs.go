@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Eq compares element i of the left sequence with element j of the right.
@@ -53,122 +52,10 @@ type Options struct {
 	// tables run for minutes on large inputs, so servers need a way to
 	// kill them mid-flight.
 	Ctx context.Context
-	// Budget, when non-nil, is a pool of DP cells shared with other
-	// concurrent computations. The table's cells are reserved before
-	// allocation and released when the computation finishes; a Compute
-	// that does not fit while others hold cells blocks (honoring Ctx)
-	// until enough are released. Unlike MemoryBudget, which is a per-call
-	// hard cap, a shared Budget only fails a computation whose table
-	// exceeds the whole pool — a condition independent of what runs
-	// concurrently, so results stay deterministic under any scheduling.
-	Budget *Budget
 }
 
 // ErrMemoryBudget is returned when the DP table would exceed the budget.
 var ErrMemoryBudget = errors.New("lcs: memory budget exceeded")
-
-// Budget is a concurrency-safe pool of DP-table cells shared by any
-// number of Compute calls running on different goroutines. The parallel
-// views differ hands one Budget to all of its per-thread-pair units so
-// their concurrently live windowed-LCS tables collectively respect one
-// memory cap, reproducing the paper's single-machine memory model even
-// when the diff saturates every core.
-//
-// A nil *Budget is valid everywhere and costs one pointer comparison —
-// the serial path pays nothing.
-type Budget struct {
-	capacity int64
-	mu       sync.Mutex
-	used     int64
-	waiters  int           // blocked Reserves; Release only signals when > 0
-	wait     chan struct{} // closed and replaced by a Release with waiters
-}
-
-// NewBudget returns a pool of the given number of DP cells. Non-positive
-// capacities return nil, the unlimited budget.
-func NewBudget(cells int64) *Budget {
-	if cells <= 0 {
-		return nil
-	}
-	return &Budget{capacity: cells, wait: make(chan struct{})}
-}
-
-// Reserve claims n cells, blocking until they are available. It fails
-// immediately with ErrMemoryBudget when n exceeds the pool's whole
-// capacity (so a too-large table is rejected deterministically, not
-// depending on concurrent holders), and with the context's error when
-// ctx ends while waiting. A nil budget admits everything.
-func (b *Budget) Reserve(ctx context.Context, n int64) error {
-	if b == nil || n <= 0 {
-		return nil
-	}
-	if n > b.capacity {
-		return fmt.Errorf("%w: need %d cells, budget %d", ErrMemoryBudget, n, b.capacity)
-	}
-	for {
-		b.mu.Lock()
-		if b.used+n <= b.capacity {
-			b.used += n
-			b.mu.Unlock()
-			return nil
-		}
-		b.waiters++
-		wait := b.wait
-		b.mu.Unlock()
-		if ctx == nil {
-			<-wait
-			continue
-		}
-		select {
-		case <-wait:
-		case <-ctx.Done():
-			// The waiter count was consumed by the Release that closed
-			// the channel (or will be reset by the next one); losing to
-			// a concurrent close here is harmless — at worst one extra
-			// channel cycle.
-			return ctx.Err()
-		}
-	}
-}
-
-// Release returns n cells to the pool and wakes every blocked Reserve.
-// The uncontended path — every windowed-LCS exploration of a diff whose
-// budget never fills — touches only the mutex and two integers; the wait
-// channel is cycled only when a Reserve is actually blocked.
-func (b *Budget) Release(n int64) {
-	if b == nil || n <= 0 {
-		return
-	}
-	b.mu.Lock()
-	b.used -= n
-	if b.used < 0 {
-		b.used = 0
-	}
-	if b.waiters > 0 {
-		b.waiters = 0
-		close(b.wait)
-		b.wait = make(chan struct{})
-	}
-	b.mu.Unlock()
-}
-
-// InUse reports the currently reserved cells.
-func (b *Budget) InUse() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used
-}
-
-// Capacity reports the pool size (0 for the nil, unlimited budget).
-func (b *Budget) Capacity() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.capacity
-}
 
 // Compute returns the matched pairs of a longest common subsequence of
 // sequences of lengths n and m under eq, in ascending order.
@@ -193,17 +80,6 @@ func Compute(n, m int, eq Eq, opts Options) ([]Pair, Stats, error) {
 	var inner []Pair
 	var err error
 	if innerN > 0 && innerM > 0 {
-		// Reserve the table's cells from the shared pool (when one is
-		// configured) for the whole inner computation: the DP table for
-		// the standard algorithm, the two rolling rows for Hirschberg.
-		reserve := (int64(innerN) + 1) * (int64(innerM) + 1)
-		if opts.Algorithm == Hirschberg {
-			reserve = 2 * int64(innerM+1)
-		}
-		if err := opts.Budget.Reserve(opts.Ctx, reserve); err != nil {
-			return nil, st, err
-		}
-		defer opts.Budget.Release(reserve)
 		shifted := func(i, j int) bool { return counted(pre+i, pre+j) }
 		switch opts.Algorithm {
 		case Hirschberg:

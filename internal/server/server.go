@@ -182,7 +182,6 @@ func (s *Server) Engine() *rprism.Engine { return s.eng }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /traces", s.handlePutTrace)
-	mux.HandleFunc("POST /traces", s.handlePutTrace)
 	mux.HandleFunc("POST /traces/stream", s.handleStream)
 	mux.HandleFunc("GET /traces", s.handleListTraces)
 	mux.HandleFunc("GET /traces/{id}", s.handleGetTrace)

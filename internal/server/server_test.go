@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -751,6 +752,70 @@ func TestDiffParallelismKnob(t *testing.T) {
 	}
 	if stats.Server.DiffParallelism != 4 {
 		t.Errorf("stats diff_parallelism = %d, want 4", stats.Server.DiffParallelism)
+	}
+}
+
+// TestDiffParamsRejectedBeforeWorkers sends tunables the differ cannot
+// run with to a parallel diff. A negative or overflowing window used to
+// panic inside a diff worker goroutine, outside the handler's recover,
+// and kill the process; now each is a 400 bad_request, and the server
+// goes on serving. A huge quick_scan is clamped to the entries remaining
+// and returns promptly with the default diff's counts.
+func TestDiffParamsRejectedBeforeWorkers(t *testing.T) {
+	store, err := corpus.New(t.TempDir(), corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(rprism.NewEngine(rprism.WithCorpus(store), rprism.WithWorkers(4)), Options{Workers: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	li := upload(t, ts, subjects.GenCorpusTrace(3, 0, 2000))
+	ri := upload(t, ts, subjects.GenCorpusTrace(3, 1, 2000))
+	run := func(params map[string]int, out any) (int, string) {
+		body, err := json.Marshal(map[string]any{
+			"traces": map[string]string{"left": li.ID, "right": ri.ID},
+			"params": params,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doJSON(t, http.MethodPost, ts.URL+"/run/diff", body, out)
+	}
+
+	for _, params := range []map[string]int{
+		{"window": -1, "parallelism": 4},
+		{"window": math.MaxInt, "parallelism": 4},
+		{"window": 1025, "parallelism": 4},
+		{"radius": -1, "parallelism": 4},
+		{"max_scan": -1},
+		{"quick_scan": -2},
+		{"max_explore": -3},
+		{"parallelism": -1},
+	} {
+		status, raw := run(params, nil)
+		if status != http.StatusBadRequest {
+			t.Fatalf("params %v: status %d, want 400: %s", params, status, raw)
+		}
+		assertErrEnvelope(t, raw, CodeBadRequest)
+	}
+
+	var base, wide DiffResponse
+	if status, raw := run(map[string]int{"window": 1024, "parallelism": 4}, &wide); status != http.StatusOK {
+		t.Fatalf("window at the cap: status %d: %s", status, raw)
+	}
+	if status, raw := run(map[string]int{"parallelism": 4}, &base); status != http.StatusOK {
+		t.Fatalf("diff after rejected params: status %d: %s", status, raw)
+	}
+	var scanned DiffResponse
+	start := time.Now()
+	if status, raw := run(map[string]int{"quick_scan": 1 << 20, "parallelism": 4}, &scanned); status != http.StatusOK {
+		t.Fatalf("quick_scan 1<<20: status %d: %s", status, raw)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("quick_scan 1<<20 took %v; the scan is not bounded by the remaining entries", d)
+	}
+	if scanned.NumDiffs == 0 || base.NumDiffs == 0 {
+		t.Errorf("expected differences between variants: default %d, quick_scan %d", base.NumDiffs, scanned.NumDiffs)
 	}
 }
 

@@ -57,206 +57,124 @@ func BuildCtx(ctx context.Context, t *trace.Trace) (*Web, error) {
 	return BuildCtxOpts(ctx, t, BuildOptions{})
 }
 
-// BuildCtxOpts is BuildCtx with explicit options. With Workers > 1 the
-// construction runs in two parallel passes: the entry scan is sharded
-// into contiguous ranges, each producing its own name arena and per-view
-// counts; the merge sizes every view's entry-id list exactly from the
-// shard counts; then the shards fill their disjoint slice ranges
-// concurrently. The web that comes out is identical — same views, same
-// orderings, same MemBytes — to the serial one.
+// BuildCtxOpts is BuildCtx with explicit options. A batch build is an
+// incremental one that starts from the empty web: both run the one
+// extend pass, whose sharded half (Workers > 1) produces a web identical
+// — same views, same orderings, same MemBytes — to its serial half.
 func BuildCtxOpts(ctx context.Context, t *trace.Trace, opts BuildOptions) (*Web, error) {
-	t.EnsureSyms() // no-op for interpreter- or loader-produced traces
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if len(t.Entries) < parallelBuildThreshold {
-			workers = 1
-		}
+	w := newWeb(t)
+	if err := w.extend(ctx, 0, opts.Workers); err != nil {
+		return nil, err
 	}
-	if workers > len(t.Entries) {
-		workers = len(t.Entries)
-	}
-	if workers <= 1 {
-		return buildSerial(ctx, t)
-	}
-	return buildParallel(ctx, t, workers)
-}
-
-// buildSerial is the single-goroutine pass: count, then fill one arena.
-func buildSerial(ctx context.Context, t *trace.Trace) (*Web, error) {
-	w := &Web{
-		Trace:   t,
-		views:   make(map[Name]*View),
-		byEntry: make([][]Name, len(t.Entries)),
-		objects: make(map[trace.Loc]ObjectInfo),
-		keys:    make([]uint64, len(t.Entries)),
-	}
-	// First pass: size the arena exactly, so slices into it stay valid,
-	// and key every entry.
-	total := 0
-	for i := range t.Entries {
-		total += nameCount(&t.Entries[i])
-		w.keys[i] = trace.EventClassHash(&t.Entries[i])
-	}
-	arena := make([]Name, 0, total)
-	for i := range t.Entries {
-		if i&buildPollMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		e := &t.Entries[i]
-		if e.Event.Kind == trace.KindEOF {
-			continue
-		}
-		start := len(arena)
-		arena = appendNames(arena, e)
-		names := arena[start:len(arena):len(arena)]
-		w.byEntry[e.EID] = names
-		for _, n := range names {
-			v := w.views[n]
-			if v == nil {
-				v = &View{Name: n}
-				w.views[n] = v
-			}
-			v.EIDs = append(v.EIDs, e.EID)
-		}
-		noteObject(w.objects, e.Event.Target, e.EID)
-		noteObject(w.objects, e.Self, e.EID)
-	}
-	w.arenas = [][]Name{arena}
 	return w, nil
 }
 
-// buildShard is one contiguous entry range's contribution to the web:
-// its own name arena (byEntry slices point into it, so it outlives the
-// build), per-view membership counts, and first-seen object info.
-type buildShard struct {
-	lo, hi  int // entry index range [lo, hi)
-	arena   []Name
-	counts  map[Name]int
-	objects map[trace.Loc]ObjectInfo
-	err     error
-}
-
-// scan is the first parallel pass: key every entry, compute its names
-// into the shard arena (exact-sized by a local count), link byEntry, and
-// tally per-view counts. byEntry and keys are shared across shards but
-// each entry id is written by exactly one shard.
-func (s *buildShard) scan(ctx context.Context, t *trace.Trace, byEntry [][]Name, keys []uint64) {
-	total := 0
-	for i := s.lo; i < s.hi; i++ {
-		total += nameCount(&t.Entries[i])
-		keys[i] = trace.EventClassHash(&t.Entries[i])
-	}
-	s.arena = make([]Name, 0, total)
-	s.counts = make(map[Name]int)
-	s.objects = make(map[trace.Loc]ObjectInfo)
-	for i := s.lo; i < s.hi; i++ {
-		if i&buildPollMask == 0 {
-			if err := ctx.Err(); err != nil {
-				s.err = err
-				return
-			}
-		}
-		e := &t.Entries[i]
-		if e.Event.Kind == trace.KindEOF {
-			continue
-		}
-		start := len(s.arena)
-		s.arena = appendNames(s.arena, e)
-		names := s.arena[start:len(s.arena):len(s.arena)]
-		byEntry[e.EID] = names
-		for _, n := range names {
-			s.counts[n]++
-		}
-		noteObject(s.objects, e.Event.Target, e.EID)
-		noteObject(s.objects, e.Self, e.EID)
-	}
-}
-
-// fill is the second parallel pass: write the shard's entry ids into
-// each view's pre-sized EIDs slice, starting at the shard's offset.
-// Shards write disjoint index ranges of every view, so no
-// synchronization is needed, and concatenating contiguous shards in
-// order preserves the ascending-entry-id invariant of View.EIDs.
-func (s *buildShard) fill(ctx context.Context, t *trace.Trace, w *Web, next map[Name]int) {
-	for i := s.lo; i < s.hi; i++ {
-		if i&buildPollMask == 0 {
-			if err := ctx.Err(); err != nil {
-				s.err = err
-				return
-			}
-		}
-		eid := t.Entries[i].EID
-		for _, n := range w.byEntry[eid] {
-			pos := next[n]
-			w.views[n].EIDs[pos] = eid
-			next[n] = pos + 1
-		}
-	}
-}
-
-func buildParallel(ctx context.Context, t *trace.Trace, workers int) (*Web, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w := &Web{
+// newWeb returns the empty web over t; extend indexes its entries.
+func newWeb(t *trace.Trace) *Web {
+	return &Web{
 		Trace:   t,
 		views:   make(map[Name]*View),
-		byEntry: make([][]Name, len(t.Entries)),
 		objects: make(map[trace.Loc]ObjectInfo),
-		keys:    make([]uint64, len(t.Entries)),
 	}
+}
+
+// extend indexes the entries w.Trace.Entries[start:], which the caller
+// has already appended: it interns and keys them, links each to its
+// views, appends it to every view's entry-id list, and records the
+// objects first seen among them. Build runs it once from start 0;
+// IncrementalBuilder runs it once per appended batch.
+//
+// workers follows BuildOptions.Workers, applied to the batch: 0 shards
+// batches of at least parallelBuildThreshold entries over GOMAXPROCS
+// goroutines and runs smaller ones serially. The serial half fills one
+// new arena and appends to the views in entry order. The sharded half
+// cuts the batch into contiguous shards that scan concurrently into
+// their own arenas; the merge grows every touched view to its exact new
+// length, with each shard's run starting past the web built so far and
+// the runs of earlier shards; then the shards fill their disjoint ranges
+// concurrently.
+//
+// Every structure grows append-only — new arenas, new byEntry and key
+// slots, new tail slots in each view — so a web that Snapshot returned
+// before the call never sees its writes. A canceled ctx leaves w
+// half-extended; callers drop it.
+func (w *Web) extend(ctx context.Context, start, workers int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// A no-op for interpreter- or loader-produced entries.
+	(&trace.Trace{Entries: w.Trace.Entries[start:]}).EnsureSyms()
+	batch := len(w.Trace.Entries) - start
+	w.byEntry = append(w.byEntry, make([][]Name, batch)...)
+	w.keys = append(w.keys, make([]uint64, batch)...)
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+		if batch < parallelBuildThreshold {
+			workers = 1
+		}
+	}
+	if workers > batch {
+		workers = batch
+	}
+	if workers <= 1 {
+		s := &buildShard{lo: start, hi: len(w.Trace.Entries), objects: w.objects}
+		s.scan(ctx, w, w.views)
+		w.arenas = append(w.arenas, s.arena)
+		return s.err
+	}
+
 	// Contiguous shards, remainder spread over the first few.
 	shards := make([]*buildShard, workers)
-	per, rem := len(t.Entries)/workers, len(t.Entries)%workers
-	lo := 0
+	per, rem := batch/workers, batch%workers
+	lo := start
 	for i := range shards {
 		hi := lo + per
 		if i < rem {
 			hi++
 		}
-		shards[i] = &buildShard{lo: lo, hi: hi}
+		shards[i] = &buildShard{lo: lo, hi: hi,
+			counts: make(map[Name]int), objects: make(map[trace.Loc]ObjectInfo)}
 		lo = hi
 	}
-
-	// Pass 1: sharded entry scan.
 	var wg sync.WaitGroup
 	for _, s := range shards {
 		wg.Add(1)
 		go func(s *buildShard) {
 			defer wg.Done()
-			s.scan(ctx, t, w.byEntry, w.keys)
+			s.scan(ctx, w, nil)
 		}(s)
 	}
 	wg.Wait()
-	w.arenas = make([][]Name, len(shards))
-	for i, s := range shards {
+	for _, s := range shards {
 		if s.err != nil {
-			return nil, s.err
+			return s.err
 		}
-		w.arenas[i] = s.arena
+		w.arenas = append(w.arenas, s.arena)
 	}
 
-	// Merge: size every view exactly from the shard counts and record
-	// where each shard's run starts inside each view. offsets[i][n] only
-	// depends on the counts of shards before i, never on map iteration
-	// order, so the layout is deterministic.
+	// Merge. offsets[i][n] depends only on each view's current length and
+	// the counts of shards before i, never on map iteration order, so the
+	// layout is deterministic.
 	totals := make(map[Name]int)
 	offsets := make([]map[Name]int, len(shards))
 	for i, s := range shards {
 		offsets[i] = make(map[Name]int, len(s.counts))
 		for n, c := range s.counts {
-			offsets[i][n] = totals[n]
+			v := w.views[n]
+			if v == nil {
+				v = &View{Name: n}
+				w.views[n] = v
+			}
+			offsets[i][n] = len(v.EIDs) + totals[n]
 			totals[n] += c
 		}
 	}
 	for n, c := range totals {
-		w.views[n] = &View{Name: n, EIDs: make([]trace.EntryID, c)}
+		v := w.views[n]
+		v.EIDs = append(v.EIDs, make([]trace.EntryID, c)...)
 	}
 	// Objects: first sighting wins. Merging whole shards in range order
-	// makes "first" mean first in the trace, exactly as the serial pass.
+	// makes "first" mean first in the trace, exactly as the serial half.
 	for _, s := range shards {
 		for loc, info := range s.objects {
 			if _, seen := w.objects[loc]; !seen {
@@ -265,21 +183,100 @@ func buildParallel(ctx context.Context, t *trace.Trace, workers int) (*Web, erro
 		}
 	}
 
-	// Pass 2: fill every view's arena concurrently.
 	for i, s := range shards {
 		wg.Add(1)
 		go func(s *buildShard, next map[Name]int) {
 			defer wg.Done()
-			s.fill(ctx, t, w, next)
+			s.fill(ctx, w, next)
 		}(s, offsets[i])
 	}
 	wg.Wait()
 	for _, s := range shards {
 		if s.err != nil {
-			return nil, s.err
+			return s.err
 		}
 	}
-	return w, nil
+	return nil
+}
+
+// buildShard is one contiguous entry range's pass of extend: its own
+// name arena (byEntry slices point into it, so it outlives the build),
+// and, in the sharded half, per-view membership counts and first-seen
+// object info for the merge.
+type buildShard struct {
+	lo, hi  int // entry index range [lo, hi)
+	arena   []Name
+	counts  map[Name]int
+	objects map[trace.Loc]ObjectInfo
+	err     error
+}
+
+// scan keys every entry of the shard, computes its names into the shard
+// arena (exact-sized by a local count), links byEntry, and notes objects.
+// With views set (the serial half) it appends each entry to its views
+// directly; a sharded scan passes nil and tallies per-view counts
+// instead. byEntry and keys are shared across shards but each entry id
+// is written by exactly one shard.
+func (s *buildShard) scan(ctx context.Context, w *Web, views map[Name]*View) {
+	entries := w.Trace.Entries
+	total := 0
+	for i := s.lo; i < s.hi; i++ {
+		total += nameCount(&entries[i])
+		w.keys[i] = trace.EventClassHash(&entries[i])
+	}
+	s.arena = make([]Name, 0, total)
+	for i := s.lo; i < s.hi; i++ {
+		if i&buildPollMask == 0 {
+			if err := ctx.Err(); err != nil {
+				s.err = err
+				return
+			}
+		}
+		e := &entries[i]
+		if e.Event.Kind == trace.KindEOF {
+			continue
+		}
+		off := len(s.arena)
+		s.arena = appendNames(s.arena, e)
+		names := s.arena[off:len(s.arena):len(s.arena)]
+		w.byEntry[e.EID] = names
+		for _, n := range names {
+			if views == nil {
+				s.counts[n]++
+				continue
+			}
+			v := views[n]
+			if v == nil {
+				v = &View{Name: n}
+				views[n] = v
+			}
+			v.EIDs = append(v.EIDs, e.EID)
+		}
+		noteObject(s.objects, e.Event.Target, e.EID)
+		noteObject(s.objects, e.Self, e.EID)
+	}
+}
+
+// fill is the sharded half's second pass: write the shard's entry ids
+// into each view's pre-sized EIDs slice, starting at the shard's offset.
+// Shards write disjoint index ranges of every view, so no
+// synchronization is needed, and concatenating contiguous shards in
+// order preserves the ascending-entry-id invariant of View.EIDs.
+func (s *buildShard) fill(ctx context.Context, w *Web, next map[Name]int) {
+	for i := s.lo; i < s.hi; i++ {
+		if i&buildPollMask == 0 {
+			if err := ctx.Err(); err != nil {
+				s.err = err
+				return
+			}
+		}
+		eid := w.Trace.Entries[i].EID
+		for _, n := range w.byEntry[eid] {
+			pos := next[n]
+			w.views[n].EIDs[pos] = eid
+			next[n] = pos + 1
+		}
+	}
 }
 
 func noteObject(objects map[trace.Loc]ObjectInfo, r trace.Repr, eid trace.EntryID) {

@@ -74,28 +74,48 @@ type ThreadMatch struct {
 type threadDesc struct {
 	id       trace.ThreadID
 	ancestry []trace.Frame
-	order    int
 }
 
-// describeThreads extracts each thread's spawn ancestry from the trace's
-// fork events; the thread that is never forked (the main thread) gets an
-// empty ancestry.
-func describeThreads(t *trace.Trace) []threadDesc {
-	forked := make(map[trace.ThreadID][]trace.Frame)
-	for i := range t.Entries {
-		e := &t.Entries[i]
-		if e.Event.Kind != trace.KindFork {
-			continue
-		}
-		var child trace.ThreadID
-		for _, c := range e.Event.Member {
-			child = child*10 + trace.ThreadID(c-'0')
-		}
-		forked[child] = e.Event.Stack
+// threadScan extracts each thread's spawn ancestry from a trace's fork
+// events, in order of first appearance; the thread that is never forked
+// (the main thread) gets an empty ancestry. It scans a growing trace
+// incrementally: each add folds in only the entries appended since the
+// previous one.
+type threadScan struct {
+	forked  map[trace.ThreadID][]trace.Frame
+	seen    map[trace.ThreadID]bool
+	order   []trace.ThreadID
+	scanned int
+}
+
+func newThreadScan() *threadScan {
+	return &threadScan{
+		forked: make(map[trace.ThreadID][]trace.Frame),
+		seen:   make(map[trace.ThreadID]bool),
 	}
-	var out []threadDesc
-	for i, id := range t.ThreadIDs() {
-		out = append(out, threadDesc{id: id, ancestry: forked[id], order: i})
+}
+
+// add scans the entries of t past the previous call's length and
+// returns the descriptions of every thread seen so far.
+func (s *threadScan) add(t *trace.Trace) []threadDesc {
+	for i := s.scanned; i < len(t.Entries); i++ {
+		e := &t.Entries[i]
+		if e.Event.Kind == trace.KindFork {
+			var child trace.ThreadID
+			for _, c := range e.Event.Member {
+				child = child*10 + trace.ThreadID(c-'0')
+			}
+			s.forked[child] = e.Event.Stack
+		}
+		if e.Event.Kind != trace.KindEOF && !s.seen[e.TID] {
+			s.seen[e.TID] = true
+			s.order = append(s.order, e.TID)
+		}
+	}
+	s.scanned = len(t.Entries)
+	out := make([]threadDesc, 0, len(s.order))
+	for _, id := range s.order {
+		out = append(out, threadDesc{id: id, ancestry: s.forked[id]})
 	}
 	return out
 }
@@ -104,61 +124,33 @@ func describeThreads(t *trace.Trace) []threadDesc {
 // descending similarity with spawn order as the tiebreaker, so it is
 // deterministic.
 func MatchThreads(l, r *trace.Trace) ThreadMatch {
-	return matchDescs(describeThreads(l), describeThreads(r))
+	return NewThreadMatcher(l).Match(r)
 }
 
 // ThreadMatcher computes MatchThreads against a fixed left trace and a
-// right trace that grows append-only across calls, amortizing the
-// description pass: the left descriptions are extracted once, and each
-// Match folds in only the right entries appended since the previous
-// call. Successive calls must pass snapshots of the same growing trace
-// (each an append-only extension of the previous one); the result is
-// identical to MatchThreads over the same pair. Not safe for concurrent
-// use.
+// right trace that may grow append-only across calls: the left
+// descriptions are extracted once, and each Match folds in only the
+// right entries appended since the previous call. Successive calls must
+// pass snapshots of the same growing trace (each an append-only
+// extension of the previous one); the result is identical to
+// MatchThreads over the same pair. Not safe for concurrent use.
 type ThreadMatcher struct {
-	lt      []threadDesc
-	forked  map[trace.ThreadID][]trace.Frame
-	seen    map[trace.ThreadID]bool
-	order   []trace.ThreadID
-	scanned int
+	lt    []threadDesc
+	right *threadScan
 }
 
 // NewThreadMatcher pins the left-hand trace of a matcher.
 func NewThreadMatcher(l *trace.Trace) *ThreadMatcher {
-	return &ThreadMatcher{
-		lt:     describeThreads(l),
-		forked: make(map[trace.ThreadID][]trace.Frame),
-		seen:   make(map[trace.ThreadID]bool),
-	}
+	return &ThreadMatcher{lt: newThreadScan().add(l), right: newThreadScan()}
 }
 
 // Match computes XTH between the pinned left trace and the snapshot r,
 // scanning only entries beyond the previous snapshot's length.
 func (m *ThreadMatcher) Match(r *trace.Trace) ThreadMatch {
-	for i := m.scanned; i < len(r.Entries); i++ {
-		e := &r.Entries[i]
-		if e.Event.Kind == trace.KindFork {
-			var child trace.ThreadID
-			for _, c := range e.Event.Member {
-				child = child*10 + trace.ThreadID(c-'0')
-			}
-			m.forked[child] = e.Event.Stack
-		}
-		if e.Event.Kind != trace.KindEOF && !m.seen[e.TID] {
-			m.seen[e.TID] = true
-			m.order = append(m.order, e.TID)
-		}
-	}
-	m.scanned = len(r.Entries)
-	rt := make([]threadDesc, 0, len(m.order))
-	for i, id := range m.order {
-		rt = append(rt, threadDesc{id: id, ancestry: m.forked[id], order: i})
-	}
-	return matchDescs(m.lt, rt)
+	return matchDescs(m.lt, m.right.add(r))
 }
 
-// matchDescs runs the greedy matching over extracted descriptions — the
-// shared core of MatchThreads and ThreadMatcher.Match.
+// matchDescs runs the greedy matching over extracted descriptions.
 func matchDescs(lt, rt []threadDesc) ThreadMatch {
 	type cand struct {
 		li, ri int

@@ -3,8 +3,6 @@ package views
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/trace"
 )
@@ -14,47 +12,32 @@ import (
 // decoded segment; at any moment Snapshot returns a Web over everything
 // appended so far that is semantically identical to a from-scratch
 // BuildCtxOpts over the same entries (see Equivalent), so a live
-// session's web is always query-ready: /diff and /run/{analysis} can
-// analyze a still-running program.
+// session's web is always query-ready: /run/{analysis} can analyze a
+// still-running program.
 //
 // Concurrency contract: the builder itself is NOT safe for concurrent
 // use — callers (corpus.Session) serialize Append and Snapshot under one
 // lock. The webs Snapshot returns, however, remain safe to read while
-// later Appends extend the builder: every growing structure is extended
-// strictly append-only (new arena chunks, new byEntry rows, new slots at
-// the tail of each view's entry-id list, copied view/object maps), so a
-// snapshot's visible prefix is never rewritten. That is what lets a
-// long-running diff proceed against a session that keeps streaming.
-//
-// Large batches reuse the PR-4 sharded machinery: the entry scan runs on
-// per-shard arenas and the per-view fill writes disjoint ranges, exactly
-// like the parallel path of BuildCtxOpts, with every view offset shifted
-// by the web built so far.
+// later Appends extend the builder: each Append runs the web's one
+// extend pass, which grows every structure append-only, and Snapshot
+// copies the view and object maps, so a snapshot's visible prefix is
+// never rewritten. That is what lets a long-running diff proceed
+// against a session that keeps streaming.
 type IncrementalBuilder struct {
-	name    string
-	entries []trace.Entry
-	arenas  [][]Name
-	byEntry [][]Name
-	views   map[Name]*View
-	objects map[trace.Loc]ObjectInfo
-	keys    []uint64
+	w *Web
 }
 
 // NewIncrementalBuilder returns an empty builder for a trace with the
 // given name.
 func NewIncrementalBuilder(name string) *IncrementalBuilder {
-	return &IncrementalBuilder{
-		name:    name,
-		views:   make(map[Name]*View),
-		objects: make(map[trace.Loc]ObjectInfo),
-	}
+	return &IncrementalBuilder{w: newWeb(&trace.Trace{Name: name})}
 }
 
 // Len returns the number of entries appended so far.
-func (b *IncrementalBuilder) Len() int { return len(b.entries) }
+func (b *IncrementalBuilder) Len() int { return b.w.Trace.Len() }
 
 // Name returns the trace name snapshots carry.
-func (b *IncrementalBuilder) Name() string { return b.name }
+func (b *IncrementalBuilder) Name() string { return b.w.Trace.Name }
 
 // Append extends the web with one segment of entries. Entry ids must
 // continue the dense 0..n-1 numbering: entries below the current
@@ -62,160 +45,32 @@ func (b *IncrementalBuilder) Name() string { return b.name }
 // stream), an entry past it is an error. Entries are copied in, so the
 // caller may reuse its batch slice.
 func (b *IncrementalBuilder) Append(entries []trace.Entry) error {
+	start := b.Len()
 	// Drop the already-applied prefix of a re-delivered batch.
-	for len(entries) > 0 && int(entries[0].EID) < len(b.entries) {
+	for len(entries) > 0 && int(entries[0].EID) < start {
 		entries = entries[1:]
 	}
 	if len(entries) == 0 {
 		return nil
 	}
 	for i := range entries {
-		if want := len(b.entries) + i; int(entries[i].EID) != want {
+		if want := start + i; int(entries[i].EID) != want {
 			return fmt.Errorf("views: incremental append: entry id %d out of order (want %d)",
 				entries[i].EID, want)
 		}
 	}
-	start := len(b.entries)
-	b.entries = append(b.entries, entries...)
-	// Intern in place on our own copy; hand-built batches get their Syms
-	// here, already-interned ones are a read-only scan.
-	(&trace.Trace{Entries: b.entries[start:]}).EnsureSyms()
-	for range entries {
-		b.byEntry = append(b.byEntry, nil)
-		b.keys = append(b.keys, 0)
-	}
-	if len(entries) >= parallelBuildThreshold {
-		b.appendSharded(start)
-	} else {
-		b.appendSerial(start)
-	}
-	return nil
-}
-
-// appendSerial is the small-batch path: one new exact-sized arena, views
-// extended in entry order — the incremental mirror of buildSerial.
-func (b *IncrementalBuilder) appendSerial(start int) {
-	total := 0
-	for i := start; i < len(b.entries); i++ {
-		total += nameCount(&b.entries[i])
-		b.keys[i] = trace.EventClassHash(&b.entries[i])
-	}
-	arena := make([]Name, 0, total)
-	for i := start; i < len(b.entries); i++ {
-		e := &b.entries[i]
-		if e.Event.Kind == trace.KindEOF {
-			continue
-		}
-		off := len(arena)
-		arena = appendNames(arena, e)
-		names := arena[off:len(arena):len(arena)]
-		b.byEntry[e.EID] = names
-		for _, n := range names {
-			v := b.views[n]
-			if v == nil {
-				v = &View{Name: n}
-				b.views[n] = v
-			}
-			v.EIDs = append(v.EIDs, e.EID)
-		}
-		noteObject(b.objects, e.Event.Target, e.EID)
-		noteObject(b.objects, e.Self, e.EID)
-	}
-	b.arenas = append(b.arenas, arena)
-}
-
-// appendSharded is the large-batch path: the batch is cut into
-// contiguous shards that scan concurrently into their own arenas, the
-// merge extends every touched view to its exact new length, and the
-// shards fill their disjoint ranges concurrently — buildParallel with
-// all view offsets based past the web built so far.
-func (b *IncrementalBuilder) appendSharded(start int) {
-	workers := runtime.GOMAXPROCS(0)
-	batch := len(b.entries) - start
-	if workers > batch {
-		workers = batch
-	}
-	t := &trace.Trace{Name: b.name, Entries: b.entries}
-	shards := make([]*buildShard, workers)
-	per, rem := batch/workers, batch%workers
-	lo := start
-	for i := range shards {
-		hi := lo + per
-		if i < rem {
-			hi++
-		}
-		shards[i] = &buildShard{lo: lo, hi: hi}
-		lo = hi
-	}
-
-	// Incremental appends are bounded by the batch size, so cancellation
-	// plumbing is the session's concern, not the builder's: the shard
-	// scans run under a background context.
-	var wg sync.WaitGroup
-	for _, s := range shards {
-		wg.Add(1)
-		go func(s *buildShard) {
-			defer wg.Done()
-			s.scan(context.Background(), t, b.byEntry, b.keys)
-		}(s)
-	}
-	wg.Wait()
-	for _, s := range shards {
-		b.arenas = append(b.arenas, s.arena)
-	}
-
-	// Merge: offsets continue from each view's current length, and every
-	// touched view's entry-id list grows to its exact final size before
-	// the concurrent fill writes the new tail slots.
-	totals := make(map[Name]int)
-	offsets := make([]map[Name]int, len(shards))
-	for i, s := range shards {
-		offsets[i] = make(map[Name]int, len(s.counts))
-		for n, c := range s.counts {
-			v := b.views[n]
-			if v == nil {
-				v = &View{Name: n}
-				b.views[n] = v
-			}
-			offsets[i][n] = len(v.EIDs) + totals[n]
-			totals[n] += c
-		}
-	}
-	for n, c := range totals {
-		v := b.views[n]
-		v.EIDs = append(v.EIDs, make([]trace.EntryID, c)...)
-	}
-	for _, s := range shards {
-		for loc, info := range s.objects {
-			if _, seen := b.objects[loc]; !seen {
-				b.objects[loc] = info
-			}
-		}
-	}
-
-	for i, s := range shards {
-		wg.Add(1)
-		go func(s *buildShard, next map[Name]int) {
-			defer wg.Done()
-			for j := s.lo; j < s.hi; j++ {
-				eid := t.Entries[j].EID
-				for _, n := range b.byEntry[eid] {
-					pos := next[n]
-					b.views[n].EIDs[pos] = eid
-					next[n] = pos + 1
-				}
-			}
-		}(s, offsets[i])
-	}
-	wg.Wait()
+	b.w.Trace.Entries = append(b.w.Trace.Entries, entries...)
+	// Appends are bounded by the batch size, so cancellation is the
+	// session's concern, not the builder's.
+	return b.w.extend(context.Background(), start, 0)
 }
 
 // SnapshotTrace returns the trace over everything appended so far. The
 // entries slice is capped at the current length, so later Appends —
 // which only write past it — never alias what a reader sees.
 func (b *IncrementalBuilder) SnapshotTrace() *trace.Trace {
-	n := len(b.entries)
-	return &trace.Trace{Name: b.name, Entries: b.entries[:n:n]}
+	n := b.Len()
+	return &trace.Trace{Name: b.Name(), Entries: b.w.Trace.Entries[:n:n]}
 }
 
 // Snapshot returns a query-ready Web over everything appended so far.
@@ -225,22 +80,22 @@ func (b *IncrementalBuilder) SnapshotTrace() *trace.Trace {
 // are shared with the builder via length-capped slices whose visible
 // prefixes are never rewritten by later Appends.
 func (b *IncrementalBuilder) Snapshot() *Web {
-	n := len(b.entries)
-	vs := make(map[Name]*View, len(b.views))
-	for name, v := range b.views {
+	w := b.w
+	vs := make(map[Name]*View, len(w.views))
+	for name, v := range w.views {
 		vs[name] = &View{Name: name, EIDs: v.EIDs[:len(v.EIDs):len(v.EIDs)]}
 	}
-	objs := make(map[trace.Loc]ObjectInfo, len(b.objects))
-	for loc, info := range b.objects {
+	objs := make(map[trace.Loc]ObjectInfo, len(w.objects))
+	for loc, info := range w.objects {
 		objs[loc] = info
 	}
 	return &Web{
 		Trace:   b.SnapshotTrace(),
 		views:   vs,
-		byEntry: b.byEntry[:n:n],
-		arenas:  b.arenas[:len(b.arenas):len(b.arenas)],
+		byEntry: w.byEntry[:len(w.byEntry):len(w.byEntry)],
+		arenas:  w.arenas[:len(w.arenas):len(w.arenas)],
 		objects: objs,
-		keys:    b.keys[:n:n],
+		keys:    w.keys[:len(w.keys):len(w.keys)],
 	}
 }
 

@@ -145,6 +145,32 @@ type diffParams struct {
 	Removal     *bool `json:"removal"` // regression only
 }
 
+// maxWindow caps the ω a request may ask for: a window of 2·1024+1
+// entries already needs a DP table of about 16 MiB per worker, and the
+// evaluation's largest ω is 40.
+const maxWindow = 1024
+
+// validate rejects tunables the differ cannot run with: negative values
+// (a negative ω inverts the window bounds) and windows past maxWindow.
+func (p diffParams) validate() error {
+	for _, f := range []struct {
+		name string
+		v    *int
+	}{
+		{"window", p.Window}, {"radius", p.Radius}, {"max_scan", p.MaxScan},
+		{"quick_scan", p.QuickScan}, {"max_explore", p.MaxExplore},
+		{"parallelism", p.Parallelism},
+	} {
+		if f.v != nil && *f.v < 0 {
+			return fmt.Errorf("%w: %s must not be negative (got %d)", ErrBadRequest, f.name, *f.v)
+		}
+	}
+	if p.Window != nil && *p.Window > maxWindow {
+		return fmt.Errorf("%w: window must be at most %d (got %d)", ErrBadRequest, maxWindow, *p.Window)
+	}
+	return nil
+}
+
 func (p diffParams) apply(o DiffOptions) DiffOptions {
 	if p.Parallelism != nil {
 		o.Parallelism = *p.Parallelism
@@ -177,6 +203,11 @@ func decodeParams[T any](raw json.RawMessage) (T, error) {
 	}
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return p, fmt.Errorf("%w: bad params: %v", ErrBadRequest, err)
+	}
+	if v, ok := any(p).(interface{ validate() error }); ok {
+		if err := v.validate(); err != nil {
+			return p, err
+		}
 	}
 	return p, nil
 }
