@@ -95,7 +95,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8372", "listen address")
 	flag.StringVar(&cfg.dir, "dir", "corpus", "corpus directory (created if missing)")
 	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "max concurrent analyses")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "intra-diff worker goroutines per analysis, clamped to free worker slots (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "intra-diff worker goroutines per analysis, capped at 1 + the worker slots free when a diff starts (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.traceCache, "trace-cache", 16, "decoded traces kept in memory")
 	flag.IntVar(&cfg.webCache, "web-cache", 8, "built view webs kept in memory")
 	flag.IntVar(&cfg.segLimit, "segment-limit", 1<<16, "entries per on-disk segment")
@@ -169,11 +169,13 @@ func run(cfg serveConfig) error {
 	}
 
 	// One Engine per process: the server dispatches every analysis
-	// request (POST /run/{analysis}) through it. The
-	// engine's own worker budget mirrors the server pool so intra-diff
-	// workers are clamped to the same slots the requests occupy: a lone
-	// big diff fans out across the machine, a full queue degrades every
-	// diff toward serial instead of oversubscribing.
+	// request (POST /run/{analysis}) through it. The engine's own worker
+	// budget mirrors the server pool, and each diff starts as wide as the
+	// slots free at that moment allow: a lone big diff fans out across
+	// the machine, a full queue starts every diff near serial. The inner
+	// workers hold no slot, so they never delay the next request; the
+	// price is that -workers bounds analyses, not diff goroutines (up to
+	// W(W+1)/2 of them while the earliest wide diff runs).
 	eng := rprism.NewEngine(rprism.WithCorpus(store),
 		rprism.WithWorkers(cfg.workers),
 		rprism.WithDiffParallelism(cfg.parallel),

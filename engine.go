@@ -85,13 +85,15 @@ func WithDiffOptions(o DiffOptions) EngineOption {
 // GOMAXPROCS; 1 forces the serial path). Results are byte-identical at
 // any setting.
 //
-// Intra-diff workers draw on the same slot budget as WithWorkers: an
-// analysis holding its one slot claims extra slots — without blocking —
-// for each additional worker, so the engine's total concurrency never
-// exceeds the WithWorkers bound no matter how the two knobs are
-// combined. Under load the extra slots simply aren't granted and diffs
-// degrade toward serial, which is exactly the right pressure response
-// for a serve deployment.
+// Under a WithWorkers budget the width is capped, once per diff, at the
+// analysis's own slot plus the slots free when the diff starts. The
+// extra workers hold no slot: an analysis arriving mid-diff takes a free
+// slot at once instead of queueing behind them. Under load fewer slots
+// are free and diffs start narrower, toward serial. The budget thus
+// bounds analyses, not diff workers: a diff keeps its start-time width,
+// so with W slots, analyses started one after another can run W, W-1,
+// ..., 1 wide at once — up to W(W+1)/2 workers, each with its own LCS
+// table, while the earliest wide diff runs.
 func WithDiffParallelism(n int) EngineOption {
 	return func(e *Engine) {
 		if n > 0 {
@@ -169,14 +171,13 @@ func (e *Engine) acquire(ctx context.Context) (context.Context, func(), error) {
 	}
 }
 
-// intraWorkers resolves the intra-diff parallelism for an analysis that
-// already holds one worker slot. The request (0 = engine default, then
-// GOMAXPROCS) is granted only as far as free slots allow: each worker
-// beyond the first claims one extra slot without blocking, so total
-// engine concurrency — analyses plus their inner workers — never
-// exceeds the WithWorkers budget. The returned release func returns the
-// extra slots; callers must defer it.
-func (e *Engine) intraWorkers(requested int) (int, func()) {
+// intraWorkers resolves the intra-diff width for an analysis that
+// already holds its worker slot: the request (0 = engine default, then
+// GOMAXPROCS), capped under a WithWorkers budget at 1 + the slots free
+// right now. The width is read once, when the diff starts; no slot is
+// claimed for it, so a request arriving mid-diff is never queued behind
+// inner workers.
+func (e *Engine) intraWorkers(requested int) int {
 	par := requested
 	if par == 0 {
 		par = e.diffOpts.Parallelism
@@ -184,29 +185,10 @@ func (e *Engine) intraWorkers(requested int) (int, func()) {
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par < 1 {
-		par = 1
+	if e.workers != nil {
+		par = min(par, 1+cap(e.workers)-len(e.workers))
 	}
-	if e.workers == nil || par == 1 {
-		return par, func() {}
-	}
-	extra := 0
-	for extra < par-1 {
-		select {
-		case e.workers <- struct{}{}:
-			extra++
-		default:
-			par = 1 + extra // budget exhausted; run narrower, not over
-		}
-	}
-	if extra == 0 {
-		return par, func() {}
-	}
-	return par, func() {
-		for i := 0; i < extra; i++ {
-			<-e.workers
-		}
-	}
+	return max(par, 1)
 }
 
 // cachedWeb returns the engine-cached web for a trace, building it under
@@ -220,18 +202,15 @@ func (e *Engine) cachedWeb(ctx context.Context, t *trace.Trace) (*views.Web, err
 	if ok {
 		return w, nil
 	}
-	// The build's shard workers draw on the worker budget exactly like
-	// intra-diff workers: the caller's slot plus whatever is free. Only a
-	// grant below the build layer's automatic width (GOMAXPROCS) is
-	// forced through — otherwise automatic mode decides, keeping its
-	// small-trace serial threshold.
-	par, releasePar := e.intraWorkers(0)
+	// The build's shard workers follow the intra-diff width rule. Only a
+	// width below the build layer's automatic one (GOMAXPROCS) is forced
+	// through — otherwise automatic mode decides, keeping its small-trace
+	// serial threshold.
 	var bopts views.BuildOptions
-	if par < runtime.GOMAXPROCS(0) {
+	if par := e.intraWorkers(0); par < runtime.GOMAXPROCS(0) {
 		bopts.Workers = par
 	}
 	w, err := views.BuildCtxOpts(ctx, t, bopts)
-	releasePar()
 	if err != nil {
 		return nil, err
 	}
@@ -275,8 +254,8 @@ func (e *Engine) Diff(ctx context.Context, left, right Source) (*DiffResult, err
 
 // DiffWith is Diff with per-call differencing options. The effective
 // intra-diff parallelism is the per-call Parallelism, else the engine's
-// WithDiffParallelism default, else GOMAXPROCS — clamped to the free
-// WithWorkers slots so concurrent analyses cannot oversubscribe.
+// WithDiffParallelism default, else GOMAXPROCS — capped, when the diff
+// starts, at 1 + the WithWorkers slots free at that moment.
 func (e *Engine) DiffWith(ctx context.Context, left, right Source, opts DiffOptions) (*DiffResult, error) {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
@@ -291,9 +270,7 @@ func (e *Engine) DiffWith(ctx context.Context, left, right Source, opts DiffOpti
 	if err != nil {
 		return nil, err
 	}
-	par, releasePar := e.intraWorkers(opts.Parallelism)
-	defer releasePar()
-	opts.Parallelism = par
+	opts.Parallelism = e.intraWorkers(opts.Parallelism)
 	return diff.ViewDiffWebsCtx(ctx, wl, wr, opts)
 }
 
@@ -358,11 +335,9 @@ func (e *Engine) AnalyzeRegressionWith(ctx context.Context, in RegressionSources
 	if webs.NewRegr, err = e.Views(ctx, in.NewRegr); err != nil {
 		return nil, err
 	}
-	// The three differencing passes inside the analysis share one
-	// slot-clamped parallelism, resolved once here.
-	par, releasePar := e.intraWorkers(opts.Parallelism)
-	defer releasePar()
-	opts.Parallelism = par
+	// The three differencing passes inside the analysis share one width,
+	// resolved once here.
+	opts.Parallelism = e.intraWorkers(opts.Parallelism)
 	return regression.AnalyzeWebsCtx(ctx, webs, in.Removal, opts)
 }
 

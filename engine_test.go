@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/diff"
 	"repro/internal/protocol"
 	"repro/internal/regression"
+	"repro/internal/subjects"
 	"repro/internal/trace"
 	"repro/internal/views"
 )
@@ -398,55 +402,141 @@ func TestEngineWorkerBudget(t *testing.T) {
 	}
 }
 
-// TestIntraDiffWorkersClampedToSlotBudget pins the oversubscription
-// contract of WithDiffParallelism: intra-diff workers beyond the
-// analysis's own slot are granted only from free WithWorkers slots, and
-// are returned afterwards.
+// slotProbeCtx calls probe on every Err poll, which the diff's units
+// make while they run: it observes the worker budget mid-diff.
+type slotProbeCtx struct {
+	context.Context
+	probe func()
+}
+
+func (c slotProbeCtx) Err() error {
+	c.probe()
+	return c.Context.Err()
+}
+
+// TestIntraDiffWorkersClampedToSlotBudget pins the width rule of
+// WithDiffParallelism: a diff starts at most 1 + the WithWorkers slots
+// free at that moment wide, and its inner workers claim no slot.
 func TestIntraDiffWorkersClampedToSlotBudget(t *testing.T) {
 	eng := NewEngine(WithWorkers(3), WithDiffParallelism(8))
+	l := FromTrace(subjects.GenCorpusTrace(3, 0, 300))
+	r := FromTrace(subjects.GenCorpusTrace(3, 1, 300))
 
 	// An analysis holding one slot asks for the engine default (8): two
-	// slots are free, so it gets 1 + 2 workers and the budget is full.
-	_, release, err := eng.acquire(context.Background())
+	// slots are free, so it runs 1 + 2 wide and the budget still shows
+	// only the analysis's own slot, before, during and after the diff.
+	var peak atomic.Int64
+	probe := func() {
+		if n := int64(len(eng.workers)); n > peak.Load() {
+			peak.Store(n)
+		}
+	}
+	ctx, release, err := eng.acquire(slotProbeCtx{context.Background(), probe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, releasePar := eng.intraWorkers(0)
-	if par != 3 {
-		t.Errorf("intraWorkers(0) granted %d with 2 free slots, want 3", par)
+	if par := eng.intraWorkers(0); par != 3 {
+		t.Errorf("intraWorkers(0) = %d with 2 free slots, want 3", par)
 	}
-	if len(eng.workers) != 3 {
-		t.Errorf("budget shows %d/3 slots used during the diff, want 3", len(eng.workers))
+	if par := eng.intraWorkers(2); par != 2 {
+		t.Errorf("intraWorkers(2) = %d with 2 free slots, want the request 2", par)
 	}
-	releasePar()
 	if len(eng.workers) != 1 {
-		t.Errorf("budget shows %d/3 slots used after release, want the analysis's own 1", len(eng.workers))
+		t.Errorf("budget shows %d/3 slots used before the diff, want the analysis's own 1", len(eng.workers))
 	}
-	release()
+	if _, err := eng.Diff(ctx, l, r); err != nil {
+		t.Fatal(err)
+	}
+	if n := peak.Load(); n != 1 {
+		t.Errorf("budget peaked at %d/3 slots used during the diff, want 1", n)
+	}
+	if len(eng.workers) != 1 {
+		t.Errorf("budget shows %d/3 slots used after the diff, want 1", len(eng.workers))
+	}
 
-	// A per-call request below the free budget is honored exactly.
-	par, releasePar = eng.intraWorkers(2)
-	if par != 2 {
-		t.Errorf("intraWorkers(2) = %d, want 2", par)
+	// A second slot held elsewhere leaves one free: width 2.
+	_, release2, err := eng.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	releasePar()
+	if par := eng.intraWorkers(0); par != 2 {
+		t.Errorf("intraWorkers(0) = %d with 1 free slot, want 2", par)
+	}
+	release2()
+	release()
 	if len(eng.workers) != 0 {
 		t.Errorf("slots leaked: %d still held", len(eng.workers))
 	}
 
-	// Without a worker budget the request passes through unclamped, and
+	// A request below the free budget is honored exactly.
+	if par := eng.intraWorkers(2); par != 2 {
+		t.Errorf("intraWorkers(2) = %d on an idle 3-slot engine, want the request 2", par)
+	}
+
+	// Without a worker budget the request passes through unchanged, and
 	// an unset engine defaults to GOMAXPROCS.
 	unbounded := NewEngine(WithDiffParallelism(5))
-	if par, rel := unbounded.intraWorkers(0); par != 5 {
+	if par := unbounded.intraWorkers(0); par != 5 {
 		t.Errorf("unbounded engine granted %d, want the configured 5", par)
-	} else {
-		rel()
 	}
-	plain := NewEngine()
-	if par, rel := plain.intraWorkers(0); par != runtime.GOMAXPROCS(0) {
+	if par := unbounded.intraWorkers(64); par != 64 {
+		t.Errorf("unbounded engine granted %d for a request of 64, want 64", par)
+	}
+	if par := NewEngine().intraWorkers(0); par != runtime.GOMAXPROCS(0) {
 		t.Errorf("default parallelism = %d, want GOMAXPROCS (%d)", par, runtime.GOMAXPROCS(0))
-	} else {
-		rel()
+	}
+}
+
+// TestEngineConcurrentAnalysesUnderBudget runs a diff and a regression
+// analysis side by side on a two-slot engine at the default width, with
+// cold web caches: both must match their serial results. Run under
+// -race in CI.
+func TestEngineConcurrentAnalysesUnderBudget(t *testing.T) {
+	gen := func(v int) Source { return FromTrace(subjects.GenCorpusTrace(3, v, 400)) }
+	oc, nc, or, nr := gen(0), gen(0), gen(1), gen(2)
+	in := RegressionSources{OrigCorrect: oc, NewCorrect: nc, OrigRegr: or, NewRegr: nr}
+	ctx := context.Background()
+
+	serial := NewEngine(WithDiffParallelism(1))
+	wantDiff, err := serial.Diff(ctx, or, nr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRegr, err := serial.AnalyzeRegression(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng := NewEngine(WithWorkers(2))
+	var (
+		wg      sync.WaitGroup
+		gotDiff *DiffResult
+		gotRegr *RegressionAnalysis
+		errs    [2]error
+	)
+	wg.Add(2)
+	go func() { defer wg.Done(); gotDiff, errs[0] = eng.Diff(ctx, or, nr) }()
+	go func() { defer wg.Done(); gotRegr, errs[1] = eng.AnalyzeRegression(ctx, in) }()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gotDiff.Stats != wantDiff.Stats ||
+		!reflect.DeepEqual(gotDiff.DiffLeft, wantDiff.DiffLeft) ||
+		!reflect.DeepEqual(gotDiff.DiffRight, wantDiff.DiffRight) ||
+		len(gotDiff.Sequences) != len(wantDiff.Sequences) {
+		t.Errorf("concurrent diff diverged from serial: %d diffs %+v, want %d diffs %+v",
+			gotDiff.NumDiffs(), gotDiff.Stats, wantDiff.NumDiffs(), wantDiff.Stats)
+	}
+	if !reflect.DeepEqual(gotRegr.D, wantRegr.D) || gotRegr.Sizes != wantRegr.Sizes ||
+		!reflect.DeepEqual(gotRegr.Related, wantRegr.Related) {
+		t.Errorf("concurrent regression analysis diverged from serial: sizes %+v, want %+v",
+			gotRegr.Sizes, wantRegr.Sizes)
+	}
+	if len(eng.workers) != 0 {
+		t.Errorf("slots leaked: %d still held", len(eng.workers))
 	}
 }
 

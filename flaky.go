@@ -75,12 +75,10 @@ func (e *Engine) Flaky(ctx context.Context, runs []Source, opts FlakyOptions) (*
 			return nil, err
 		}
 	}
-	// The pairwise passes share one slot-clamped parallelism, resolved
-	// once: each diff spends it on its own thread-view pairs.
-	par, releasePar := e.intraWorkers(opts.Diff.Parallelism)
-	defer releasePar()
+	// The pairwise passes share one width, resolved once: each diff
+	// spends it on its own thread-view pairs.
 	pairOpts := opts.Diff
-	pairOpts.Parallelism = par
+	pairOpts.Parallelism = e.intraWorkers(opts.Diff.Parallelism)
 
 	out := &FlakyResult{Runs: len(runs), Pairs: []FlakyPair{}, Common: []FlakySignature{}}
 	counts := make(map[regression.Signature]int)

@@ -3,12 +3,14 @@ package diff
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/lcs"
+	"repro/internal/subjects"
 	"repro/internal/trace"
 )
 
@@ -466,5 +468,20 @@ func TestViewExplorationsCounted(t *testing.T) {
 	}
 	if res.Stats.Compares == 0 {
 		t.Error("compares not counted")
+	}
+}
+
+// TestRadiusSaturates pins that a δ past every thread view's length
+// behaves as "the whole view": MaxInt must collect the same linked views
+// as 1<<20, not wrap pos+δ negative and skip SIMILAR-FROM-LINKED-VIEWS.
+func TestRadiusSaturates(t *testing.T) {
+	l, r := subjects.GenCorpusTrace(3, 0, 2000), subjects.GenCorpusTrace(3, 1, 2000)
+	run := func(radius int) Stats {
+		opts := DefaultViewOptions()
+		opts.Radius, opts.Parallelism = radius, 1
+		return ViewDiff(l, r, opts).Stats
+	}
+	if wide, huge := run(1<<20), run(math.MaxInt); wide != huge {
+		t.Errorf("radius MaxInt stats %+v, want radius 1<<20's %+v", huge, wide)
 	}
 }

@@ -507,12 +507,15 @@ func (u *unit) collectLinked(out []linked, w *views.Web, tv []trace.EntryID, pos
 	clear(u.seen)
 	seen := u.seen
 	out = out[:0]
-	lo, hi := pos-u.opts.Radius, pos+u.opts.Radius
-	if lo < 0 {
-		lo = 0
+	// Clamp by comparing δ against the room on each side: pos+δ itself
+	// would wrap negative for a δ near MaxInt.
+	r := u.opts.Radius
+	lo, hi := 0, len(tv)-1
+	if r < pos {
+		lo = pos - r
 	}
-	if hi >= len(tv) {
-		hi = len(tv) - 1
+	if r < hi-pos {
+		hi = pos + r
 	}
 	for p := lo; p <= hi; p++ {
 		eid := tv[p]

@@ -100,13 +100,10 @@ func TestSketchIgnoresSymRemapping(t *testing.T) {
 	}
 }
 
-// TestSketchBytesPinned pins the persisted form of the sketches of the
-// golden format fixtures and of a few generated traces, one padded with
-// EOF entries, to the SHA-256 of the sidecar bytes that the index's
-// class hash produced before it moved to trace.EventClassHash: sidecars
-// written by earlier releases stay valid only while these hold.
-func TestSketchBytesPinned(t *testing.T) {
-	const golden = "f525321a0d4cf70ea74728ef007846bf5251b5eb9e977d1116992b446e68c2fe"
+// pinnedSketchTraces are the inputs whose sidecar bytes
+// TestSketchBytesPinned pins: generated families, an EOF-padded trace,
+// and the golden fixtures of every trace format.
+func pinnedSketchTraces(tb testing.TB) map[string]*trace.Trace {
 	padded := genTrace(1, 0, 40)
 	trace.PadEOF(padded, genTrace(1, 0, 44))
 	cases := map[string]*trace.Trace{
@@ -115,18 +112,36 @@ func TestSketchBytesPinned(t *testing.T) {
 		"fam3-var2": genTrace(3, 2, 100),
 		"padded":    padded,
 	}
-	want := map[string]string{
-		"fam1-var0": "52b3f77ef6ab29f62c7c7702c4c4a1cf83e84f84e9ad6d833feb2f5c931e06df",
-		"fam2-var1": "fb1f124282610d312a60c7fe21ad2fb1a18377d818bd191d5b88fa0f0e8ab47e",
-		"fam3-var2": "5189f4c6294a99db2326aa6e79f0e1648a8d9765634d78e561fdcc7c7b877be2",
-		"padded":    "9ec685df8dc68f4b25d7633a9655cba3e5857cc6244b0c1f6e792f82746bac91",
-	}
 	for _, name := range []string{"golden.v1.jsonl", "golden.v2.jsonl", "golden.rseg", "golden.rsegz"} {
 		tr, err := trace.Load(filepath.Join("..", "trace", "testdata", name))
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		cases[name], want[name] = tr, golden
+		cases[name] = tr
+	}
+	return cases
+}
+
+// TestSketchBytesPinned pins the persisted form of the sketches of the
+// golden format fixtures and of a few generated traces, one padded with
+// EOF entries, to the SHA-256 of the sidecar bytes that the index's
+// class hash produced before it moved to trace.EventClassHash: sidecars
+// written by earlier releases stay valid only while these hold.
+func TestSketchBytesPinned(t *testing.T) {
+	const golden = "f525321a0d4cf70ea74728ef007846bf5251b5eb9e977d1116992b446e68c2fe"
+	want := map[string]string{
+		"fam1-var0":       "52b3f77ef6ab29f62c7c7702c4c4a1cf83e84f84e9ad6d833feb2f5c931e06df",
+		"fam2-var1":       "fb1f124282610d312a60c7fe21ad2fb1a18377d818bd191d5b88fa0f0e8ab47e",
+		"fam3-var2":       "5189f4c6294a99db2326aa6e79f0e1648a8d9765634d78e561fdcc7c7b877be2",
+		"padded":          "9ec685df8dc68f4b25d7633a9655cba3e5857cc6244b0c1f6e792f82746bac91",
+		"golden.v1.jsonl": golden,
+		"golden.v2.jsonl": golden,
+		"golden.rseg":     golden,
+		"golden.rsegz":    golden,
+	}
+	cases := pinnedSketchTraces(t)
+	if len(cases) != len(want) {
+		t.Fatalf("%d pinned inputs, want hashes for %d", len(cases), len(want))
 	}
 	for name, tr := range cases {
 		raw, err := SketchTrace(tr).Marshal()

@@ -16,10 +16,13 @@
 // Diff-flavored analyses additionally parallelize inside one request:
 // the engine evaluates correlated thread-view pairs on intra-diff
 // workers (rprism.WithDiffParallelism, or a per-request "parallelism"
-// param) drawn from the same slot budget as the engine's worker bound,
-// so a busy server degrades diffs toward serial instead of
-// oversubscribing the machine. GET /stats reports the configured
-// default.
+// param). Each diff's width is capped, once when it starts, at 1 + the
+// engine's worker slots free at that moment; the inner workers hold no
+// slot, so a busy server starts diffs near serial without queueing the
+// next request behind them. The worker budget therefore bounds
+// analyses, not diff workers: with W slots, up to W(W+1)/2 can run at
+// once (see rprism.WithDiffParallelism). GET /stats reports the
+// configured default.
 //
 // Live capture streams in through POST /traces/stream (the NDJSON
 // segment-frame protocol of internal/capture): frames build append-open

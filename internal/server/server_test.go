@@ -717,7 +717,8 @@ func TestDiffParallelismKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The rprism-serve wiring: request pool mirrored into the engine's
-	// worker budget so intra-diff workers are clamped to the same slots.
+	// worker budget, so a diff's width is capped at 1 + the slots free
+	// when it starts; its inner workers claim no slot.
 	srv := New(rprism.NewEngine(rprism.WithCorpus(store),
 		rprism.WithWorkers(4), rprism.WithDiffParallelism(4)), Options{Workers: 4})
 	ts := httptest.NewServer(srv.Handler())

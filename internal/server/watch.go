@@ -71,7 +71,7 @@ func (s *Server) handleCreateWatch(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	ctx, cancel := s.analysisCtx(r)
 	defer cancel()
-	watch, err := s.eng.WatchSession(ctx, strings.TrimPrefix(req.Session, "session:"), rprismWatchConfig(req))
+	watch, err := s.eng.WatchSession(ctx, strings.TrimPrefix(req.Session, "session:"), rprismWatchConfig(req, s.eng.DefaultDiffOptions()))
 	if err != nil {
 		switch {
 		case errors.Is(err, corpus.ErrSessionNotFound), errors.Is(err, corpus.ErrNotFound):
@@ -205,12 +205,17 @@ func (s *Server) handleWatchEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func rprismWatchConfig(req WatchRequest) (cfg rprism.WatchConfig) {
+// rprismWatchConfig maps a watch request onto the engine's default diff
+// options, overriding only what the request sets — as /run does.
+func rprismWatchConfig(req WatchRequest, defaults rprism.DiffOptions) (cfg rprism.WatchConfig) {
 	cfg.Baseline = req.Baseline
 	cfg.Analysis = req.Analysis
 	cfg.Webhook = req.Webhook
 	cfg.ExpectedOld = req.ExpectedOld
 	cfg.ExpectedNew = req.ExpectedNew
-	cfg.DiffOpts.Parallelism = req.Parallelism
+	cfg.DiffOpts = defaults
+	if req.Parallelism != 0 {
+		cfg.DiffOpts.Parallelism = req.Parallelism
+	}
 	return cfg
 }

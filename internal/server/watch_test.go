@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	rprism "repro"
 	"repro/internal/sentinel"
 	"repro/internal/trace"
 )
@@ -287,4 +288,25 @@ func TestWatchDetachRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Abort()
+}
+
+// TestWatchConfigKeepsEngineDefaults pins that a watch request setting
+// only "parallelism" keeps every other engine-default diff tunable, the
+// way /run's params overlay DefaultDiffOptions.
+func TestWatchConfigKeepsEngineDefaults(t *testing.T) {
+	defaults := rprism.DiffOptions{Window: 9, Radius: 3, MaxScan: 200, QuickScan: 4, MaxExplore: 7, Relaxed: true}
+	eng := rprism.NewEngine(rprism.WithDiffOptions(defaults))
+	var req WatchRequest
+	if err := json.Unmarshal([]byte(`{"session":"s","baseline":"b","parallelism":2}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	want := defaults
+	want.Parallelism = 2
+	if got := rprismWatchConfig(req, eng.DefaultDiffOptions()).DiffOpts; got != want {
+		t.Errorf("watch diff options = %+v, want the engine defaults with Parallelism 2: %+v", got, want)
+	}
+	req.Parallelism = 0
+	if got := rprismWatchConfig(req, eng.DefaultDiffOptions()).DiffOpts; got != defaults {
+		t.Errorf("watch diff options without parallelism = %+v, want the engine defaults %+v", got, defaults)
+	}
 }

@@ -139,8 +139,9 @@ type diffParams struct {
 	MaxExplore *int  `json:"max_explore"`
 	Relaxed    *bool `json:"relaxed"`
 	// Parallelism requests intra-diff workers for this call; the engine
-	// clamps it to its free worker slots, so a request can ask for more
-	// than the deployment will grant. Results are identical either way.
+	// caps it at 1 + the worker slots free when the diff starts, so a
+	// request can ask for more than the deployment will grant. Results
+	// are identical either way.
 	Parallelism *int  `json:"parallelism"`
 	Removal     *bool `json:"removal"` // regression only
 }

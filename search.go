@@ -24,7 +24,8 @@ type SearchOptions struct {
 	Exhaustive bool
 	// Diff tunes the exact per-pair differencing of the refine stage.
 	// Parallelism here is the across-candidate fan-out width (each
-	// individual diff runs serial); it is clamped to free worker slots.
+	// individual diff runs serial); under a worker budget it is capped at
+	// 1 + the slots free when the refine stage starts.
 	Diff DiffOptions
 }
 
@@ -142,11 +143,7 @@ func (e *Engine) Search(ctx context.Context, query Source, opts SearchOptions) (
 
 	pairOpts := opts.Diff
 	pairOpts.Parallelism = 1 // parallelism is spent across candidates
-	par, releasePar := e.intraWorkers(opts.Diff.Parallelism)
-	defer releasePar()
-	if par > len(cands) {
-		par = len(cands)
-	}
+	par := min(e.intraWorkers(opts.Diff.Parallelism), len(cands))
 
 	type hit struct {
 		c        cand

@@ -86,7 +86,9 @@ type WatchConfig struct {
 	// neither must be set.
 	ExpectedOld string
 	ExpectedNew string
-	// DiffOpts override the engine's default differencing options.
+	// DiffOpts are the watch's differencing options. The zero value
+	// means the engine defaults; any other value replaces them whole, so
+	// a caller overriding one field starts from Engine.DefaultDiffOptions.
 	DiffOpts DiffOptions
 }
 
