@@ -162,13 +162,14 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 		return Meta{}, err
 	}
 	// Fetch the segments by name from the meta's count, with no bucket
-	// LIST. Until the local sidecar below commits them, a crash leaves
-	// orphans that the next New sweeps.
+	// LIST. Each is renamed into place, so a forced re-hydration never
+	// rewrites a segment another Get is reading. Until the local sidecar
+	// below commits them, a crash leaves orphans that the next New sweeps.
 	for i := 0; i < m.Segments; i++ {
 		p := trace.SegmentPath(s.dir, id.String(), i)
 		data, err := s.blobGet(ctx, s.blobKey(filepath.Base(p)))
 		if err == nil {
-			err = os.WriteFile(p, data, 0o644)
+			err = writeRename(p, data)
 		}
 		if err != nil {
 			s.removeLocalFiles(id, m.Segments)
@@ -180,7 +181,7 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 	}
 	raw, err := json.Marshal(m)
 	if err == nil {
-		err = s.writeMeta(id, raw)
+		err = writeRename(s.metaPath(id), raw)
 	}
 	if err != nil {
 		s.removeLocalFiles(id, m.Segments)

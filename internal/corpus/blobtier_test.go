@@ -362,6 +362,63 @@ func TestHydrateMissingSegmentFails(t *testing.T) {
 	}
 }
 
+// TestHydrateForcedReplacesSegmentFile: Get's recovery re-hydrates a
+// corrupted segment by renaming a fresh file into place, never by
+// rewriting the file other Gets may be reading; a segment left under
+// its temporary name by a crash is swept on the next open.
+func TestHydrateForcedReplacesSegmentFile(t *testing.T) {
+	mem := blob.NewMem()
+	s1, err := New(t.TempDir(), Options{Blob: mem, SegmentLimit: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustPut(t, s1, makeTrace("torn", 7, 40))
+	seg := trace.SegmentPath(s1.Dir(), id.String(), 0)
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[17] ^= 0x01 // inside the first thread block: its CRC fails
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A second store over the same directory starts with a cold trace
+	// LRU, so its Get reads the corrupted file and recovers.
+	s2, err := New(s1.Dir(), Options{Blob: mem, VerifyOnLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Get(id); err != nil {
+		t.Fatalf("Get over a corrupted segment: %v", err)
+	}
+	if h := s2.Stats().Blob.Hydrations; h != 1 {
+		t.Fatalf("hydrations = %d, want 1 (the recovery)", h)
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) {
+		t.Fatal("re-hydration rewrote the live segment file in place")
+	}
+
+	tmp := seg + ".tmp"
+	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(s1.Dir(), Options{Blob: mem}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("leftover %s survived reopen (stat: %v)", filepath.Base(tmp), err)
+	}
+}
+
 // gatedBackend pauses the first Put or Get of a key ending in suffix,
 // closing entered, until release is closed.
 type gatedBackend struct {

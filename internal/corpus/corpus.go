@@ -274,9 +274,9 @@ func New(dir string, opts Options) (*Store, error) {
 }
 
 // sweepOrphans deletes what a crash left uncommitted: segments and a
-// sketch with no meta sidecar, a sidecar never renamed into place, and
-// segments numbered at or past their trace's count. Files not prefixed
-// by a digest are not the store's and stay.
+// sketch with no meta sidecar, a sidecar or a hydrated segment never
+// renamed into place, and segments numbered at or past their trace's
+// count. Files not prefixed by a digest are not the store's and stay.
 func (s *Store) sweepOrphans(files []os.DirEntry) {
 	for _, f := range files {
 		idStr, rest, _ := strings.Cut(f.Name(), ".")
@@ -287,7 +287,8 @@ func (s *Store) sweepOrphans(files []os.DirEntry) {
 		m, committed := s.index[id]
 		n, isSeg := trace.SegmentIndex(f.Name(), idStr)
 		if (isSeg && (!committed || n >= m.Segments)) ||
-			(rest == "sketch.json" && !committed) || rest == "meta.json.tmp" {
+			(rest == "sketch.json" && !committed) || rest == "meta.json.tmp" ||
+			strings.HasSuffix(rest, ".seg.tmp") {
 			os.Remove(filepath.Join(s.dir, f.Name()))
 		}
 	}
@@ -305,15 +306,16 @@ func (s *Store) lockWrites() (func(), error) {
 	return func() { flock(s.lock, lockRelease); s.putMu.Unlock() }, nil
 }
 
-// writeMeta commits a trace's files by writing its meta sidecar under
-// a temporary name and renaming it into place, so a crash leaves either
-// no sidecar or a whole one.
-func (s *Store) writeMeta(id trace.Digest, raw []byte) error {
-	tmp := s.metaPath(id) + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+// writeRename writes data to path+".tmp" and renames it onto path, so
+// path holds either its old content or all of data, never a mix: a
+// crash leaves no meta sidecar (the commit marker) or a whole one, and a
+// reader of a replaced segment sees the old file or the new.
+func writeRename(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.metaPath(id))
+	return os.Rename(tmp, path)
 }
 
 // decodeMeta parses the meta sidecar of digest want. Sidecars are
@@ -423,7 +425,7 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 		}
 	}
 	if err == nil {
-		err = s.writeMeta(id, raw)
+		err = writeRename(s.metaPath(id), raw)
 	}
 	if err != nil {
 		s.removeLocalFiles(id, m.Segments)

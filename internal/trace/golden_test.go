@@ -21,7 +21,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/diff"
 	"repro/internal/trace"
 	"repro/internal/views"
 )
@@ -314,69 +313,6 @@ func TestRSEGRoundTripProperty(t *testing.T) {
 					t.Errorf("JSONL→RSEG→load web differs: %v", err)
 				}
 			})
-		}
-	}
-}
-
-// TestLazyPairDiffRSEG runs an actual two-trace diff over a thread pair
-// selected from many-thread RSEG files and asserts, via reader stats,
-// that the diff decoded only the touched thread columns on each side.
-func TestLazyPairDiffRSEG(t *testing.T) {
-	const threads, per = 16, 30
-	build := func(name string, tweak bool) string {
-		tr := trace.New(name)
-		for i := 0; i < threads*per; i++ {
-			tid := trace.ThreadID(i % threads)
-			arg := fmt.Sprint(i)
-			if tweak && tid == 5 && i/threads == 10 {
-				arg = "changed" // one divergent value inside thread 5
-			}
-			tr.Append(tid, fmt.Sprintf("W%d.run/0", tid),
-				trace.Repr{Loc: trace.Loc(tid + 1), Class: "Worker", Seq: int(tid) + 1},
-				trace.Event{Kind: trace.KindCall, Member: "Worker.step/1",
-					Target: trace.Repr{Loc: trace.Loc(tid + 1), Class: "Worker", Seq: int(tid) + 1},
-					Args:   []trace.Repr{trace.PrimRepr("Int", arg)}})
-		}
-		path := filepath.Join(t.TempDir(), name+".seg")
-		if err := tr.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	left, err := trace.OpenRSEG(build("left", false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer left.Close()
-	right, err := trace.OpenRSEG(build("right", true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer right.Close()
-
-	lp, err := left.Select(5, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := right.Select(5, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := diff.ViewDiff(lp, rp, diff.ViewOptions{})
-	if res == nil {
-		t.Fatal("ViewDiff returned nil")
-	}
-
-	for side, r := range map[string]*trace.Reader{"left": left, "right": right} {
-		st := r.Stats()
-		if st.ThreadsMaterialized != 2 {
-			t.Errorf("%s reader materialized %d of %d thread blocks; the pair diff must touch exactly 2",
-				side, st.ThreadsMaterialized, st.Threads)
-		}
-		if st.EntriesMaterialized != 2*per {
-			t.Errorf("%s reader materialized %d entries, want %d",
-				side, st.EntriesMaterialized, 2*per)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -30,11 +31,7 @@ func ReadAny(name string, r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: read %s: %w", name, err)
 		}
-		rd, err := OpenRSEGBytes(data, name)
-		if err != nil {
-			return nil, err
-		}
-		return rd.Trace()
+		return decodeRSEG(data, name)
 	}
 	return ReadJSONL(name, br)
 }
@@ -77,11 +74,6 @@ func SniffFile(path string) (Format, error) {
 		return 0, fmt.Errorf("trace: sniff: %w", err)
 	}
 	defer f.Close()
-	return sniffOpen(f, path)
-}
-
-// sniffOpen reads the format off an open file's first bytes.
-func sniffOpen(f *os.File, path string) (Format, error) {
 	var prefix [4]byte
 	n, err := io.ReadFull(f, prefix[:])
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
@@ -91,39 +83,24 @@ func sniffOpen(f *os.File, path string) (Format, error) {
 }
 
 // Load reads a trace from a file written by Save or WriteJSONL, the
-// format detected from the file's first bytes.
+// format detected from the file's first bytes. The file is read once,
+// whole; the FromFile engine source, the CLI and the segment reassembler
+// all land here.
 func Load(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: load: %w", err)
 	}
-	defer f.Close()
-	format, err := sniffOpen(f, path)
+	format, err := sniffFormat(data[:min(len(data), 4)], path)
 	if err != nil {
 		return nil, err
 	}
 	if format == FormatRSEG {
-		return LoadRSEG(path)
+		return decodeRSEG(data, path)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("trace: load %s: %w", path, err)
-	}
-	t, err := ReadJSONL(filepath.Base(path), f)
+	t, err := ReadJSONL(filepath.Base(path), bytes.NewReader(data))
 	if fe, ok := err.(*FormatError); ok {
 		fe.Path = path
 	}
 	return t, err
-}
-
-// LoadRSEG eagerly loads an RSEG file: map, materialize every thread,
-// release the mapping. The FromFile engine source and the segment
-// reassembler land here via Load's sniffing; callers that want lazy
-// per-thread access use OpenRSEG directly.
-func LoadRSEG(path string) (*Trace, error) {
-	r, err := OpenRSEG(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return r.Trace()
 }

@@ -1,8 +1,8 @@
 package trace
 
 // RSEG is the binary columnar segment format: the durable on-disk form of
-// a trace (or one segment of a segmented trace), designed so that loading
-// is bounded by page faults rather than decoding.
+// a trace (or one segment of a segmented trace), designed so that a load
+// is one file read and one pass over compact columns.
 //
 // Layout (version 1):
 //
@@ -23,10 +23,9 @@ package trace
 // Each block is individually CRC'd (over its stored bytes, so integrity
 // checks never require decompression) and indexed from the footer with
 // its offset, stored length, raw length, entry count, and first entry
-// id. That index is what makes the format lazily readable: a Reader
-// (rsegreader.go) maps the file, verifies header/footer structurally,
-// interns the symbol block, and then materializes individual thread
-// blocks only when they are touched.
+// id. A load (decodeRSEG) reads the whole image into memory, verifies
+// header and footer structurally, interns the symbol block, decodes every
+// thread block, and scatters the entries back into entry-id order.
 //
 // Truncation and corruption are structural, never heuristic: a missing
 // tail magic, an out-of-range footer offset, a CRC mismatch, or a column
@@ -366,7 +365,7 @@ type rsegThreadInfo struct {
 
 // rsegFile is a structurally validated RSEG image: header and footer
 // parsed and CRC-checked, block index in hand, no entry column decoded
-// yet. It holds the raw bytes (typically an mmap) and decodes lazily.
+// yet. It holds the raw bytes of the in-memory image.
 type rsegFile struct {
 	data    []byte
 	path    string
@@ -380,6 +379,73 @@ type rsegFile struct {
 // ferr builds a FormatError at an absolute file offset.
 func (f *rsegFile) ferr(off int64, format string, a ...any) *FormatError {
 	return &FormatError{Path: f.path, Format: "rseg", Offset: off, Msg: fmt.Sprintf(format, a...)}
+}
+
+// decodeRSEG decodes a whole RSEG image into a trace, preserving the
+// original entry ids (a segment written mid-sequence starts at its
+// base). The name labels FormatErrors. Decoded entries never alias data:
+// strings are interned copies, everything else is value fields.
+func decodeRSEG(data []byte, name string) (*Trace, error) {
+	f, err := parseRSEG(data, name)
+	if err != nil {
+		return nil, err
+	}
+	var wt wireTable
+	if err := f.symbolsInto(&wt); err != nil {
+		return nil, err
+	}
+	seen := make(map[ThreadID]bool, len(f.threads))
+	for i := range f.threads {
+		if seen[f.threads[i].tid] {
+			return nil, f.ferr(0, "thread %d has two blocks", f.threads[i].tid)
+		}
+		seen[f.threads[i].tid] = true
+	}
+	if f.total == 0 {
+		return New(f.name), nil
+	}
+
+	// Decode every thread, then scatter by entry id. Entry ids in a
+	// well-formed file are contiguous from the minimum (a trace starts
+	// at 0; a mid-sequence segment at its base), which the fill verifies.
+	// The full slice is sized only after every block has decoded: the
+	// footer's entry total is attacker-controlled in a corrupt file,
+	// while decoded entries are vouched for byte by byte.
+	minEID := EntryID(0)
+	perThread := make([][]Entry, 0, len(f.threads))
+	decoded := 0
+	for i := range f.threads {
+		if i == 0 || f.threads[i].firstEID < minEID {
+			minEID = f.threads[i].firstEID
+		}
+		es, err := f.decodeThread(f.threads[i], &wt)
+		if err != nil {
+			return nil, err
+		}
+		perThread = append(perThread, es)
+		decoded += len(es)
+	}
+	if decoded != f.total {
+		return nil, f.ferr(0, "threads decode to %d entries, footer total is %d", decoded, f.total)
+	}
+	entries := make([]Entry, decoded)
+	for _, es := range perThread {
+		for i := range es {
+			pos := int(es[i].EID - minEID)
+			if pos < 0 || pos >= len(entries) {
+				return nil, f.ferr(0, "entry id %d outside the contiguous range [%d, %d)",
+					es[i].EID, minEID, minEID+EntryID(len(entries)))
+			}
+			entries[pos] = es[i]
+		}
+	}
+	for i := range entries {
+		if entries[i].EID != minEID+EntryID(i) {
+			return nil, f.ferr(0, "entry ids not contiguous: position %d holds id %d (want %d)",
+				i, entries[i].EID, minEID+EntryID(i))
+		}
+	}
+	return &Trace{Name: f.name, Entries: entries}, nil
 }
 
 // parseRSEG validates the structural shell of an RSEG image: header,
@@ -578,10 +644,10 @@ func (f *rsegFile) decodeThread(ti rsegThreadInfo, wt *wireTable) ([]Entry, erro
 	entries := make([]Entry, 0, cap0)
 
 	// Args and Stack slices are carved from shared slabs instead of one
-	// allocation per entry. Decoded entries are read-only by contract
-	// (Reader.Thread shares its cache slice), so neighboring entries
-	// sharing a backing array is safe, and the decode drops from O(n)
-	// small allocations to O(log n + n/slab).
+	// allocation per entry. Decoded entries are read-only by contract (a
+	// loaded trace is shared by every caller that asks for it), so
+	// neighboring entries sharing a backing array is safe, and the decode
+	// drops from O(n) small allocations to O(log n + n/slab).
 	reprs := slab[Repr]{next: 16, limit: 1024}
 	frames := slab[Frame]{next: 16, limit: 256}
 
@@ -791,8 +857,7 @@ func (r *rsegCursor) str(what string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// string(b) copies: decoded strings never alias the (possibly
-	// memory-mapped) file image.
+	// string(b) copies: decoded strings never alias the file image.
 	return string(b), nil
 }
 

@@ -26,11 +26,7 @@ func TestRSEGRoundTripMultithreaded(t *testing.T) {
 	for _, opts := range []RSEGOptions{{}, {Compress: true}} {
 		t.Run(fmt.Sprintf("compress=%v", opts.Compress), func(t *testing.T) {
 			tr := multithreadedTrace()
-			r, err := OpenRSEGBytes(rsegImage(t, tr, opts), "mem")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.Trace()
+			got, err := decodeRSEG(rsegImage(t, tr, opts), "mem")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,11 +52,7 @@ func TestRSEGRoundTripMultithreaded(t *testing.T) {
 }
 
 func TestRSEGRoundTripEmpty(t *testing.T) {
-	r, err := OpenRSEGBytes(rsegImage(t, New("empty"), RSEGOptions{}), "mem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Trace()
+	got, err := decodeRSEG(rsegImage(t, New("empty"), RSEGOptions{}), "mem")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,139 +177,32 @@ func manyThreadTrace(n, k int) *Trace {
 	return tr
 }
 
-func TestRSEGLazySelectDecodesOnlyTouchedThreads(t *testing.T) {
-	const threads, per = 12, 50
-	tr := manyThreadTrace(threads, per)
-	r, err := OpenRSEGBytes(rsegImage(t, tr, RSEGOptions{}), "mem")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Opening and inspecting the index decodes nothing.
-	st := r.Stats()
-	if st.Threads != threads || st.Entries != threads*per {
-		t.Fatalf("index reports %d threads / %d entries, want %d / %d",
-			st.Threads, st.Entries, threads, per*threads)
-	}
-	if st.ThreadsMaterialized != 0 || st.EntriesMaterialized != 0 {
-		t.Fatalf("open materialized %d threads / %d entries; the open must be lazy",
-			st.ThreadsMaterialized, st.EntriesMaterialized)
-	}
-	if n, ok := r.ThreadLen(3); !ok || n != per {
-		t.Fatalf("ThreadLen(3) = %d, %v; want %d from the footer index", n, ok, per)
-	}
-	if st = r.Stats(); st.ThreadsMaterialized != 0 {
-		t.Fatal("ThreadLen decoded a thread block")
-	}
-
-	// Selecting a 2-thread pair touches exactly those two blocks.
-	pair, err := r.Select(3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = r.Stats()
-	if st.ThreadsMaterialized != 2 {
-		t.Errorf("Select(3, 7) materialized %d thread blocks, want exactly 2", st.ThreadsMaterialized)
-	}
-	if st.EntriesMaterialized != 2*per {
-		t.Errorf("Select(3, 7) materialized %d entries, want %d", st.EntriesMaterialized, 2*per)
-	}
-
-	// The selection is a well-formed standalone trace: dense ids, merged
-	// in original execution order, content preserved.
-	if pair.Len() != 2*per {
-		t.Fatalf("selected %d entries, want %d", pair.Len(), 2*per)
-	}
-	seen := 0
-	for i, e := range pair.Entries {
-		if int(e.EID) != i {
-			t.Fatalf("selected entry %d has eid %d: ids must be dense", i, e.EID)
-		}
-		if e.TID != 3 && e.TID != 7 {
-			t.Fatalf("selected entry %d from thread %d", i, e.TID)
-		}
-		if e.Method == "W3.run/0" {
-			seen++
-		}
-	}
-	if seen != per {
-		t.Errorf("thread 3 contributed %d entries to the selection, want %d", seen, per)
-	}
-
-	// A later full materialization touches the remaining blocks.
-	if _, err := r.Trace(); err != nil {
-		t.Fatal(err)
-	}
-	st = r.Stats()
-	if st.ThreadsMaterialized != threads || st.EntriesMaterialized != threads*per {
-		t.Errorf("full Trace() left stats at %d/%d threads, %d/%d entries",
-			st.ThreadsMaterialized, threads, st.EntriesMaterialized, threads*per)
-	}
-}
-
-func TestRSEGThreadSharedSlice(t *testing.T) {
-	tr := manyThreadTrace(4, 10)
-	r, err := OpenRSEGBytes(rsegImage(t, tr, RSEGOptions{}), "mem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := r.Thread(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Thread(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &a[0] != &b[0] {
-		t.Error("repeated Thread calls re-decoded the block")
-	}
-	if st := r.Stats(); st.ThreadsMaterialized != 1 {
-		t.Errorf("two Thread(2) calls materialized %d blocks", st.ThreadsMaterialized)
-	}
-	// Entries keep their original (non-dense) ids in thread order.
-	for i := 1; i < len(a); i++ {
-		if a[i].EID <= a[i-1].EID {
-			t.Fatalf("thread entries out of order at %d: %d then %d", i, a[i-1].EID, a[i].EID)
-		}
-	}
-	if _, err := r.Thread(99); err == nil {
-		t.Error("Thread of an unknown tid succeeded")
-	}
-	if _, err := r.Select(2, 99); err == nil {
-		t.Error("Select naming an unknown tid succeeded")
-	}
-}
-
-func TestRSEGReaderFromFile(t *testing.T) {
-	tr := manyThreadTrace(6, 20)
-	path := filepath.Join(t.TempDir(), "many.seg")
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenRSEG(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.MappedBytes == 0 {
-		t.Error("reader reports no mapped bytes")
-	}
-	got, err := r.Select(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Materialized entries survive Close: strings were interned copies,
-	// never aliases of the released mapping.
-	for i := range got.Entries {
-		if got.Entries[i].Method == "" || got.Entries[i].MethodSym == NoSym {
-			t.Fatalf("entry %d lost its strings after Close", i)
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Errorf("double Close: %v", err)
+// TestRSEGDecodeNeverAliasesImage pins the copy in rsegCursor.str and
+// the symbol interning: a decoded trace owns every byte it holds, so
+// scribbling over the image afterwards changes nothing.
+func TestRSEGDecodeNeverAliasesImage(t *testing.T) {
+	for _, opts := range []RSEGOptions{{}, {Compress: true}} {
+		t.Run(fmt.Sprintf("compress=%v", opts.Compress), func(t *testing.T) {
+			img := rsegImage(t, manyThreadTrace(6, 20), opts)
+			pristine := append([]byte(nil), img...)
+			got, err := decodeRSEG(img, "mem")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range img {
+				img[i] = 0xa5
+			}
+			want, err := decodeRSEG(pristine, "mem")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("overwriting the image changed a trace decoded from it")
+			}
+			if d1, d2 := got.ComputeDigest(), want.ComputeDigest(); d1 != d2 {
+				t.Fatalf("digest %s after overwriting the image, want %s", d1, d2)
+			}
+		})
 	}
 }
 
@@ -362,12 +247,7 @@ func TestRSEGCorruption(t *testing.T) {
 		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := OpenRSEGBytes(tc.img, "corrupt")
-			if err == nil {
-				// Structural shell may survive a payload flip; the decode
-				// must then catch it.
-				_, err = r.Trace()
-			}
+			_, err := decodeRSEG(tc.img, "corrupt")
 			if err == nil {
 				t.Fatal("corrupted image decoded without error")
 			}
@@ -575,11 +455,7 @@ func BenchmarkRSEGIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := OpenRSEGBytes(img, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Trace(); err != nil {
+		if _, err := decodeRSEG(img, "bench"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -616,30 +492,9 @@ func BenchmarkRSEGLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadRSEG(path); err != nil {
+		if _, err := Load(path); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkRSEGSelectPair(b *testing.B) {
-	// The lazy-load win: touching 2 of 32 threads.
-	tr := benchTrace(32, 625) // 20k entries
-	path := filepath.Join(b.TempDir(), "bench.seg")
-	if err := tr.Save(path); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := OpenRSEG(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Select(3, 17); err != nil {
-			b.Fatal(err)
-		}
-		r.Close()
 	}
 }
 

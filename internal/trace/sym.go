@@ -68,7 +68,7 @@ func (st *SymbolTable) Intern(s string) Sym {
 // InternBytes is Intern for a byte slice. A string already in the table
 // is found without copying b (the map lookup converts in place); only a
 // first sight pays the string allocation — the fast path for loaders
-// that decode symbol blocks from (possibly memory-mapped) file images.
+// that decode symbol blocks from file images.
 func (st *SymbolTable) InternBytes(b []byte) Sym {
 	if len(b) == 0 {
 		return NoSym

@@ -16,9 +16,7 @@
 // The Engine resolves Sources to cached view webs, honors context
 // cancellation inside every analysis hot loop, and dispatches any
 // analysis registered with Register — the built-ins (diff, regression,
-// protocol, typestate, impact) plus yours. The free functions below
-// predate the Engine and remain as thin deprecated wrappers for one
-// release.
+// protocol, typestate, impact) plus yours.
 //
 // The original tool instruments Java through AspectJ load-time weaving;
 // here a tracing interpreter for a Featherweight-Java-style language
