@@ -289,11 +289,13 @@ func BenchmarkLCSDiffMedium(b *testing.B) {
 // ---- ablations over the design choices called out in DESIGN.md ----
 
 // BenchmarkAblationWindow varies ω, the windowed-LCS size used when
-// exploring correlated secondary views.
+// exploring correlated secondary views. omega=1024, the largest window
+// the server accepts, reports the memory price of a wide window in B/op.
 func BenchmarkAblationWindow(b *testing.B) {
 	l, r := rhinoPair(b, 30)
-	for _, w := range []int{5, 15, 40} {
+	for _, w := range []int{5, 15, 40, 1024} {
 		b.Run(fmt.Sprintf("omega=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			var diffs int
 			var compares int64
 			for i := 0; i < b.N; i++ {

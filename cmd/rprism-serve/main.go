@@ -175,7 +175,8 @@ func run(cfg serveConfig) error {
 	// the machine, a full queue starts every diff near serial. The inner
 	// workers hold no slot, so they never delay the next request; the
 	// price is that -workers bounds analyses, not diff goroutines (up to
-	// W(W+1)/2 of them while the earliest wide diff runs).
+	// W(W+1)/2 of them while the earliest wide diff runs, each with about
+	// 1 MB of windowed-LCS scratch at the largest window, 1024).
 	eng := rprism.NewEngine(rprism.WithCorpus(store),
 		rprism.WithWorkers(cfg.workers),
 		rprism.WithDiffParallelism(cfg.parallel),

@@ -217,6 +217,11 @@ func cmdTrace(args []string) error {
 	exclude := fs.String("exclude", "", "comma-separated classes to exclude (pointcut)")
 	jsonl := fs.String("jsonl", "", "also export the trace as JSON lines to this file")
 	_ = fs.Parse(args)
+	if fs.NArg() > 0 {
+		// Only -args feeds Sys.arg: a positional argument would otherwise
+		// be dropped and the run recorded without it.
+		return fmt.Errorf("trace: unexpected argument %q: pass program arguments with -args a,b,c", fs.Arg(0))
+	}
 	if *src == "" || *out == "" {
 		return fmt.Errorf("trace: -src and -out are required")
 	}

@@ -92,8 +92,9 @@ func WithDiffOptions(o DiffOptions) EngineOption {
 // are free and diffs start narrower, toward serial. The budget thus
 // bounds analyses, not diff workers: a diff keeps its start-time width,
 // so with W slots, analyses started one after another can run W, W-1,
-// ..., 1 wide at once — up to W(W+1)/2 workers, each with its own LCS
-// table, while the earliest wide diff runs.
+// ..., 1 wide at once — up to W(W+1)/2 workers while the earliest wide
+// diff runs, each holding its own windowed-LCS scratch (about 1 MB at
+// the largest accepted window, 1024).
 func WithDiffParallelism(n int) EngineOption {
 	return func(e *Engine) {
 		if n > 0 {

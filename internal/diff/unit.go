@@ -17,11 +17,9 @@ import (
 // synchronization, and running them in any order (or serially) produces
 // the same per-unit outputs. The orchestrator in ViewDiffWebsCtx merges
 // unit outputs in ascending-left-tid order, which makes the final Result
-// byte-identical for every ViewOptions.Parallelism setting.
-//
-// The only cross-unit object is the optional shared lcs.Budget, which
-// bounds concurrently live DP cells; it blocks rather than fails, so it
-// shapes scheduling, never results.
+// byte-identical for every ViewOptions.Parallelism setting. Units share
+// nothing mutable: the webs and traces they read are immutable for the
+// evaluation.
 type unit struct {
 	ctx      context.Context
 	err      error // first ctx error observed; sticky
@@ -43,8 +41,12 @@ type unit struct {
 
 	// Working state and its accounting.
 	memo       map[memoKey]bool
-	peakCells  int64 // largest windowed-LCS DP table (cells)
+	peakCells  int64 // largest windowed-LCS DP table of the model (cells)
 	maxAnchors int   // widest anchor set of a single divergence
+
+	// Windowed-LCS scratch, reused by every window of the pair: the
+	// kernel's match matrix, rows and pairs.
+	lcs lcs.BitMatrix
 
 	// Exploration scratch, reset by each explore; the map values index rc.
 	lc, rc   []linked
@@ -80,6 +82,11 @@ func newUnit(ctx context.Context, opts ViewOptions, wl, wr *views.Web, lid, rid 
 // The counter is unit-local; totals are summed at merge.
 func (u *unit) equal(l, r trace.EntryID) bool {
 	u.compares++
+	return u.same(l, r)
+}
+
+// same is equal without the count, for callers that count themselves.
+func (u *unit) same(l, r trace.EntryID) bool {
 	return u.keysL[l] == u.keysR[r] && trace.EventEqual(&u.entL[l], &u.entR[r])
 }
 
@@ -102,7 +109,8 @@ func (u *unit) canceled() bool {
 // Per-element sizes for the unit's memory accounting. A memo entry is a
 // 48-byte key plus a bool rounded up to map-bucket granularity; an
 // anchor is four words; a similarity mark is an 8-byte key plus a bool
-// in map buckets; DP cells are int32.
+// in map buckets; DP cells are modeled as the int32 table of lcs.Compute,
+// whatever the kernel holds, so the figure is the paper's cost model.
 const (
 	memoEntryBytes = 64
 	anchorBytes    = 32
@@ -111,7 +119,7 @@ const (
 )
 
 // memBytes accounts the unit's peak working memory: memo entries, the
-// largest DP table it held live, its widest anchor scratch, its
+// largest windowed DP table of the model, its widest anchor scratch, its
 // similarity sets, and its difference sequences. Every term is a
 // deterministic function of the inputs, so the orchestrator's sum is
 // identical at any parallelism.
@@ -146,6 +154,10 @@ func (u *unit) evalPair() {
 	if lv == nil || rv == nil {
 		return
 	}
+	// The windowed-LCS scratch lives only while the pair evaluates: a
+	// finished unit waits for the merge, or sits in Incremental's cache,
+	// and must not pin it.
+	defer func() { u.lcs = lcs.BitMatrix{} }()
 	L, R := lv.EIDs, rv.EIDs
 	thL := views.ThreadName(u.lid)
 	thR := views.ThreadName(u.rid)
@@ -538,8 +550,10 @@ func (u *unit) collectLinked(out []linked, w *views.Web, tv []trace.EntryID, pos
 // windowLCS computes the LCS over fixed ω-windows of a correlated view
 // pair, centered at the linking entries, and appends matched pairs to
 // out as anchors (memoized per window bucket so repeated divergences
-// nearby do not recompute the same comparison). The DP table's peak size
-// feeds the unit's memory accounting.
+// nearby do not recompute the same comparison). The bit-parallel kernel
+// returns the pairs and counts of lcs.Compute without holding its table;
+// the (n'+1)(m'+1) cells that table would hold feed the unit's memory
+// model.
 func (u *unit) windowLCS(out []anchor, thL, thR views.Name, lk, rk *linked, budget *int) []anchor {
 	if *budget <= 0 {
 		return out
@@ -562,27 +576,42 @@ func (u *unit) windowLCS(out []anchor, thL, thR views.Name, lk, rk *linked, budg
 		// clamped at the view's tail returns the identical slice on any
 		// later snapshot. A tail-clamped window is the one read that can
 		// change without the right thread view itself growing; record the
-		// view's length so the cache can detect that growth.
-		if v := u.wr.View(rk.name); v != nil && rpos+u.opts.Window+1 > len(v.EIDs) {
+		// view's length so the cache can detect that growth. (ω is
+		// compared with the room left, as Window clamps: rpos+ω+1 would
+		// wrap negative for an ω near MaxInt.)
+		if v := u.wr.View(rk.name); v != nil && u.opts.Window >= len(v.EIDs)-rpos {
 			if u.tailViews == nil {
 				u.tailViews = make(map[views.Name]int)
 			}
 			u.tailViews[rk.name] = len(v.EIDs)
 		}
 	}
-	lwin := u.wl.Window(lk.name, lk.eid, u.opts.Window)
-	rwin := u.wr.Window(rk.name, rk.eid, u.opts.Window)
+	lwin := u.wl.Window(lk.name, lpos, u.opts.Window)
+	rwin := u.wr.Window(rk.name, rpos, u.opts.Window)
 	if len(lwin) == 0 || len(rwin) == 0 {
 		return out
 	}
-	eq := func(a, b int) bool { return u.equal(lwin[a], rwin[b]) }
-	pairs, st, err := lcs.Compute(len(lwin), len(rwin), eq, lcs.Options{Ctx: u.ctx})
+	// The kernel trims, then the match matrix is filled over the inner
+	// window that is left: =e as in same, a class-key hit confirmed in
+	// place. The kernel counts the compares lcs.Compute would make.
+	x := &u.lcs
+	pre, n, m := x.Reset(len(lwin), len(rwin), func(a, b int) bool { return u.same(lwin[a], rwin[b]) })
+	for a, l := range lwin[pre : pre+n] {
+		row, kl := x.Row(a), u.keysL[l]
+		for b, r := range rwin[pre : pre+m] {
+			if u.keysR[r] == kl && trace.EventEqual(&u.entL[l], &u.entR[r]) {
+				row[b>>6] |= 1 << (b & 63)
+			}
+		}
+	}
+	pairs, st, err := x.LCS(u.ctx)
+	u.compares += st.Compares
 	if st.Cells > u.peakCells {
 		u.peakCells = st.Cells
 	}
 	if err != nil {
-		// The only error is cancellation from the DP rows, and it must
-		// stick to the unit: swallowing it would let a unit finish
+		// The only error is cancellation from the kernel's rows, and it
+		// must stick to the unit: swallowing it would let a unit finish
 		// "successfully" with the aborted window's anchors silently
 		// missing.
 		if u.err == nil {

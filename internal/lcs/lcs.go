@@ -1,12 +1,19 @@
-// Package lcs provides longest-common-subsequence computation over
-// abstract sequences, in two variants: the classic O(n·m) dynamic program
-// with common-prefix/suffix trimming (the paper's "optimized version of
-// the LCS algorithm", §5.1), and Hirschberg's linear-space algorithm [9]
-// (roughly twice the comparisons).
+// Package lcs provides longest-common-subsequence computation, in three
+// variants that serve two paths:
+//   - BitMatrix is the bit-parallel kernel the views-based differ runs on
+//     every ω-window of SIMILAR-FROM-LINKED-VIEWS (§5.1): it trims, the
+//     caller fills a match bit-matrix over what is left, and the kernel
+//     computes 64 DP cells per word and reuses its scratch across windows;
+//   - Compute is the classic O(n·m) dynamic program with common-prefix/
+//     suffix trimming (the paper's "optimized version of the LCS
+//     algorithm", §5.1), or Hirschberg's linear-space algorithm [9]
+//     (roughly twice the comparisons). The whole-trace LCS baseline runs
+//     it.
 //
-// The package counts element comparisons — the paper's speedup metric —
-// and enforces an optional memory budget so the evaluation can reproduce
-// the "LCS failed due to memory exhaustion" outcomes of Table 1.
+// Both paths count element comparisons, the paper's speedup metric, and
+// BitMatrix counts exactly what Compute would for the same eq. Compute
+// enforces an optional memory budget so the evaluation can reproduce the
+// "LCS failed due to memory exhaustion" outcomes of Table 1.
 package lcs
 
 import (
@@ -26,7 +33,8 @@ type Stats struct {
 	// Compares is the number of element comparison operations performed —
 	// the unit of the paper's speedup histogram (Fig. 14b).
 	Compares int64
-	// Cells is the peak number of DP table cells held in memory.
+	// Cells is the peak number of DP table cells held in memory; for
+	// BitMatrix, which holds no table, the cells the DP would hold.
 	Cells int64
 }
 
@@ -252,11 +260,4 @@ func hirschberg(ctx context.Context, n, m int, eq Eq, st *Stats, budget int64) (
 		out = append(out, Pair{p.I + mid, p.J + bestK})
 	}
 	return out, nil
-}
-
-// Strings computes the LCS pairs of two string slices with the DP
-// algorithm — a convenience for tests and small inputs.
-func Strings(a, b []string) []Pair {
-	pairs, _, _ := Compute(len(a), len(b), func(i, j int) bool { return a[i] == b[j] }, Options{})
-	return pairs
 }

@@ -226,10 +226,3 @@ func TestPrefixSuffixTrimmingReducesWork(t *testing.T) {
 		t.Errorf("compares = %d, trimming should cut below %d", st.Compares, full/100)
 	}
 }
-
-func TestStringsHelper(t *testing.T) {
-	got := Strings([]string{"a", "b", "c"}, []string{"a", "x", "c"})
-	if len(got) != 2 || got[0] != (Pair{0, 0}) || got[1] != (Pair{2, 2}) {
-		t.Errorf("Strings = %v", got)
-	}
-}

@@ -46,11 +46,12 @@ func TestWebConcurrentReaders(t *testing.T) {
 					return
 				}
 				eid := v.EIDs[round%v.Len()]
-				if _, ok := w.PosIn(n, eid); !ok {
+				pos, ok := w.PosIn(n, eid)
+				if !ok {
 					t.Errorf("PosIn(%s, %d) lost a member entry", n, eid)
 					return
 				}
-				w.Window(n, eid, 3)
+				w.Window(n, pos, 3)
 				w.NamesOf(eid)
 				w.Count()
 				w.Names()

@@ -253,22 +253,24 @@ func (w *Web) PosIn(n Name, eid trace.EntryID) (int, bool) {
 	return 0, false
 }
 
-// Window returns the entry ids of view n within ±delta positions of the
-// position of eid in that view — the fixed-size window win(η,δ) of Fig. 9,
-// applied to a projected view rather than the raw trace.
-func (w *Web) Window(n Name, eid trace.EntryID, delta int) []trace.EntryID {
-	pos, ok := w.PosIn(n, eid)
-	if !ok {
+// Window returns the entry ids of view n within ±delta positions of
+// position pos in that view (PosIn gives an entry's position) — the
+// fixed-size window win(η,δ) of Fig. 9, applied to a projected view
+// rather than the raw trace. It returns nil for a missing view or a
+// position outside it.
+func (w *Web) Window(n Name, pos, delta int) []trace.EntryID {
+	v := w.views[n]
+	if v == nil || pos < 0 || pos >= len(v.EIDs) {
 		return nil
 	}
-	v := w.views[n]
-	lo := pos - delta
-	if lo < 0 {
-		lo = 0
+	// Clamp by comparing delta against the room on each side: pos+delta
+	// itself would wrap negative for a delta near MaxInt.
+	lo, hi := 0, len(v.EIDs)
+	if delta < pos {
+		lo = pos - delta
 	}
-	hi := pos + delta + 1
-	if hi > len(v.EIDs) {
-		hi = len(v.EIDs)
+	if delta < hi-1-pos {
+		hi = pos + delta + 1
 	}
 	return v.EIDs[lo:hi]
 }

@@ -1,6 +1,7 @@
 package views
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/interp"
@@ -175,24 +176,25 @@ class Main {
 func TestWindowClamping(t *testing.T) {
 	tr := runTrace(t, viewsDemo)
 	w := Build(tr)
-	tv := w.ThreadView(0)
-	first := tv.EIDs[0]
-	win := w.Window(ThreadName(0), first, 3)
-	if len(win) != 4 { // position 0: itself + 3 following
+	th := ThreadName(0)
+	last := w.ThreadView(0).Len() - 1
+	if win := w.Window(th, 0, 3); len(win) != 4 { // position 0: itself + 3 following
 		t.Errorf("window at start = %d entries, want 4", len(win))
 	}
-	last := tv.EIDs[len(tv.EIDs)-1]
-	win = w.Window(ThreadName(0), last, 3)
-	if len(win) != 4 {
+	if win := w.Window(th, last, 3); len(win) != 4 {
 		t.Errorf("window at end = %d entries, want 4", len(win))
 	}
-	mid := tv.EIDs[10]
-	win = w.Window(ThreadName(0), mid, 3)
-	if len(win) != 7 {
+	if win := w.Window(th, 10, 3); len(win) != 7 {
 		t.Errorf("window mid = %d entries, want 7", len(win))
+	}
+	if win := w.Window(th, 10, math.MaxInt); len(win) != last+1 {
+		t.Errorf("window of radius MaxInt = %d entries, want the whole view (%d)", len(win), last+1)
 	}
 	if w.Window(ThreadName(99), 0, 3) != nil {
 		t.Error("window of missing view must be nil")
+	}
+	if w.Window(th, last+1, 3) != nil || w.Window(th, -1, 3) != nil {
+		t.Error("window at a position outside the view must be nil")
 	}
 }
 
