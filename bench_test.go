@@ -216,19 +216,19 @@ func reportDiff(b *testing.B, res *diff.Result) {
 	b.ReportMetric(float64(res.NumDiffs()), "diffs/op")
 }
 
-// BenchmarkViewsBuildParallel measures the two-pass sharded web build
-// against the serial single-pass construction on the same trace.
-func BenchmarkViewsBuildParallel(b *testing.B) {
-	l, _ := mtPair(b, 8, 300)
-	ctx := context.Background()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+// BenchmarkViewsBuildLarge measures web construction as the trace
+// grows: the multithreaded subject at 300 and 3000 iterations per
+// worker (about 14K and 144K entries), for scaling curves past the
+// sizes the other build rows reach.
+func BenchmarkViewsBuildLarge(b *testing.B) {
+	for _, iters := range []int{300, 3000} {
+		tr := mustRun(b, lang.MustParse(subjects.MultithreadedSource(8, iters, "0")))
+		b.Run(fmt.Sprintf("iters=%d", iters), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := views.BuildCtxOpts(ctx, l, views.BuildOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
+				views.Build(tr)
 			}
+			b.ReportMetric(float64(tr.Len()), "entries/op")
 		})
 	}
 }

@@ -49,9 +49,6 @@ var ratioPairs = [][2]string{
 	{"repro:ViewDiffParallel/workers=2", "repro:ViewDiffParallel/workers=1"},
 	{"repro:ViewDiffParallel/workers=4", "repro:ViewDiffParallel/workers=1"},
 	{"repro:ViewDiffParallel/workers=8", "repro:ViewDiffParallel/workers=1"},
-	{"repro:ViewsBuildParallel/workers=2", "repro:ViewsBuildParallel/workers=1"},
-	{"repro:ViewsBuildParallel/workers=4", "repro:ViewsBuildParallel/workers=1"},
-	{"repro:ViewsBuildParallel/workers=8", "repro:ViewsBuildParallel/workers=1"},
 	{"repro:TopKPruned", "repro:TopKExhaustive"},
 	{"repro:SketchCompute", "repro/internal/corpus:CorpusScale/put/traces=1"},
 	{"repro/internal/corpus:CorpusScale/get-miss/traces=1000", "repro/internal/corpus:CorpusScale/get-miss/traces=1"},

@@ -94,7 +94,9 @@ func WithDiffOptions(o DiffOptions) EngineOption {
 // so with W slots, analyses started one after another can run W, W-1,
 // ..., 1 wide at once — up to W(W+1)/2 workers while the earliest wide
 // diff runs, each holding its own windowed-LCS scratch (about 1 MB at
-// the largest accepted window, 1024).
+// the largest accepted window, 1024). Watch evaluations resolve their
+// width by the same rule each time they run. Web builds are one serial
+// pass and do not follow this setting.
 func WithDiffParallelism(n int) EngineOption {
 	return func(e *Engine) {
 		if n > 0 {
@@ -193,9 +195,11 @@ func (e *Engine) intraWorkers(requested int) int {
 }
 
 // cachedWeb returns the engine-cached web for a trace, building it under
-// ctx on a miss. Distinct goroutines missing on the same trace may both
-// build (webs are immutable and identical, so the second admission wins
-// harmlessly); the corpus path single-flights instead.
+// ctx on a miss. The build is one serial pass on the caller's goroutine,
+// so it runs inside the analysis's own slot and resolves no width.
+// Distinct goroutines missing on the same trace may both build (webs are
+// immutable and identical, so the second admission wins harmlessly); the
+// corpus path single-flights instead.
 func (e *Engine) cachedWeb(ctx context.Context, t *trace.Trace) (*views.Web, error) {
 	e.mu.Lock()
 	w, ok := e.webs[t]
@@ -203,15 +207,7 @@ func (e *Engine) cachedWeb(ctx context.Context, t *trace.Trace) (*views.Web, err
 	if ok {
 		return w, nil
 	}
-	// The build's shard workers follow the intra-diff width rule. Only a
-	// width below the build layer's automatic one (GOMAXPROCS) is forced
-	// through — otherwise automatic mode decides, keeping its small-trace
-	// serial threshold.
-	var bopts views.BuildOptions
-	if par := e.intraWorkers(0); par < runtime.GOMAXPROCS(0) {
-		bopts.Workers = par
-	}
-	w, err := views.BuildCtxOpts(ctx, t, bopts)
+	w, err := views.BuildCtx(ctx, t)
 	if err != nil {
 		return nil, err
 	}

@@ -105,15 +105,14 @@ type StreamAck struct {
 // [+ close]), so a failed request can simply be retried: the server
 // dedups by entry id.
 type streamSink struct {
-	url      string
-	name     string
-	client   *http.Client
-	batch    int
-	attempts int
-	backoff  time.Duration
-	session  string
-	enc      trace.WireEncoder
-	buf      []trace.Entry
+	url     string
+	name    string
+	client  *http.Client
+	batch   int
+	policy  retry.Policy
+	session string
+	enc     trace.WireEncoder
+	buf     []trace.Entry
 }
 
 func newStreamSink(opts Options) *streamSink {
@@ -121,21 +120,12 @@ func newStreamSink(opts Options) *streamSink {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	attempts := opts.RetryAttempts
-	if attempts <= 0 {
-		attempts = 4
-	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
 	return &streamSink{
-		url:      opts.ServerURL,
-		name:     opts.Name,
-		client:   client,
-		batch:    opts.SegmentLimit,
-		attempts: attempts,
-		backoff:  backoff,
+		url:    opts.ServerURL,
+		name:   opts.Name,
+		client: client,
+		batch:  opts.SegmentLimit,
+		policy: retry.Policy{Attempts: opts.RetryAttempts, Base: opts.RetryBackoff},
 	}
 }
 
@@ -228,8 +218,7 @@ func (s *streamSink) postFrames(frames []StreamFrame) (*StreamAck, error) {
 		}
 	}
 	var ack *StreamAck
-	p := retry.Policy{Attempts: s.attempts, Base: s.backoff}
-	if err := p.Do(context.Background(), func() error {
+	if err := s.policy.Do(context.Background(), func() error {
 		a, err := s.send(body.Bytes())
 		if err != nil {
 			return err

@@ -127,6 +127,7 @@ type IncrementalStats struct {
 	Pairs  int // correlated thread pairs this evaluation
 	Dirty  int // pairs recomputed (cache miss or invalidated)
 	Reused int // pairs served from the cache
+	Width  int // worker count the dirty pairs were evaluated at
 }
 
 // Rediff evaluates the diff of the pinned baseline against the snapshot
@@ -134,13 +135,20 @@ type IncrementalStats struct {
 // is recomputed per call (new threads can appear and shift pairings —
 // that affects only the hit rate, never correctness, because a pair is
 // cached under both tids). Cached entries for pairs absent from the
-// current matching are pruned.
-func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web) (*Result, IncrementalStats, error) {
+// current matching are pruned. par, when positive, is this evaluation's
+// worker count in place of the pinned options' Parallelism, so a caller
+// under a worker budget can size each evaluation from the slots free
+// when it starts; the Result is the same at any width.
+func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web, par int) (*Result, IncrementalStats, error) {
 	var st IncrementalStats
 	if n := wr.Trace.Len(); n < inc.lastLen {
 		return nil, st, fmt.Errorf("diff: incremental right trace shrank (%d -> %d entries); snapshots must grow append-only", inc.lastLen, n)
 	}
-	opts := inc.opts.withDefaults()
+	opts := inc.opts
+	if par > 0 {
+		opts.Parallelism = par
+	}
+	opts = opts.withDefaults()
 	tm := inc.tm.Match(wr.Trace)
 	lids := pairOrder(tm)
 	units := make([]*unit, len(lids))
@@ -162,6 +170,7 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web) (*Result, Inc
 	st.Pairs = len(units)
 	st.Dirty = len(dirty)
 	st.Reused = len(units) - len(dirty)
+	st.Width = opts.Parallelism
 
 	runUnits(ctx, dirty, opts.Parallelism)
 	for _, u := range dirty {

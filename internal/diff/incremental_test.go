@@ -45,7 +45,7 @@ func TestIncrementalRediffEquivalence(t *testing.T) {
 			lo = hi
 
 			w := b.Snapshot()
-			got, st, err := inc.Rediff(ctx, w)
+			got, st, err := inc.Rediff(ctx, w, 0)
 			if err != nil {
 				t.Fatalf("seed %d: Rediff at %d entries: %v", seed, w.Trace.Len(), err)
 			}
@@ -82,7 +82,7 @@ func TestIncrementalRediffReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := b.Snapshot()
-	first, st, err := inc.Rediff(ctx, w)
+	first, st, err := inc.Rediff(ctx, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestIncrementalRediffReuse(t *testing.T) {
 	}
 
 	// Same snapshot again: nothing grew, nothing recomputes.
-	again, st, err := inc.Rediff(ctx, w)
+	again, st, err := inc.Rediff(ctx, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestIncrementalRediffReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		w = b.Snapshot()
-		got, st, err := inc.Rediff(ctx, w)
+		got, st, err := inc.Rediff(ctx, w, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,12 +137,12 @@ func TestIncrementalRediffShrinkRejected(t *testing.T) {
 	r := mutateTrace(l, 4)
 	wl := views.Build(l)
 	inc := NewIncremental(wl, ViewOptions{Parallelism: 1})
-	if _, _, err := inc.Rediff(context.Background(), views.Build(r)); err != nil {
+	if _, _, err := inc.Rediff(context.Background(), views.Build(r), 0); err != nil {
 		t.Fatal(err)
 	}
 	short := trace.New("short")
 	short.Append(0, "A.run/0", trace.Repr{}, trace.Event{Kind: trace.KindCall, Member: "A.run/0"})
-	if _, _, err := inc.Rediff(context.Background(), views.Build(short)); err == nil {
+	if _, _, err := inc.Rediff(context.Background(), views.Build(short), 0); err == nil {
 		t.Fatal("Rediff accepted a shrunken right trace")
 	}
 }

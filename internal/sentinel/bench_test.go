@@ -48,12 +48,12 @@ func BenchmarkSentinelIncrementalRediff(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			inc := diff.NewIncremental(wl, diff.ViewOptions{})
-			if _, _, err := inc.Rediff(ctx, snap0); err != nil {
+			if _, _, err := inc.Rediff(ctx, snap0, 0); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
 			var err error
-			if _, st, err = inc.Rediff(ctx, snap1); err != nil {
+			if _, st, err = inc.Rediff(ctx, snap1, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -45,10 +45,9 @@ type Options struct {
 	// WebhookClient posts divergence events; nil uses a client with a
 	// 10-second timeout.
 	WebhookClient *http.Client
-	// WebhookAttempts bounds delivery tries per event (0 means
-	// DefaultWebhookAttempts); WebhookBackoff is the base of the
-	// jittered exponential backoff between tries (0 means
-	// DefaultWebhookBackoff).
+	// WebhookAttempts bounds delivery tries per event; WebhookBackoff is
+	// the base of the jittered exponential backoff between tries. Zero
+	// values take retry.Policy's defaults.
 	WebhookAttempts int
 	WebhookBackoff  time.Duration
 	// Counters receives the sentinel's observability metrics; nil
@@ -58,10 +57,8 @@ type Options struct {
 
 // Defaults for Options zero values.
 const (
-	DefaultDebounce        = 20 * time.Millisecond
-	DefaultRingSize        = 64
-	DefaultWebhookAttempts = 4
-	DefaultWebhookBackoff  = 100 * time.Millisecond
+	DefaultDebounce = 20 * time.Millisecond
+	DefaultRingSize = 64
 )
 
 // Spec describes one watch: which live session to monitor, against
@@ -87,6 +84,11 @@ type Spec struct {
 	// DiffOpts are the differencing tunables (zero values take the
 	// usual defaults).
 	DiffOpts diff.ViewOptions
+	// Width, when set, resolves each evaluation's diff width from
+	// DiffOpts.Parallelism once the evaluation holds its Acquire slot
+	// (the engine caps it by the worker slots free at that moment). nil
+	// evaluates at DiffOpts.Parallelism.
+	Width func(requested int) int
 }
 
 // Monitor owns the attached watches. It is safe for concurrent use.
@@ -110,12 +112,6 @@ func New(opts Options) *Monitor {
 	}
 	if opts.RingSize <= 0 {
 		opts.RingSize = DefaultRingSize
-	}
-	if opts.WebhookAttempts <= 0 {
-		opts.WebhookAttempts = DefaultWebhookAttempts
-	}
-	if opts.WebhookBackoff <= 0 {
-		opts.WebhookBackoff = DefaultWebhookBackoff
 	}
 	if opts.WebhookClient == nil {
 		opts.WebhookClient = &http.Client{Timeout: 10 * time.Second}
@@ -262,6 +258,7 @@ type Info struct {
 	Evaluations int64  `json:"evaluations"`
 	LastDirty   int    `json:"last_dirty_pairs"`
 	LastPairs   int    `json:"last_pairs"`
+	LastWidth   int    `json:"last_width"`
 }
 
 // Watch is one attached session monitor. Its exported methods are safe
@@ -312,6 +309,7 @@ func (w *Watch) Info() Info {
 		Evaluations: w.evals,
 		LastDirty:   w.lastStats.Dirty,
 		LastPairs:   w.lastStats.Pairs,
+		LastWidth:   w.lastStats.Width,
 	}
 	if !w.spec.BaselineDigest.IsZero() {
 		info.Baseline = w.spec.BaselineDigest.String()
@@ -413,8 +411,12 @@ func (w *Watch) evaluate() error {
 		}
 		defer release()
 	}
+	par := w.spec.DiffOpts.Parallelism
+	if w.spec.Width != nil {
+		par = w.spec.Width(par)
+	}
 	web := w.spec.Session.Web()
-	res, st, err := w.inc.Rediff(w.ctx, web)
+	res, st, err := w.inc.Rediff(w.ctx, web, par)
 	if err != nil {
 		return err
 	}

@@ -284,52 +284,77 @@ func TestWatchDetachAndSessionDeleteLeakFree(t *testing.T) {
 	awaitGoroutines(t, baseline)
 }
 
-// TestWebhookRetryDelivers pins the at-least-once webhook contract: a
-// flaky endpoint that fails twice with 500 still receives the
-// divergence event, and the delivery counter records one success.
+// TestWebhookRetryDelivers pins the at-least-once webhook contract
+// under the shared retry policy: a flaky endpoint that fails twice with
+// 500 still receives the divergence event once, a 4xx rejection is
+// permanent (one call, one failure), and an endpoint that always fails
+// gets WebhookAttempts calls before the event counts as failed.
 func TestWebhookRetryDelivers(t *testing.T) {
-	var calls, delivered atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(rw, "boom", http.StatusInternalServerError)
-			return
-		}
-		delivered.Add(1)
-		rw.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
+	const attempts = 3
+	for _, tc := range []struct {
+		name          string
+		status        func(call int64) int
+		wantCalls     int64
+		wantDelivered int64
+		wantFailed    int64
+	}{
+		{name: "500 500 204", wantCalls: 3, wantDelivered: 1,
+			status: func(call int64) int {
+				if call <= 2 {
+					return http.StatusInternalServerError
+				}
+				return http.StatusNoContent
+			}},
+		{name: "400 is permanent", wantCalls: 1, wantFailed: 1,
+			status: func(int64) int { return http.StatusBadRequest }},
+		{name: "always 500", wantCalls: attempts, wantFailed: 1,
+			status: func(int64) int { return http.StatusInternalServerError }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				rw.WriteHeader(tc.status(calls.Add(1)))
+			}))
+			defer srv.Close()
 
-	m, _, sess, w, base := watchFixture(t,
-		Options{WebhookBackoff: time.Millisecond},
-		func(s *Spec) { s.Webhook = srv.URL })
-	live := trace.New("live")
-	for _, e := range base.Entries[:80] {
-		live.Append(e.TID, e.Method, e.Self, e.Event)
-	}
-	novel := trace.Repr{Loc: trace.Loc(502), Class: "Bug", Seq: 1}
-	for k := 0; k < 8; k++ {
-		live.Append(1, "Bug.trip/0", novel,
-			trace.Event{Kind: trace.KindCall, Target: novel, Member: "Bug.trip/0"})
-	}
-	if _, err := sess.Append(live.Entries); err != nil {
-		t.Fatal(err)
-	}
-	waitKind(t, w, EventDivergence)
+			m, _, sess, w, base := watchFixture(t,
+				Options{WebhookAttempts: attempts, WebhookBackoff: time.Millisecond},
+				func(s *Spec) { s.Webhook = srv.URL })
+			live := trace.New("live")
+			for _, e := range base.Entries[:80] {
+				live.Append(e.TID, e.Method, e.Self, e.Event)
+			}
+			novel := trace.Repr{Loc: trace.Loc(502), Class: "Bug", Seq: 1}
+			for k := 0; k < 8; k++ {
+				live.Append(1, "Bug.trip/0", novel,
+					trace.Event{Kind: trace.KindCall, Target: novel, Member: "Bug.trip/0"})
+			}
+			if _, err := sess.Append(live.Entries); err != nil {
+				t.Fatal(err)
+			}
+			waitKind(t, w, EventDivergence)
 
-	// Wait on the monitor's counter, not just the handler's: the handler
-	// may have written 204 while the delivery goroutine is still reading
-	// the response, and Close cancels in-flight requests.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && m.Counters().WebhookDeliveries.Load() == 0 {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if delivered.Load() != 1 {
-		t.Fatalf("webhook delivered %d times after %d calls, want 1", delivered.Load(), calls.Load())
-	}
-	sess.Abort()
-	waitKind(t, w, EventWatchClosed)
-	m.Close() // waits for the delivery goroutine
-	if got := m.Counters().WebhookDeliveries.Load(); got != 1 {
-		t.Fatalf("delivery counter = %d, want 1", got)
+			// Wait on the monitor's counters, not the handler's calls: the
+			// handler may have answered while the delivery goroutine is
+			// still reading the response, and Close cancels in-flight
+			// requests.
+			c := m.Counters()
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) && c.WebhookDeliveries.Load()+c.WebhookFailures.Load() == 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+			sess.Abort()
+			waitKind(t, w, EventWatchClosed)
+			m.Close() // waits for the delivery goroutine
+			if got := calls.Load(); got != tc.wantCalls {
+				t.Errorf("webhook called %d times, want %d", got, tc.wantCalls)
+			}
+			if got := c.WebhookDeliveries.Load(); got != tc.wantDelivered {
+				t.Errorf("delivery counter = %d, want %d", got, tc.wantDelivered)
+			}
+			if got := c.WebhookFailures.Load(); got != tc.wantFailed {
+				t.Errorf("failure counter = %d, want %d", got, tc.wantFailed)
+			}
+		})
 	}
 }

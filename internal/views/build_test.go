@@ -11,12 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
-// shardedFixture builds a trace large and varied enough that a parallel
-// build spans several shards with every view type represented, including
-// EOF entries (which map to no views) scattered through the middle.
-func shardedFixture(n int, seed int64) *trace.Trace {
+// mixedFixture builds a trace with every view type represented,
+// including EOF entries (which map to no views) scattered through the
+// middle.
+func mixedFixture(n int, seed int64) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
-	t := trace.New("sharded")
+	t := trace.New("mixed")
 	methods := []string{"M.a/0", "M.b/1", "N.c/2", "N.d/0", "O.e/1"}
 	for i := 0; i < n; i++ {
 		if rng.Intn(200) == 0 {
@@ -77,55 +77,36 @@ func requireEqualWebs(t *testing.T, want, got *Web, label string) {
 	}
 }
 
-// TestParallelBuildMatchesSerial is the sharded-build equivalence
-// property: any forced worker count produces a web observably identical
-// to the serial pass, shard-boundary entries and EOFs included.
-func TestParallelBuildMatchesSerial(t *testing.T) {
-	for _, n := range []int{50, 1000, 9001} {
-		tr := shardedFixture(n, int64(n))
-		serial, err := BuildCtxOpts(context.Background(), tr, BuildOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8, 64} {
-			par, err := BuildCtxOpts(context.Background(), tr, BuildOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireEqualWebs(t, serial, par, fmt.Sprintf("n=%d workers=%d", n, workers))
-		}
-	}
+// cancelAfterCtx reports context.Canceled from its n-th Err call on.
+type cancelAfterCtx struct {
+	context.Context
+	calls *int
+	n     int
 }
 
-// TestParallelBuildAutoThreshold checks the automatic mode: small traces
-// stay serial (one arena), and the choice never changes the web.
-func TestParallelBuildAutoThreshold(t *testing.T) {
-	tr := shardedFixture(500, 7)
-	auto, err := BuildCtx(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
+func (c cancelAfterCtx) Err() error {
+	if *c.calls++; *c.calls >= c.n {
+		return context.Canceled
 	}
-	if len(auto.arenas) != 1 {
-		t.Errorf("a %d-entry trace should build serially in auto mode, got %d arenas",
-			tr.Len(), len(auto.arenas))
-	}
-	forced, err := BuildCtxOpts(context.Background(), tr, BuildOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualWebs(t, auto, forced, "auto vs forced")
+	return nil
 }
 
-// TestParallelBuildCancellation: a canceled context aborts both the
-// upfront check and the sharded scan with the context's error.
+// TestParallelBuildCancellation: a context canceled before the build,
+// or while its loop runs, aborts it with the context's error.
 func TestParallelBuildCancellation(t *testing.T) {
-	tr := shardedFixture(20000, 3)
+	tr := mixedFixture(20000, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildCtxOpts(ctx, tr, BuildOptions{Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel build on canceled ctx: err = %v, want context.Canceled", err)
+	if _, err := BuildCtx(ctx, tr); !errors.Is(err, context.Canceled) {
+		t.Errorf("build on canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := BuildCtxOpts(ctx, tr, BuildOptions{Workers: 1}); !errors.Is(err, context.Canceled) {
-		t.Errorf("serial build on canceled ctx: err = %v, want context.Canceled", err)
+	// The upfront check and the loop's first poll pass; the poll at
+	// entry 8192 sees the cancellation.
+	calls := 0
+	if _, err := BuildCtx(cancelAfterCtx{context.Background(), &calls, 3}, tr); !errors.Is(err, context.Canceled) {
+		t.Errorf("build canceled mid-loop: err = %v, want context.Canceled", err)
+	}
+	if calls != 3 {
+		t.Errorf("build polled ctx %d times before stopping, want 3", calls)
 	}
 }

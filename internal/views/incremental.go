@@ -11,17 +11,17 @@ import (
 // analysis side of live capture. A streaming session appends each
 // decoded segment; at any moment Snapshot returns a Web over everything
 // appended so far that is semantically identical to a from-scratch
-// BuildCtxOpts over the same entries (see Equivalent), so a live
+// BuildCtx over the same entries (see Equivalent), so a live
 // session's web is always query-ready: /run/{analysis} can analyze a
 // still-running program.
 //
 // Concurrency contract: the builder itself is NOT safe for concurrent
 // use — callers (corpus.Session) serialize Append and Snapshot under one
 // lock. The webs Snapshot returns, however, remain safe to read while
-// later Appends extend the builder: each Append runs the web's one
-// extend pass, which grows every structure append-only, and Snapshot
-// copies the view and object maps, so a snapshot's visible prefix is
-// never rewritten. That is what lets a long-running diff proceed
+// later Appends extend the builder: each Append runs the same serial
+// extend pass as a batch build over just the new entries, which grows
+// every structure append-only, and Snapshot copies the view and object
+// maps, so a snapshot's visible prefix is never rewritten. That is what lets a long-running diff proceed
 // against a session that keeps streaming.
 type IncrementalBuilder struct {
 	w *Web
@@ -62,7 +62,7 @@ func (b *IncrementalBuilder) Append(entries []trace.Entry) error {
 	b.w.Trace.Entries = append(b.w.Trace.Entries, entries...)
 	// Appends are bounded by the batch size, so cancellation is the
 	// session's concern, not the builder's.
-	return b.w.extend(context.Background(), start, 0)
+	return b.w.extend(context.Background(), start)
 }
 
 // SnapshotTrace returns the trace over everything appended so far. The
@@ -102,8 +102,8 @@ func (b *IncrementalBuilder) Snapshot() *Web {
 // Equivalent reports whether two webs are semantically identical: same
 // trace entries, same views with the same entry-id lists, same per-entry
 // links and class keys, same object index, same MemBytes. Arena
-// chunking — one arena per build shard or per incremental batch — is an
-// implementation detail and deliberately not compared, which is why incremental-vs-batch
+// chunking — one arena per incremental batch — is an implementation
+// detail and deliberately not compared, which is why incremental-vs-batch
 // equivalence checks use this instead of reflect.DeepEqual on the Web.
 // It returns nil on equivalence or an error naming the first difference.
 func Equivalent(a, c *Web) error {

@@ -34,8 +34,8 @@ func appendInSegments(t *testing.T, tr *trace.Trace, rng *rand.Rand, maxSeg int)
 // TestIncrementalMatchesBatch is the incremental-vs-batch equivalence
 // property: a builder fed N random segment appends snapshots to a web
 // semantically identical to a fresh build over the same entries — for
-// small serial appends, threshold-crossing sharded appends, and
-// everything between.
+// single-entry appends, one append of the whole trace, and everything
+// between.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	for _, tc := range []struct {
 		n, maxSeg int
@@ -44,13 +44,13 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		{50, 7},
 		{1000, 64},
 		{9001, 500},
-		{20000, 40000}, // one append over the sharded threshold
-		{40000, 17000}, // mixed serial and sharded appends
+		{20000, 40000}, // one append of the whole trace
+		{40000, 17000}, // a few appends of up to 17K entries
 	} {
 		rng := rand.New(rand.NewSource(int64(tc.n)*31 + int64(tc.maxSeg)))
-		tr := shardedFixture(tc.n, int64(tc.n))
+		tr := mixedFixture(tc.n, int64(tc.n))
 		b := appendInSegments(t, tr, rng, tc.maxSeg)
-		fresh, err := BuildCtxOpts(context.Background(), tr, BuildOptions{})
+		fresh, err := BuildCtx(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 // append, the snapshot equals a fresh build over the prefix, so a live
 // session is query-ready at any moment, not only at the end.
 func TestIncrementalMidStreamSnapshots(t *testing.T) {
-	tr := shardedFixture(600, 77)
+	tr := mixedFixture(600, 77)
 	rng := rand.New(rand.NewSource(77))
 	b := NewIncrementalBuilder(tr.Name)
 	for lo := 0; lo < tr.Len(); {
@@ -85,7 +85,7 @@ func TestIncrementalMidStreamSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 		prefix := &trace.Trace{Name: tr.Name, Entries: tr.Entries[:hi:hi]}
-		fresh, err := BuildCtxOpts(context.Background(), prefix, BuildOptions{})
+		fresh, err := BuildCtx(context.Background(), prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestIncrementalMidStreamSnapshots(t *testing.T) {
 // concurrently). Run under -race this doubles as the no-rewrite proof;
 // it also checks the reader goroutines drain (no leaks).
 func TestIncrementalSnapshotStableUnderAppends(t *testing.T) {
-	tr := shardedFixture(4000, 13)
+	tr := mixedFixture(4000, 13)
 	rng := rand.New(rand.NewSource(13))
 	b := NewIncrementalBuilder(tr.Name)
 
@@ -174,7 +174,7 @@ func TestIncrementalSnapshotStableUnderAppends(t *testing.T) {
 }
 
 func TestIncrementalAppendValidation(t *testing.T) {
-	tr := shardedFixture(40, 5)
+	tr := mixedFixture(40, 5)
 	b := NewIncrementalBuilder("v")
 	if err := b.Append(tr.Entries[:10]); err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestIncrementalAppendValidation(t *testing.T) {
 // entries appended per second through the incremental builder in
 // capture-sized segments.
 func BenchmarkIncrementalAppend(b *testing.B) {
-	tr := shardedFixture(1<<15, 42)
+	tr := mixedFixture(1<<15, 42)
 	const seg = 4096
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -196,7 +196,7 @@ type Web struct {
 	Trace   *trace.Trace
 	views   map[Name]*View
 	byEntry [][]Name // view names per entry id (the union of the ω mappings)
-	arenas  [][]Name // backing storage for byEntry slices, one per build shard
+	arenas  [][]Name // backing storage for byEntry slices, one per extend batch
 	objects map[trace.Loc]ObjectInfo
 	keys    []uint64 // =e class key per entry id (trace.EventClassHash)
 }
@@ -343,7 +343,7 @@ const (
 // per-entry link table and class keys, every view's entry-id list, and
 // the object index — excluding the underlying trace. It counts logical
 // lengths, not allocator capacities, so the figure is identical however
-// the web was built (any Workers setting) and is the deterministic web
+// the web was built (in one batch or many) and is the deterministic web
 // term of the differ's Stats.MemBytes.
 func (w *Web) MemBytes() int64 {
 	var b int64

@@ -81,7 +81,7 @@ func TestDiffSemanticsPinned(t *testing.T) {
 				if err := b.Append(batch); err != nil {
 					t.Fatal(err)
 				}
-				if res, _, err = inc.Rediff(context.Background(), b.Snapshot()); err != nil {
+				if res, _, err = inc.Rediff(context.Background(), b.Snapshot(), 0); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -126,6 +126,7 @@ func (e *Engine) WatchSession(ctx context.Context, sessionID string, cfg WatchCo
 		Analysis:       cfg.Analysis,
 		Webhook:        cfg.Webhook,
 		DiffOpts:       opts,
+		Width:          e.intraWorkers,
 	}
 	if cfg.ExpectedOld != "" || cfg.ExpectedNew != "" {
 		if cfg.ExpectedOld == "" || cfg.ExpectedNew == "" {
