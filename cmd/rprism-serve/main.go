@@ -38,6 +38,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -58,14 +59,18 @@ func envOr(key, def string) string {
 	return def
 }
 
-func envOrInt(key string, def int) int {
-	if v, ok := os.LookupEnv(key); ok {
-		var n int
-		if _, err := fmt.Sscanf(v, "%d", &n); err == nil {
-			return n
-		}
+// envOrInt is envOr for an integer flag: a value that is not a decimal
+// integer ("1e3", "12abc") is an error naming the variable.
+func envOrInt(key string, def int) (int, error) {
+	v := os.Getenv(key)
+	if v == "" {
+		return def, nil
 	}
-	return def
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("$%s=%q: not an integer", key, v)
+	}
+	return n, nil
 }
 
 // serveConfig is everything run() needs, flags and environment merged.
@@ -76,7 +81,6 @@ type serveConfig struct {
 	parallel   int
 	traceCache int
 	webCache   int
-	segLimit   int
 	verify     bool
 	grace      time.Duration
 	reqTimeout time.Duration
@@ -98,7 +102,6 @@ func main() {
 	flag.IntVar(&cfg.parallel, "parallel", 0, "intra-diff worker goroutines per analysis, capped at 1 + the worker slots free when a diff starts (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.traceCache, "trace-cache", 16, "decoded traces kept in memory")
 	flag.IntVar(&cfg.webCache, "web-cache", 8, "built view webs kept in memory")
-	flag.IntVar(&cfg.segLimit, "segment-limit", 1<<16, "entries per on-disk segment")
 	flag.BoolVar(&cfg.verify, "verify", false, "verify digests of traces loaded from disk")
 	flag.DurationVar(&cfg.grace, "grace", 15*time.Second, "shutdown grace period")
 	flag.DurationVar(&cfg.reqTimeout, "request-timeout", 0, "kill analyses exceeding this deadline (0 = none)")
@@ -117,7 +120,11 @@ func main() {
 		"S3 signing region [$RPRISM_BLOB_REGION]")
 	flag.StringVar(&cfg.blobPfx, "blob-prefix", envOr("RPRISM_BLOB_PREFIX", ""),
 		"key prefix inside the bucket, letting clusters share one bucket [$RPRISM_BLOB_PREFIX]")
-	flag.IntVar(&cfg.diskCache, "disk-cache", envOrInt("RPRISM_DISK_CACHE", 0),
+	diskCache, err := envOrInt("RPRISM_DISK_CACHE", 0)
+	if err != nil {
+		log.Fatalf("rprism-serve: %v", err)
+	}
+	flag.IntVar(&cfg.diskCache, "disk-cache", diskCache,
 		"max traces kept on local disk when a blob bucket backs the corpus (0 = unbounded) [$RPRISM_DISK_CACHE]")
 	flag.StringVar(&cfg.peers, "peers", envOr("RPRISM_PEERS", ""),
 		"cluster membership as id=url,... including this node [$RPRISM_PEERS]")
@@ -139,7 +146,6 @@ func run(cfg serveConfig) error {
 	store, err := corpus.New(cfg.dir, corpus.Options{
 		TraceCacheSize:  cfg.traceCache,
 		WebCacheSize:    cfg.webCache,
-		SegmentLimit:    cfg.segLimit,
 		VerifyOnLoad:    cfg.verify,
 		Blob:            backend,
 		BlobPrefix:      cfg.blobPfx,

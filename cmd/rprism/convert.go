@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -10,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/atomicfile"
+	"repro/internal/corpus"
 	"repro/internal/trace"
 )
 
@@ -22,13 +26,12 @@ import (
 //
 // Directory mode rewrites every *.seg file in place; single-file mode
 // rewrites one trace (or copies it converted when -out is given). The
-// conversion is verify-then-swap: each file's replacement is written to
-// a temporary path, loaded back, and checked against the original's
-// canonical content digest before it is renamed over the source — an
-// interrupted or failed convert never damages the original. Files that
-// already are RSEG are skipped, so re-running is a no-op; when the
-// directory is a corpus (meta sidecars present), each stored trace is
-// additionally reassembled and verified against its content address.
+// conversion is verify-then-swap (see writeVerified): an interrupted or
+// failed convert never damages the original. Files that already are
+// RSEG are skipped, so re-running is a no-op. In a corpus (meta
+// sidecars present), each stored trace is also verified against its
+// content address and merged into segment 0 if an earlier release split
+// it (see mergeCorpusTrace).
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	dir := fs.String("dir", "", "corpus or segment directory to convert in place")
@@ -108,25 +111,70 @@ func convertDir(dir string, opts trace.RSEGOptions) error {
 	fmt.Printf("%s: converted %d segment(s), %d already rseg\n", dir, converted, skipped)
 
 	// A corpus directory carries one meta sidecar per stored trace; the
-	// sidecar name is the trace's content digest. Reassembling each trace
-	// from its (now RSEG) segments and re-deriving the digest proves the
-	// migration preserved every content address.
+	// sidecar name is the trace's content digest. Re-deriving each
+	// digest proves the migration preserved every content address.
 	metas, err := filepath.Glob(filepath.Join(dir, "*.meta.json"))
 	if err != nil {
 		return fmt.Errorf("convert: scan %s: %w", dir, err)
 	}
 	for _, p := range metas {
-		id := strings.TrimSuffix(filepath.Base(p), ".meta.json")
-		t, err := trace.LoadSegments(dir, id)
-		if err != nil {
-			return fmt.Errorf("convert: reassemble %s after conversion: %w", id, err)
-		}
-		if got := t.ComputeDigest().String(); got != id {
-			return fmt.Errorf("convert: trace %s reassembles to digest %s after conversion: content address broken", id, got)
+		if err := mergeCorpusTrace(dir, strings.TrimSuffix(filepath.Base(p), ".meta.json"), p, opts); err != nil {
+			return err
 		}
 	}
 	if len(metas) > 0 {
 		fmt.Printf("%s: verified %d corpus trace(s) against their content addresses\n", dir, len(metas))
+	}
+	return nil
+}
+
+// mergeCorpusTrace verifies stored trace id against its digest and
+// leaves it whole in segment 0, its sidecar counting one segment, and no
+// other segment. A run cut short between those steps is finished by the
+// next, which finds segment 0 already whole.
+func mergeCorpusTrace(dir, id, metaPath string, opts trace.RSEGOptions) error {
+	var m corpus.Meta
+	raw, err := os.ReadFile(metaPath)
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
+	}
+	if err != nil {
+		return fmt.Errorf("convert: sidecar %s: %w", metaPath, err)
+	}
+	seg0 := trace.SegmentPath(dir, id, 0)
+	t, err := trace.Load(seg0)
+	whole := err == nil && t.Len() == m.Entries
+	if !whole {
+		t, err = trace.LoadSegments(dir, id)
+	}
+	if err == nil && t.ComputeDigest().String() != id {
+		err = fmt.Errorf("reassembles to digest %s: content address broken", t.ComputeDigest())
+	}
+	if err != nil {
+		return fmt.Errorf("convert: trace %s: %w", id, err)
+	}
+	if !whole {
+		t.Name = m.Name
+		if err := writeVerified(t, seg0, opts); err != nil {
+			return err
+		}
+	}
+	if m.Segments != 1 {
+		m.Segments = 1
+		if raw, err = json.Marshal(m); err == nil {
+			err = atomicfile.Write(metaPath, raw)
+		}
+		if err != nil {
+			return fmt.Errorf("convert: %w", err)
+		}
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, id+".*.seg")) // id is hex: no bad pattern
+	for _, p := range segs {
+		if p != seg0 {
+			if err := os.Remove(p); err != nil {
+				return fmt.Errorf("convert: %w", err)
+			}
+		}
 	}
 	return nil
 }
@@ -183,32 +231,23 @@ func readGob(path string) (*trace.Trace, error) {
 	return &t, nil
 }
 
-// writeVerified writes t as RSEG to a temporary file next to dst, loads
-// the temporary back and compares canonical digests, and only then
-// renames it into place. The original is never touched until the
+// writeVerified encodes t as RSEG, decodes the bytes back and compares
+// canonical digests, all in memory, and only then writes them to dst
+// through atomicfile.Write. The original is never touched until the
 // replacement has proven byte-exact content.
 func writeVerified(t *trace.Trace, dst string, opts trace.RSEGOptions) error {
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".rseg-tmp-*")
-	if err != nil {
-		return fmt.Errorf("convert: %w", err)
-	}
-	tmpPath := tmp.Name()
-	defer os.Remove(tmpPath) // no-op after a successful rename
-	if err := t.WriteRSEGOpts(tmp, opts); err != nil {
-		tmp.Close()
+	var buf bytes.Buffer
+	if err := t.WriteRSEGOpts(&buf, opts); err != nil {
 		return fmt.Errorf("convert: encode %s: %w", dst, err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("convert: %w", err)
-	}
-	back, err := trace.Load(tmpPath)
+	back, err := trace.ReadAny(dst, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return fmt.Errorf("convert: verify %s: %w", dst, err)
 	}
 	if want, got := t.ComputeDigest(), back.ComputeDigest(); want != got {
 		return fmt.Errorf("convert: verify %s: converted digest %s, want %s", dst, got, want)
 	}
-	if err := os.Rename(tmpPath, dst); err != nil {
+	if err := atomicfile.Write(dst, buf.Bytes()); err != nil {
 		return fmt.Errorf("convert: %w", err)
 	}
 	return nil

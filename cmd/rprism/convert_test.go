@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -109,31 +110,155 @@ func TestConvertToSeparateOutput(t *testing.T) {
 	}
 }
 
-func TestConvertCorpusDir(t *testing.T) {
-	// A corpus written by an earlier gob-only version: rewrite every
-	// segment as gob, check the store refuses it with the migration
-	// command, then convert the directory in place and reopen it.
-	dir := t.TempDir()
-	store, err := corpus.New(dir, corpus.Options{SegmentLimit: 8})
+// legacyCorpus lays out dir as the segmenting store of earlier releases
+// left a trace of several segments: segments written by
+// trace.NewSegmentWriter under the digest, optionally rewritten as gob,
+// and a sidecar that counts them. It returns the digest and the
+// segment count.
+func legacyCorpus(t *testing.T, dir string, gob bool) (trace.Digest, int) {
+	t.Helper()
+	tr := convertFixture()
+	id := tr.ComputeDigest()
+	w, err := trace.NewSegmentWriter(dir, id.String(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := convertFixture()
-	id, created, err := store.Put(tr)
-	if err != nil || !created {
-		t.Fatalf("Put = %v, %v", created, err)
+	for i := range tr.Entries {
+		e := &tr.Entries[i]
+		if _, err := w.Append(e.TID, e.Method, e.Self, e.Event); err != nil {
+			t.Fatal(err)
+		}
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if len(segs) < 2 {
-		t.Fatalf("corpus has %d segments, want several", len(segs))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range segs {
-		seg, err := trace.Load(p)
+	segs, _ := filepath.Glob(filepath.Join(dir, id.String()+".*.seg"))
+	n := len(segs)
+	if n < 2 {
+		t.Fatalf("legacy corpus has %d segments, want several", n)
+	}
+	if gob {
+		for i := 0; i < n; i++ {
+			p := trace.SegmentPath(dir, id.String(), i)
+			seg, err := trace.Load(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeGob(t, seg, p)
+		}
+	}
+	meta := fmt.Sprintf(`{"id":%q,"name":"fix","entries":%d,"segments":%d}`, id, tr.Len(), n)
+	if err := os.WriteFile(filepath.Join(dir, id.String()+".meta.json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return id, n
+}
+
+// snapshot maps every file under dir to its content.
+func snapshot(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeGob(t, seg, p)
+		out[e.Name()] = string(raw)
 	}
+	return out
+}
+
+// TestConvertCorpusDir: a corpus of earlier releases whose trace is
+// split into segments (RSEG or gob) is refused by the store with the
+// migration command; convert -dir merges it into segment 0, the store
+// then serves it under its original digest, and a second run changes
+// nothing. A merge cut short after segment 0 was rewritten, with the
+// sidecar still counting every segment, converts the same way.
+func TestConvertCorpusDir(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		gob      bool
+		cutShort bool
+	}{
+		{"rseg segments", false, false},
+		{"gob segments", true, false},
+		{"merge cut after segment 0", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			id, n := legacyCorpus(t, dir, tc.gob)
+			if _, err := corpus.New(dir, corpus.Options{}); err == nil || !strings.Contains(err.Error(), "rprism convert -dir") {
+				t.Fatalf("multi-segment corpus open: err = %v, want one naming rprism convert -dir", err)
+			}
+			if tc.cutShort {
+				whole := convertFixture()
+				whole.Name = "fix"
+				if err := whole.Save(trace.SegmentPath(dir, id.String(), 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if err := convertDir(dir, trace.RSEGOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, id.String()+".00000[1-9].seg")); len(left) != 0 {
+				t.Errorf("segments beyond 0 left after the merge: %v (of %d)", left, n)
+			}
+			seg0 := trace.SegmentPath(dir, id.String(), 0)
+			if f, err := trace.SniffFile(seg0); err != nil || f != trace.FormatRSEG {
+				t.Errorf("segment 0 sniffs as %v, %v after convert", f, err)
+			}
+
+			before := snapshot(t, dir)
+			if err := convertDir(dir, trace.RSEGOptions{}); err != nil {
+				t.Fatalf("second convert failed: %v", err)
+			}
+			if after := snapshot(t, dir); !reflect.DeepEqual(before, after) {
+				t.Error("second convert changed the directory")
+			}
+
+			reopened, err := corpus.New(dir, corpus.Options{VerifyOnLoad: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := reopened.Meta(id)
+			if err != nil || m.Segments != 1 || m.Name != "fix" {
+				t.Fatalf("Meta = %+v, %v", m, err)
+			}
+			got, err := reopened.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := got.ComputeDigest(); d != id || got.Name != "fix" {
+				t.Errorf("converted corpus trace %q digest %s, want %s", got.Name, d, id)
+			}
+		})
+	}
+}
+
+// TestConvertSingleSegmentGobCorpus: a gob corpus of one segment per
+// trace opens (its sidecar is valid) but its trace reads fail with the
+// migration command until convert -dir rewrites the segment.
+func TestConvertSingleSegmentGobCorpus(t *testing.T) {
+	dir := t.TempDir()
+	store, err := corpus.New(dir, corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, created, err := store.Put(convertFixture())
+	if err != nil || !created {
+		t.Fatalf("Put = %v, %v", created, err)
+	}
+	seg0 := trace.SegmentPath(dir, id.String(), 0)
+	seg, err := trace.Load(seg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGob(t, seg, seg0)
 	legacy, err := corpus.New(dir, corpus.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -141,32 +266,15 @@ func TestConvertCorpusDir(t *testing.T) {
 	if _, err := legacy.Get(id); err == nil || !strings.Contains(err.Error(), "rprism convert -dir") {
 		t.Fatalf("gob corpus read: err = %v, want one naming rprism convert -dir", err)
 	}
-
 	if err := convertDir(dir, trace.RSEGOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range segs {
-		if f, err := trace.SniffFile(p); err != nil || f != trace.FormatRSEG {
-			t.Errorf("segment %s sniffs as %v, %v after convert", p, f, err)
-		}
-	}
-
-	// Idempotent second run.
-	if err := convertDir(dir, trace.RSEGOptions{}); err != nil {
-		t.Fatalf("second convert failed: %v", err)
-	}
-
-	// The store reopens and serves the trace under its original digest.
-	reopened, err := corpus.New(dir, corpus.Options{})
+	reopened, err := corpus.New(dir, corpus.Options{VerifyOnLoad: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := reopened.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.ComputeDigest(); d != id {
-		t.Errorf("converted corpus trace digest %s, want %s", d, id)
+	if got, err := reopened.Get(id); err != nil || got.ComputeDigest() != id {
+		t.Fatalf("converted trace: %v", err)
 	}
 }
 
@@ -192,8 +300,8 @@ func TestConvertRefusesCorruptInput(t *testing.T) {
 	if len(after) != len(raw)/2 {
 		t.Error("convert modified a file it failed to convert")
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "*rseg-tmp*")); len(tmps) != 0 {
-		t.Errorf("convert left temp files behind: %v", tmps)
+	if names := snapshot(t, dir); len(names) != 1 {
+		t.Errorf("convert left files behind: %v", names)
 	}
 }
 

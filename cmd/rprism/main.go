@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -29,6 +30,7 @@ import (
 	"syscall"
 
 	rprism "repro"
+	"repro/internal/atomicfile"
 	"repro/internal/lang"
 	"repro/internal/trace"
 	"repro/internal/views"
@@ -251,15 +253,11 @@ func cmdTrace(args []string) error {
 	stats := trace.ComputeStats(res.Trace)
 	fmt.Printf("trace: %s\n", stats)
 	if *jsonl != "" {
-		f, err := os.Create(*jsonl)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := res.Trace.WriteJSONL(&buf); err != nil {
 			return err
 		}
-		if err := res.Trace.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := atomicfile.Write(*jsonl, buf.Bytes()); err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -103,6 +105,33 @@ func TestFSConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	conformance(t, b)
+}
+
+// TestFSListSkipsLeftoverTemps: the temp file of a Put cut short by a
+// crash (this release's name and the ".put-" name of earlier ones) is
+// never listed as an object.
+func TestFSListSkipsLeftoverTemps(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := fs.Put(ctx, "aa11.meta.json", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"aa11.000000.seg.tmp-123456", "pre%2Faa11.meta.json.tmp-9", ".put-77"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("half"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys, err := fs.List(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(keys, []string{"aa11.meta.json"}) {
+		t.Fatalf("List = %v, want only the object Put wrote", keys)
+	}
 }
 
 func TestMemConformance(t *testing.T) {

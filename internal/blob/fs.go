@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/atomicfile"
 )
 
 // FS is the local-directory backend: every object is one file under
@@ -39,27 +41,13 @@ func unescape(name string) string {
 
 func (f *FS) path(key string) string { return filepath.Join(f.dir, escape(key)) }
 
-// Put writes atomically: temp file + rename, so a reader (or a crash)
+// Put writes atomically (atomicfile.Write), so a reader (or a crash)
 // never observes a half-written object.
 func (f *FS) Put(ctx context.Context, key string, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(f.dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("blob: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("blob: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("blob: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), f.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(f.path(key), data); err != nil {
 		return fmt.Errorf("blob: %w", err)
 	}
 	return nil
@@ -113,7 +101,8 @@ func (f *FS) List(ctx context.Context, prefix string) ([]string, error) {
 	}
 	var out []string
 	for _, e := range ents {
-		if e.IsDir() || strings.HasPrefix(e.Name(), ".put-") {
+		// A crashed Put's temp file (".put-*" before) is no object.
+		if e.IsDir() || atomicfile.IsTemp(e.Name()) || strings.HasPrefix(e.Name(), ".put-") {
 			continue
 		}
 		key := unescape(e.Name())

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/blob"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -19,16 +20,17 @@ import (
 // store (S3-compatible bucket, or a filesystem/memory backend in
 // tests) behind the local disk tier. Puts write through — a trace is
 // not admitted until its objects are durable in the bucket — and reads
-// of digests absent locally hydrate: the segment set is pulled back
+// of digests absent locally hydrate: the trace file is pulled back
 // onto local disk, re-admitted to the index, and served through the
 // ordinary strict load path, so corruption checks apply to hydrated
 // traces exactly as to native ones.
 //
 // Object keys mirror the disk tier's file names under an optional
-// prefix: <prefix><digest>.<seq>.seg, <prefix><digest>.meta.json,
+// prefix: <prefix><digest>.000000.seg, <prefix><digest>.meta.json,
 // <prefix><digest>.sketch.json. The meta object is written last — it
-// is the commit marker; a reader that finds it can rely on the
-// segments being complete.
+// is the commit marker; a reader that finds it can rely on the trace
+// object being complete. A multi-segment meta object of earlier
+// releases is refused like a local sidecar; buckets get no migration.
 //
 // With DiskCacheTraces set, local disk becomes a bounded cache over
 // the bucket: past the bound the least recently used local copy is
@@ -36,7 +38,7 @@ import (
 // digest stays resolvable — the next read hydrates it back — which is
 // what lets a cluster node serve a corpus larger than its own disk.
 
-// blobKey maps a local sidecar/segment file name to its object key.
+// blobKey maps a local trace or sidecar file name to its object key.
 func (s *Store) blobKey(name string) string {
 	return s.blobPrefix + name
 }
@@ -92,23 +94,14 @@ func (s *Store) blobList(ctx context.Context, prefix string) ([]string, error) {
 	return keys, err
 }
 
-// uploadBlob writes a freshly stored trace through to the bucket: its
-// m.Segments segment files, the sketch sidecar (best effort, like its
-// local counterpart), and the meta object last as the commit marker.
-// Caller holds putMu, so the local files cannot change underneath.
-func (s *Store) uploadBlob(ctx context.Context, id trace.Digest, m Meta, metaRaw []byte) error {
-	for i := 0; i < m.Segments; i++ {
-		p := trace.SegmentPath(s.dir, id.String(), i)
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return fmt.Errorf("corpus: %w", err)
-		}
-		if err := s.blobPut(ctx, s.blobKey(filepath.Base(p)), data); err != nil {
-			return err
-		}
+// uploadBlob writes the bytes Put wrote locally through to the bucket:
+// trace, sketch unless nil, and meta last as the commit marker.
+func (s *Store) uploadBlob(ctx context.Context, id trace.Digest, traceRaw, sketchRaw, metaRaw []byte) error {
+	if err := s.blobPut(ctx, s.blobKey(filepath.Base(s.tracePath(id))), traceRaw); err != nil {
+		return err
 	}
-	if data, err := os.ReadFile(s.sketchPath(id)); err == nil {
-		if err := s.blobPut(ctx, s.blobKey(id.String()+".sketch.json"), data); err != nil {
+	if sketchRaw != nil {
+		if err := s.blobPut(ctx, s.blobKey(id.String()+".sketch.json"), sketchRaw); err != nil {
 			return err
 		}
 	}
@@ -134,7 +127,7 @@ func (s *Store) blobMeta(ctx context.Context, id trace.Digest) (Meta, error) {
 
 // hydrate pulls a trace from the bucket into the local disk tier and
 // admits it to the index. With force set, local state is ignored and
-// the segment set re-downloaded — the recovery path when local files
+// the trace re-downloaded — the recovery path when local files
 // were evicted or corrupted between an index check and a load. The
 // local meta sidecar is written last, mirroring Put's commit order.
 func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta, error) {
@@ -161,30 +154,27 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 	if err != nil {
 		return Meta{}, err
 	}
-	// Fetch the segments by name from the meta's count, with no bucket
-	// LIST. Each is renamed into place, so a forced re-hydration never
-	// rewrites a segment another Get is reading. Until the local sidecar
-	// below commits them, a crash leaves orphans that the next New sweeps.
-	for i := 0; i < m.Segments; i++ {
-		p := trace.SegmentPath(s.dir, id.String(), i)
-		data, err := s.blobGet(ctx, s.blobKey(filepath.Base(p)))
-		if err == nil {
-			err = writeRename(p, data)
-		}
-		if err != nil {
-			s.removeLocalFiles(id, m.Segments)
-			return Meta{}, fmt.Errorf("corpus: hydrate %s: %w", id, err)
-		}
+	// Fetch the trace by name (no LIST) and rename it into place, so a
+	// forced re-hydration never rewrites a file another Get is reading.
+	// Until the sidecar commits it, a crash leaves orphans New sweeps.
+	p := s.tracePath(id)
+	data, err := s.blobGet(ctx, s.blobKey(filepath.Base(p)))
+	if err == nil {
+		err = atomicfile.Write(p, data)
+	}
+	if err != nil {
+		s.removeLocalFiles(id)
+		return Meta{}, fmt.Errorf("corpus: hydrate %s: %w", id, err)
 	}
 	if data, err := s.blobGet(ctx, s.blobKey(id.String()+".sketch.json")); err == nil {
-		_ = os.WriteFile(s.sketchPath(id), data, 0o644)
+		_ = atomicfile.Write(s.sketchPath(id), data)
 	}
 	raw, err := json.Marshal(m)
 	if err == nil {
-		err = writeRename(s.metaPath(id), raw)
+		err = atomicfile.Write(s.metaPath(id), raw)
 	}
 	if err != nil {
-		s.removeLocalFiles(id, m.Segments)
+		s.removeLocalFiles(id)
 		return Meta{}, fmt.Errorf("corpus: %w", err)
 	}
 
@@ -199,23 +189,13 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 
 // removeLocalFiles deletes a trace's disk-tier files — the meta
 // sidecar first, as it is the commit marker, then the sketch and the
-// segments numbered below segs — returning the first failure other than
-// a file already gone. Segments are written in order, so removal stops
-// at the first one missing: an untrusted count bounds no work.
-func (s *Store) removeLocalFiles(id trace.Digest, segs int) error {
+// trace file — returning the first failure other than a file already
+// gone.
+func (s *Store) removeLocalFiles(id trace.Digest) error {
 	var first error
-	remove := func(p string) bool {
-		err := os.Remove(p)
-		if err != nil && !errors.Is(err, os.ErrNotExist) && first == nil {
+	for _, p := range []string{s.metaPath(id), s.sketchPath(id), s.tracePath(id)} {
+		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) && first == nil {
 			first = err
-		}
-		return !errors.Is(err, os.ErrNotExist)
-	}
-	remove(s.metaPath(id))
-	remove(s.sketchPath(id))
-	for i := 0; i < segs; i++ {
-		if !remove(trace.SegmentPath(s.dir, id.String(), i)) {
-			break
 		}
 	}
 	return first
@@ -228,7 +208,7 @@ func (s *Store) removeLocalFiles(id trace.Digest, segs int) error {
 func (s *Store) touchLocal(id trace.Digest) {
 	s.mu.Lock()
 	s.touchLocalLocked(id)
-	evicted := make(map[trace.Digest]int) // digest -> segment count
+	var evicted []trace.Digest
 	if s.blob != nil && s.opts.DiskCacheTraces > 0 {
 		for s.localLRU.Len() > s.opts.DiskCacheTraces {
 			oldest := s.localLRU.Back()
@@ -237,17 +217,16 @@ func (s *Store) touchLocal(id trace.Digest) {
 			delete(s.local, eid)
 			// The trace leaves the local index but stays resolvable: its
 			// meta moves to the remote cache and the next read hydrates.
-			m, ok := s.index[eid]
-			if ok {
+			if m, ok := s.index[eid]; ok {
 				s.remote[eid] = m
 				delete(s.index, eid)
 			}
-			evicted[eid] = m.Segments
+			evicted = append(evicted, eid)
 		}
 	}
 	s.mu.Unlock()
-	for eid, segs := range evicted {
-		s.removeLocalFiles(eid, segs)
+	for _, eid := range evicted {
+		s.removeLocalFiles(eid)
 		s.blobCounters.DiskEvictions.Add(1)
 	}
 }
@@ -272,25 +251,13 @@ func (s *Store) dropLocalLocked(id trace.Digest) {
 	delete(s.remote, id)
 }
 
-// deleteBlob removes every object of a trace from the bucket.
+// deleteBlob removes a trace's objects from the bucket by name, with no
+// LIST. The meta object goes first: it is the commit marker, so a
+// partially deleted trace reads as absent, not corrupted.
 func (s *Store) deleteBlob(ctx context.Context, id trace.Digest) error {
-	keys, err := s.blobList(ctx, s.blobKey(id.String()+"."))
-	if err != nil {
-		return fmt.Errorf("corpus: delete %s from blob: %w", id, err)
-	}
-	// Meta object first: it is the commit marker, so removing it first
-	// makes a partially deleted trace read as absent, not corrupted.
-	sort.Slice(keys, func(i, j int) bool {
-		mi := strings.HasSuffix(keys[i], ".meta.json")
-		mj := strings.HasSuffix(keys[j], ".meta.json")
-		if mi != mj {
-			return mi
-		}
-		return keys[i] < keys[j]
-	})
-	for _, k := range keys {
+	for _, name := range []string{id.String() + ".meta.json", id.String() + ".sketch.json", filepath.Base(s.tracePath(id))} {
 		s.blobCounters.Deletes.Add(1)
-		if err := s.blob.Delete(ctx, k); err != nil {
+		if err := s.blob.Delete(ctx, s.blobKey(name)); err != nil {
 			s.blobCounters.Errors.Add(1)
 			return fmt.Errorf("corpus: delete %s from blob: %w", id, err)
 		}

@@ -120,7 +120,7 @@ func TestBlobHydration(t *testing.T) {
 	if after := s2.Stats().Blob.Gets; after != gets {
 		t.Fatalf("second Get hit the bucket (%d -> %d gets)", gets, after)
 	}
-	// Hydration fetched the segments by name from the meta's count.
+	// Hydration fetched the trace file by name, with no LIST.
 	if lists := s2.Stats().Blob.Lists; lists != 0 {
 		t.Fatalf("hydration listed the bucket %d times, want 0", lists)
 	}
@@ -302,22 +302,19 @@ func TestBlobEvictedTraceSurvivesStaleMemory(t *testing.T) {
 }
 
 // TestHydrateCrashLeavesOldState: a hydration that crashed after
-// writing the segments (and sketch) but before its meta sidecar leaves
-// orphans the next open sweeps; the trace is then still served from
-// the bucket.
+// writing the trace file (and sketch) but before its meta sidecar
+// leaves orphans the next open sweeps; the trace is then still served
+// from the bucket.
 func TestHydrateCrashLeavesOldState(t *testing.T) {
 	mem := blob.NewMem()
-	s1, err := New(t.TempDir(), Options{Blob: mem, SegmentLimit: 16})
+	s1, err := New(t.TempDir(), Options{Blob: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := mustPut(t, s1, makeTrace("far", 5, 40))
-	m, _ := s1.Meta(id)
 
 	dir := t.TempDir()
-	for i := 0; i < m.Segments; i++ {
-		copyFile(t, trace.SegmentPath(s1.Dir(), id.String(), i), trace.SegmentPath(dir, id.String(), i))
-	}
+	copyFile(t, s1.tracePath(id), filepath.Join(dir, filepath.Base(s1.tracePath(id))))
 	copyFile(t, s1.sketchPath(id), filepath.Join(dir, id.String()+".sketch.json"))
 
 	s2, err := New(dir, Options{Blob: mem, VerifyOnLoad: true})
@@ -335,17 +332,18 @@ func TestHydrateCrashLeavesOldState(t *testing.T) {
 	}
 }
 
-// TestHydrateMissingSegmentFails: a bucket whose meta counts a segment
-// it does not hold fails the hydration and leaves no local files.
+// TestHydrateMissingSegmentFails: a bucket that holds a trace's meta
+// but not its trace object fails the hydration and leaves no local
+// files.
 func TestHydrateMissingSegmentFails(t *testing.T) {
 	mem := blob.NewMem()
-	s1, err := New(t.TempDir(), Options{Blob: mem, SegmentLimit: 16})
+	s1, err := New(t.TempDir(), Options{Blob: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := mustPut(t, s1, makeTrace("holed", 6, 40))
 	ctx := context.Background()
-	if err := mem.Delete(ctx, filepath.Base(trace.SegmentPath("", id.String(), 1))); err != nil {
+	if err := mem.Delete(ctx, filepath.Base(s1.tracePath(id))); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -354,7 +352,7 @@ func TestHydrateMissingSegmentFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s2.Get(id); err == nil {
-		t.Fatal("Get hydrated a trace with a segment missing from the bucket")
+		t.Fatal("Get hydrated a trace whose trace object is missing from the bucket")
 	}
 	left, _ := filepath.Glob(filepath.Join(dir, "*"))
 	if len(left) != 1 || filepath.Base(left[0]) != "corpus.lock" {
@@ -363,17 +361,18 @@ func TestHydrateMissingSegmentFails(t *testing.T) {
 }
 
 // TestHydrateForcedReplacesSegmentFile: Get's recovery re-hydrates a
-// corrupted segment by renaming a fresh file into place, never by
-// rewriting the file other Gets may be reading; a segment left under
-// its temporary name by a crash is swept on the next open.
+// corrupted trace file by renaming a fresh file into place, never by
+// rewriting the file other Gets may be reading; a trace file left under
+// its temporary name by a crash is swept on the next open, as is the
+// temp name of earlier releases.
 func TestHydrateForcedReplacesSegmentFile(t *testing.T) {
 	mem := blob.NewMem()
-	s1, err := New(t.TempDir(), Options{Blob: mem, SegmentLimit: 16})
+	s1, err := New(t.TempDir(), Options{Blob: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := mustPut(t, s1, makeTrace("torn", 7, 40))
-	seg := trace.SegmentPath(s1.Dir(), id.String(), 0)
+	seg := s1.tracePath(id)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -407,15 +406,19 @@ func TestHydrateForcedReplacesSegmentFile(t *testing.T) {
 		t.Fatal("re-hydration rewrote the live segment file in place")
 	}
 
-	tmp := seg + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		t.Fatal(err)
+	tmps := []string{seg + ".tmp-4242", seg + ".tmp"}
+	for _, tmp := range tmps {
+		if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := New(s1.Dir(), Options{Blob: mem}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("leftover %s survived reopen (stat: %v)", filepath.Base(tmp), err)
+	for _, tmp := range tmps {
+		if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("leftover %s survived reopen (stat: %v)", filepath.Base(tmp), err)
+		}
 	}
 }
 
@@ -445,13 +448,13 @@ func (g *gatedBackend) Get(ctx context.Context, key string) (io.ReadCloser, erro
 }
 
 // TestOpenDuringWriteSkipsSweep: a store opened on the directory while
-// another store's Put or hydration has written segments but not yet its
-// meta sidecar (paused here at the bucket's sketch object) must leave
+// another store's Put or hydration has written its trace file but not
+// yet its meta sidecar (paused here at the bucket's sketch object) must leave
 // those files alone, so the write still commits a trace that loads.
 func TestOpenDuringWriteSkipsSweep(t *testing.T) {
-	makeRacy := func() *trace.Trace { return makeTrace("racy", 3, 40) } // 3 segments
+	makeRacy := func() *trace.Trace { return makeTrace("racy", 3, 40) }
 	filled := blob.NewMem()
-	donor, err := New(t.TempDir(), Options{Blob: filled, SegmentLimit: 16})
+	donor, err := New(t.TempDir(), Options{Blob: filled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,15 +472,15 @@ func TestOpenDuringWriteSkipsSweep(t *testing.T) {
 			dir := t.TempDir()
 			gate := &gatedBackend{Backend: tc.bucket, suffix: ".sketch.json",
 				entered: make(chan struct{}), release: make(chan struct{})}
-			w, err := New(dir, Options{Blob: gate, SegmentLimit: 16})
+			w, err := New(dir, Options{Blob: gate})
 			if err != nil {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
 			go func() { done <- tc.write(w) }()
 			<-gate.entered
-			if _, err := os.Stat(trace.SegmentPath(dir, id.String(), 2)); err != nil {
-				t.Fatalf("paused write has not written its segments: %v", err)
+			if _, err := os.Stat(w.tracePath(id)); err != nil {
+				t.Fatalf("paused write has not written its trace file: %v", err)
 			}
 			if _, err := os.Stat(w.metaPath(id)); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("paused write already has a sidecar: %v", err)
@@ -506,8 +509,8 @@ func TestOpenDuringWriteSkipsSweep(t *testing.T) {
 
 // BenchmarkBlobGet measures a Get through the blob tier: "hydrated" on a
 // fresh store whose disk tier already holds the trace (decode only),
-// "cold" on a fresh store over an empty directory (list, download and
-// decode the segments). The ratio of the two is what a disk-tier miss
+// "cold" on a fresh store over an empty directory (download and decode
+// the trace file). The ratio of the two is what a disk-tier miss
 // pays for hydration.
 func BenchmarkBlobGet(b *testing.B) {
 	bucket := blob.NewMem()

@@ -4,9 +4,9 @@
 //
 // Three tiers hold a trace:
 //
-//   - a disk tier of RSEG segments written through trace.SegmentWriter
-//     (the §5 segmentation mechanism reused as the durable format), with
-//     a small JSON sidecar of metadata per trace;
+//   - a disk tier of one RSEG file per trace, with a similarity-sketch
+//     sidecar and a small JSON sidecar of metadata, each file written
+//     whole through atomicfile.Write;
 //   - an LRU of decoded *trace.Trace values, bounding resident entries;
 //   - a memoized cache of built view webs, keyed by digest and
 //     single-flighted: when N concurrent diffs need the views of one
@@ -24,6 +24,7 @@
 package corpus
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -36,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/atomicfile"
 	"repro/internal/blob"
 	"repro/internal/index"
 	"repro/internal/metrics"
@@ -64,8 +66,6 @@ type Options struct {
 	TraceCacheSize int
 	// WebCacheSize bounds the built view-web cache (default 8 webs).
 	WebCacheSize int
-	// SegmentLimit is the max entries per on-disk segment (default 65536).
-	SegmentLimit int
 	// VerifyOnLoad recomputes the digest of every trace loaded from disk
 	// and rejects corrupted content. Costs one canonical-encoding pass
 	// per cache miss.
@@ -100,9 +100,6 @@ func (o Options) withDefaults() Options {
 	if o.WebCacheSize <= 0 {
 		o.WebCacheSize = 8
 	}
-	if o.SegmentLimit <= 0 {
-		o.SegmentLimit = 1 << 16
-	}
 	if o.MaxSessions <= 0 {
 		o.MaxSessions = 64
 	}
@@ -114,18 +111,18 @@ type Meta struct {
 	ID       string `json:"id"` // hex digest
 	Name     string `json:"name"`
 	Entries  int    `json:"entries"`
-	Segments int    `json:"segments"`
+	Segments int    `json:"segments"` // always 1: a trace is one file
+
 }
 
 // Stats is a snapshot of store contents and cache behavior.
 type Stats struct {
-	Traces         int   `json:"traces"`           // traces in the index
-	EntriesOnDisk  int   `json:"entries_on_disk"`  // sum of entry counts
-	SegmentsOnDisk int   `json:"segments_on_disk"` // sum of segment-file counts
-	OpenSessions   int   `json:"open_sessions"`    // append-open live sessions
-	SessionEntries int   `json:"session_entries"`  // entries buffered across open sessions
-	WebWaits       int64 `json:"web_waits"`        // coalesced onto another goroutine's build
-	Evictions      int64 `json:"evictions"`        // trace + web LRU evictions
+	Traces         int   `json:"traces"`          // traces in the index
+	EntriesOnDisk  int   `json:"entries_on_disk"` // sum of entry counts
+	OpenSessions   int   `json:"open_sessions"`   // append-open live sessions
+	SessionEntries int   `json:"session_entries"` // entries buffered across open sessions
+	WebWaits       int64 `json:"web_waits"`       // coalesced onto another goroutine's build
+	Evictions      int64 `json:"evictions"`       // trace + web LRU evictions
 	Puts           int64 `json:"puts"`
 	Dedups         int64 `json:"dedups"` // Puts that found the digest already stored
 	// TraceCache and WebCache are the per-LRU hit/miss/eviction counts:
@@ -147,9 +144,9 @@ type Store struct {
 	dir  string
 	opts Options
 
-	// putMu serializes disk writes: without it, two Puts of the same
-	// content race os.Create truncations on the same segment files, and
-	// a failed rewrite could hole a trace the first writer admitted.
+	// putMu serializes disk writes (Put, hydrate, Delete, the sketch
+	// backfill), so each checks the index and changes the files as one
+	// step, and no writer removes files another one admitted.
 	// lock is the directory's lock file (see lockWrites).
 	putMu sync.Mutex
 	lock  *os.File
@@ -243,8 +240,8 @@ func New(dir string, opts Options) (*Store, error) {
 	if sweep {
 		defer flock(s.lock, lockRelease)
 	}
-	// The one directory read: every later per-trace path opens its files
-	// by name from the sidecar's segment count.
+	// The one directory read. A multi-segment sidecar is refused here,
+	// before the sweep could remove its segments.
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: scan %s: %w", dir, err)
@@ -273,10 +270,10 @@ func New(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// sweepOrphans deletes what a crash left uncommitted: segments and a
-// sketch with no meta sidecar, a sidecar or a hydrated segment never
-// renamed into place, and segments numbered at or past their trace's
-// count. Files not prefixed by a digest are not the store's and stay.
+// sweepOrphans deletes what a crash left uncommitted: a file prefixed by
+// a digest stays only if it is the trace file, sketch or meta sidecar of
+// a committed trace, so uncommitted files, temps and stale segments go.
+// Files not prefixed by a digest are not the store's and stay.
 func (s *Store) sweepOrphans(files []os.DirEntry) {
 	for _, f := range files {
 		idStr, rest, _ := strings.Cut(f.Name(), ".")
@@ -284,11 +281,8 @@ func (s *Store) sweepOrphans(files []os.DirEntry) {
 		if err != nil {
 			continue
 		}
-		m, committed := s.index[id]
-		n, isSeg := trace.SegmentIndex(f.Name(), idStr)
-		if (isSeg && (!committed || n >= m.Segments)) ||
-			(rest == "sketch.json" && !committed) || rest == "meta.json.tmp" ||
-			strings.HasSuffix(rest, ".seg.tmp") {
+		own := rest == "meta.json" || rest == "sketch.json" || f.Name() == filepath.Base(s.tracePath(id))
+		if _, committed := s.index[id]; !committed || !own {
 			os.Remove(filepath.Join(s.dir, f.Name()))
 		}
 	}
@@ -306,22 +300,9 @@ func (s *Store) lockWrites() (func(), error) {
 	return func() { flock(s.lock, lockRelease); s.putMu.Unlock() }, nil
 }
 
-// writeRename writes data to path+".tmp" and renames it onto path, so
-// path holds either its old content or all of data, never a mix: a
-// crash leaves no meta sidecar (the commit marker) or a whole one, and a
-// reader of a replaced segment sees the old file or the new.
-func writeRename(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // decodeMeta parses the meta sidecar of digest want. Sidecars are
-// untrusted input: Meta.Segments decides how many files a load opens,
-// so a count outside 1 <= Segments <= Entries is refused here, before
-// any I/O is sized by it.
+// untrusted input: one that records no entries, or a segment count
+// other than 1 (a trace an earlier release split), is refused here.
 func decodeMeta(raw []byte, want, path string) (Meta, error) {
 	var m Meta
 	var msg string
@@ -329,8 +310,8 @@ func decodeMeta(raw []byte, want, path string) (Meta, error) {
 		msg = err.Error()
 	} else if _, err := trace.ParseDigest(want); err != nil || m.ID != want {
 		msg = fmt.Sprintf("names digest %q", m.ID)
-	} else if m.Segments < 1 || m.Entries < 1 || m.Segments > m.Entries {
-		msg = fmt.Sprintf("%d segments for %d entries (want 1 <= segments <= entries)", m.Segments, m.Entries)
+	} else if m.Segments != 1 || m.Entries < 1 {
+		msg = fmt.Sprintf("%d segments for %d entries (want 1 segment; 'rprism convert -dir DIR' merges the segments of earlier releases)", m.Segments, m.Entries)
 	} else {
 		return m, nil
 	}
@@ -347,16 +328,15 @@ func (s *Store) Dir() string { return s.dir }
 // already stored. The caller must not mutate t afterwards: the store now
 // owns it.
 func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
-	// An empty trace would write no segment files, leaving a digest
-	// that becomes unresolvable once evicted from the decoded LRU —
-	// breaking the admitted-stays-resolvable invariant.
+	// An empty trace would commit a sidecar of 0 entries, which the
+	// next New refuses.
 	if t.Len() == 0 {
 		return trace.Digest{}, false, fmt.Errorf("%w: empty trace", ErrInvalidTrace)
 	}
-	// The pipeline (views.Build's byEntry, diff navigation, segment
-	// reassembly) indexes by EID and requires the dense 0..n-1 numbering
-	// every legitimate producer emits; reject anything else before it
-	// can reach an analysis goroutine.
+	// The pipeline (views.Build's byEntry, diff navigation) indexes by
+	// EID and requires the dense 0..n-1 numbering every legitimate
+	// producer emits; reject anything else before it can reach an
+	// analysis goroutine.
 	for i := range t.Entries {
 		if int(t.Entries[i].EID) != i {
 			return trace.Digest{}, false, fmt.Errorf(
@@ -385,50 +365,35 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 		return id, false, nil
 	}
 
-	w, err := trace.NewSegmentWriter(s.dir, id.String(), s.opts.SegmentLimit)
-	if err != nil {
+	// One encoding goes to disk and bucket; meta, the commit marker, last.
+	var enc bytes.Buffer
+	if err := t.WriteRSEG(&enc); err != nil {
 		return id, false, err
 	}
-	// The similarity sketch folds in incrementally on the same pass that
-	// writes segments: ingest stays one walk over the entries, and the
-	// sketch lands with the trace instead of being backfilled later.
-	sketcher := index.NewSketcher()
-	writeAll := func() error {
-		for i := range t.Entries {
-			e := &t.Entries[i]
-			sketcher.Add(e)
-			if _, err := w.Append(e.TID, e.Method, e.Self, e.Event); err != nil {
-				return err
-			}
-		}
-		return w.Close()
-	}
-	if err := writeAll(); err != nil {
-		// A flush that failed may have begun one more file.
-		s.removeLocalFiles(id, w.Segments()+1)
-		return id, false, err
-	}
-	sk := sketcher.Sketch()
-	if raw, err := sk.Marshal(); err == nil {
-		// Best effort: a missing sidecar is recomputed lazily on demand,
-		// so a sketch-write failure must not fail an otherwise durable Put.
-		_ = os.WriteFile(s.sketchPath(id), raw, 0o644)
-	}
-	m := Meta{ID: id.String(), Name: t.Name, Entries: t.Len(), Segments: w.Segments()}
+	sk := index.SketchTrace(t)
+	skRaw, _ := sk.Marshal() // nil on failure: handled like a sketch not written
+	m := Meta{ID: id.String(), Name: t.Name, Entries: t.Len(), Segments: 1}
 	raw, err := json.Marshal(m)
+	if err == nil {
+		err = atomicfile.Write(s.tracePath(id), enc.Bytes())
+	}
+	if err == nil && skRaw != nil {
+		// Best effort: a missing sketch is backfilled on demand.
+		_ = atomicfile.Write(s.sketchPath(id), skRaw)
+	}
 	// Write through to the blob tier before the local sidecar commits: a
 	// trace the index serves must be durable in the bucket, or a
 	// disk-tier eviction (or another cluster node's read) would lose it.
 	if err == nil && s.blob != nil {
-		if err = s.uploadBlob(context.Background(), id, m, raw); err != nil {
+		if err = s.uploadBlob(context.Background(), id, enc.Bytes(), skRaw, raw); err != nil {
 			err = fmt.Errorf("blob write-through: %w", err)
 		}
 	}
 	if err == nil {
-		err = writeRename(s.metaPath(id), raw)
+		err = atomicfile.Write(s.metaPath(id), raw)
 	}
 	if err != nil {
-		s.removeLocalFiles(id, m.Segments)
+		s.removeLocalFiles(id)
 		return id, false, fmt.Errorf("corpus: %w", err)
 	}
 
@@ -445,6 +410,12 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 
 func (s *Store) metaPath(id trace.Digest) string {
 	return filepath.Join(s.dir, id.String()+".meta.json")
+}
+
+// tracePath names a trace's one RSEG file by segment 0's name, which
+// every trace of earlier releases under 65,536 entries already used.
+func (s *Store) tracePath(id trace.Digest) string {
+	return trace.SegmentPath(s.dir, id.String(), 0)
 }
 
 // Meta returns the metadata of a stored trace, consulting the blob
@@ -510,8 +481,8 @@ func (s *Store) Get(id trace.Digest) (*trace.Trace, error) {
 	m, ok := s.index[id]
 	if !ok {
 		s.mu.Unlock()
-		// Blob-tier fallback: hydrate the segment set onto local disk
-		// and serve it through the same strict load path below.
+		// Blob-tier fallback: hydrate the trace onto local disk and
+		// serve it through the same strict load path below.
 		var err error
 		if m, err = s.hydrate(context.Background(), id, false); err != nil {
 			return nil, err
@@ -540,27 +511,27 @@ func (s *Store) Get(id trace.Digest) (*trace.Trace, error) {
 	return t, nil
 }
 
-// loadLocal decodes a trace from its disk-tier segments, enforcing the
+// loadLocal decodes a trace from its disk-tier file, enforcing the
 // store's strictness. It runs outside the locks: two goroutines
 // missing on the same id both load; the second admission wins, which
 // is harmless — both copies are immutable and identical.
 //
 // The store is strict where the capture-recovery loader is
-// forgiving: a content-addressed trace that loads short — a segment
-// missing or undecodable, or fewer entries than its sidecar recorded —
-// is corruption, not a crash to salvage, and serving the prefix would
-// silently break the digest contract every analysis relies on. Only
-// the m.Segments files the sidecar names are opened.
+// forgiving: a content-addressed trace that loads short — its file
+// missing or undecodable, fewer entries than its sidecar recorded, or
+// entry ids not starting at 0 — is corruption, not a crash to salvage,
+// and serving it would silently break the digest contract every
+// analysis relies on.
 func (s *Store) loadLocal(id trace.Digest, m Meta) (*trace.Trace, error) {
-	t, err := trace.LoadSegmentCount(s.dir, id.String(), m.Segments)
+	t, err := trace.Load(s.tracePath(id))
 	if err != nil {
 		return nil, fmt.Errorf("corpus: trace %s corrupted on disk: %w", id, err)
 	}
-	if t.Len() != m.Entries {
-		return nil, fmt.Errorf("corpus: trace %s corrupted on disk: loaded %d of %d entries",
+	if t.Len() != m.Entries || t.Entries[0].EID != 0 {
+		return nil, fmt.Errorf("corpus: trace %s corrupted on disk: loaded %d entries, want %d from entry id 0",
 			id, t.Len(), m.Entries)
 	}
-	t.Name = m.Name // segments are named by digest; restore the label
+	t.Name = m.Name // files of earlier releases carry the digest as name
 	if s.opts.VerifyOnLoad {
 		if got := t.ComputeDigest(); got != id {
 			return nil, fmt.Errorf("corpus: trace %s corrupted on disk (digest %s)", id, got)
@@ -698,12 +669,16 @@ func (s *Store) ViewsCtx(ctx context.Context, id trace.Digest) (*views.Web, erro
 // bucket (disk-evicted locally, or written by another cluster node) is
 // deletable too.
 func (s *Store) Delete(id trace.Digest) error {
-	s.mu.Lock()
-	m, ok := s.index[id]
-	if !ok {
-		m, ok = s.remote[id]
+	// Under the write lock, a Put or hydration of the same content runs
+	// wholly before this Delete or wholly after it, keeping its files.
+	unlock, err := s.lockWrites()
+	if err != nil {
+		return err
 	}
-	if !ok {
+	defer unlock()
+	s.mu.Lock()
+	_, local := s.index[id]
+	if _, remote := s.remote[id]; !local && !remote {
 		if s.blob == nil {
 			err := s.notFoundLocked(id)
 			s.mu.Unlock()
@@ -711,8 +686,7 @@ func (s *Store) Delete(id trace.Digest) error {
 		}
 		// Not known locally at all: the bucket decides existence.
 		s.mu.Unlock()
-		var err error
-		if m, err = s.blobMeta(context.Background(), id); err != nil {
+		if _, err := s.blobMeta(context.Background(), id); err != nil {
 			return err
 		}
 		s.mu.Lock()
@@ -731,7 +705,7 @@ func (s *Store) Delete(id trace.Digest) error {
 	s.mu.Unlock()
 	s.lsh.Remove(id)
 
-	if err := s.removeLocalFiles(id, m.Segments); err != nil {
+	if err := s.removeLocalFiles(id); err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
 	if s.blob != nil {
@@ -747,7 +721,6 @@ func (s *Store) Stats() Stats {
 	traceLen, webLen := s.traceLRU.Len(), s.webLRU.Len()
 	for _, m := range s.index {
 		st.EntriesOnDisk += m.Entries
-		st.SegmentsOnDisk += m.Segments
 	}
 	s.mu.Unlock()
 	st.OpenSessions, st.SessionEntries = s.sessionStats()

@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/atomicfile"
 	"repro/internal/diff"
+	"repro/internal/index"
 	"repro/internal/subjects"
 	"repro/internal/trace"
 )
@@ -39,7 +40,7 @@ func mustPut(t testing.TB, s *Store, tr *trace.Trace) trace.Digest {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s, err := New(t.TempDir(), Options{SegmentLimit: 16, VerifyOnLoad: true})
+	s, err := New(t.TempDir(), Options{VerifyOnLoad: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +58,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 50 entries / 16 per segment = 4 segments.
-	if m.Entries != 50 || m.Segments != 4 || m.Name != "alpha" {
+	if m.Entries != 50 || m.Segments != 1 || m.Name != "alpha" {
 		t.Errorf("meta = %+v", m)
 	}
 	if _, err := s.Get(trace.Digest{1}); !errors.Is(err, ErrNotFound) {
@@ -245,12 +245,12 @@ func dropDecoded(s *Store) {
 }
 
 // TestStaleSegmentIgnoredThenSweptAtOpen: a high-numbered segment left
-// by an earlier failed attempt (e.g. under a smaller segment limit) is
-// never opened by a load, since loads open exactly the segments the
-// sidecar counts, and the next open sweeps it.
+// beside a trace (say by an interrupted merge of an earlier release's
+// segments) is never opened by a load, since loads open the trace's one
+// file by name, and the next open sweeps it.
 func TestStaleSegmentIgnoredThenSweptAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(dir, Options{SegmentLimit: 16, VerifyOnLoad: true})
+	s, err := New(dir, Options{VerifyOnLoad: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestStaleSegmentIgnoredThenSweptAtOpen(t *testing.T) {
 		t.Fatalf("reload beside a stale segment: %v", err)
 	}
 	m, _ := s.Meta(id)
-	if m.Segments != 3 { // 40 entries / 16 per segment
-		t.Errorf("meta counts %d segments, want 3", m.Segments)
+	if m.Segments != 1 {
+		t.Errorf("meta counts %d segments, want 1", m.Segments)
 	}
 
 	s2, err := New(dir, Options{VerifyOnLoad: true})
@@ -287,45 +287,53 @@ func TestStaleSegmentIgnoredThenSweptAtOpen(t *testing.T) {
 
 // TestPutCrashLeavesOldState simulates a crash at each write point of
 // Put by copying the files a completed Put wrote, up to that point,
-// into a store that holds one other trace. Reopening must show the old
-// state — the other trace only, no orphan file of the new one — and a
-// retried Put must then succeed.
+// into a store that holds one other trace. Put writes the trace file,
+// then the sketch, then the meta sidecar, each through a temp file
+// renamed into place; a crash mid-write leaves the temp. Reopening must
+// show the old state — the other trace only, no orphan file of the new
+// one — and a retried Put must then succeed.
 func TestPutCrashLeavesOldState(t *testing.T) {
 	src := t.TempDir()
-	donor, err := New(src, Options{SegmentLimit: 16})
+	donor, err := New(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := makeTrace("crashy", 7, 40) // 3 segments
-	id := mustPut(t, donor, tr)
-	seg := func(i int) string { return filepath.Base(trace.SegmentPath("", id.String(), i)) }
-	metaRaw, err := os.ReadFile(donor.metaPath(id))
-	if err != nil {
-		t.Fatal(err)
+	id := mustPut(t, donor, makeTrace("crashy", 7, 40))
+	traceFile := filepath.Base(donor.tracePath(id))
+	sketchFile := id.String() + ".sketch.json"
+	metaFile := id.String() + ".meta.json"
+	read := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
+	traceRaw, sketchRaw, metaRaw := read(traceFile), read(sketchFile), read(metaFile)
 
 	for _, tc := range []struct {
 		point string
-		files []string
-		tmp   bool // the sidecar written under its temporary name
+		files map[string][]byte
 	}{
-		{"after some segments", []string{seg(0), seg(1)}, false},
-		{"after all segments", []string{seg(0), seg(1), seg(2)}, false},
-		{"after the sketch", []string{seg(0), seg(1), seg(2), id.String() + ".sketch.json"}, false},
-		{"before the meta sidecar", []string{seg(0), seg(1), seg(2), id.String() + ".sketch.json"}, true},
+		{"trace under its temp name", map[string][]byte{
+			traceFile + ".tmp-12345": traceRaw[:len(traceRaw)/2]}},
+		{"after the trace", map[string][]byte{traceFile: traceRaw}},
+		{"after the sketch", map[string][]byte{traceFile: traceRaw, sketchFile: sketchRaw}},
+		{"before the meta sidecar", map[string][]byte{traceFile: traceRaw, sketchFile: sketchRaw,
+			metaFile + ".tmp-67890": metaRaw}},
 	} {
 		t.Run(tc.point, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := New(dir, Options{SegmentLimit: 16})
+			s, err := New(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			old := mustPut(t, s, makeTrace("old", 8, 30))
-			for _, f := range tc.files {
-				copyFile(t, filepath.Join(src, f), filepath.Join(dir, f))
-			}
-			if tc.tmp {
-				if err := os.WriteFile(filepath.Join(dir, id.String()+".meta.json.tmp"), metaRaw, 0o644); err != nil {
+			for name, raw := range tc.files {
+				if strings.Contains(name, ".tmp") && !atomicfile.IsTemp(name) {
+					t.Fatalf("%s is not a name atomicfile.Write gives its temps", name)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -334,7 +342,7 @@ func TestPutCrashLeavesOldState(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s, err = New(dir, Options{SegmentLimit: 16, VerifyOnLoad: true})
+			s, err = New(dir, Options{VerifyOnLoad: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,15 +380,15 @@ func copyFile(t testing.TB, from, to string) {
 	}
 }
 
-// TestOpenRejectsImplausibleSidecar: Meta.Segments decides how many
-// files a load opens, so a sidecar whose counts no Put writes is
-// refused at open with ErrInvalidSidecar.
+// TestOpenRejectsImplausibleSidecar: a sidecar whose counts no Put
+// writes is refused at open with ErrInvalidSidecar.
 func TestOpenRejectsImplausibleSidecar(t *testing.T) {
 	id := makeTrace("x", 1, 5).ComputeDigest().String()
 	for name, body := range map[string]string{
 		"zero segments":          `{"id":"` + id + `","entries":5,"segments":0}`,
 		"zero entries":           `{"id":"` + id + `","entries":0,"segments":1}`,
 		"more segments than ent": `{"id":"` + id + `","entries":2,"segments":3}`,
+		"two segments":           `{"id":"` + id + `","entries":5,"segments":2}`,
 		"negative":               `{"id":"` + id + `","entries":-1,"segments":-1}`,
 		"other digest":           `{"id":"` + strings.Repeat("0", 64) + `","entries":5,"segments":1}`,
 		"not json":               `{"id":`,
@@ -394,6 +402,144 @@ func TestOpenRejectsImplausibleSidecar(t *testing.T) {
 				t.Fatalf("New = %v, want ErrInvalidSidecar", err)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesMultiSegmentTraceBeforeSweep: a trace an earlier
+// release split into segments is refused at open with an error naming
+// the command that merges it, and none of its segments is swept first.
+func TestOpenRefusesMultiSegmentTraceBeforeSweep(t *testing.T) {
+	dir := t.TempDir()
+	tr := makeTrace("legacy", 2, 40)
+	id := tr.ComputeDigest().String()
+	w, err := trace.NewSegmentWriter(dir, id, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Entries {
+		e := &tr.Entries[i]
+		if _, err := w.Append(e.TID, e.Method, e.Self, e.Event); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta := `{"id":"` + id + `","name":"legacy","entries":40,"segments":3}`
+	if err := os.WriteFile(filepath.Join(dir, id+".meta.json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(dir, Options{})
+	if !errors.Is(err, ErrInvalidSidecar) || !strings.Contains(err.Error(), "rprism convert -dir") {
+		t.Fatalf("New = %v, want ErrInvalidSidecar naming rprism convert -dir", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := os.Stat(trace.SegmentPath(dir, id, i)); err != nil {
+			t.Errorf("segment %d gone after a refused open: %v", i, err)
+		}
+	}
+}
+
+// TestOpenEarlierReleaseLayout: a corpus written by the segmenting
+// store of earlier releases with its default limit holds, per trace,
+// one segment file named and labelled by the digest, a sidecar counting
+// one segment and a sketch. It opens unchanged and serves the trace
+// under its digest, with its sketch read from the sidecar.
+func TestOpenEarlierReleaseLayout(t *testing.T) {
+	dir := t.TempDir()
+	tr := makeTrace("earlier", 4, 60)
+	d := tr.ComputeDigest()
+	id := d.String()
+	w, err := trace.NewSegmentWriter(dir, id, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Entries {
+		e := &tr.Entries[i]
+		if _, err := w.Append(e.TID, e.Method, e.Self, e.Event); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sk, err := index.SketchTrace(tr).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := `{"id":"` + id + `","name":"earlier","entries":60,"segments":1}`
+	for name, raw := range map[string][]byte{id + ".meta.json": []byte(meta), id + ".sketch.json": sk} {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, id+".*"))
+	if len(files) != 3 {
+		t.Fatalf("laid out %v, want three files", files)
+	}
+
+	s, err := New(dir, Options{VerifyOnLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != "earlier" || got.Len() != 60 || got.ComputeDigest() != d {
+		t.Fatalf("served %q with %d entries, digest %s", got.Name, got.Len(), got.ComputeDigest())
+	}
+	if _, err := s.Sketch(d); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.IndexStats(); st.Loads != 1 || st.Backfills != 0 {
+		t.Errorf("sketch loads %d, backfills %d; want the sidecar read once", st.Loads, st.Backfills)
+	}
+	if after, _ := filepath.Glob(filepath.Join(dir, id+".*")); len(after) != 3 {
+		t.Errorf("open changed the layout: %v", after)
+	}
+}
+
+// TestDeleteRacingPutKeepsIndexAndFilesInStep: a Delete racing a Put
+// of the same content, and a sketch backfill of it, must leave the
+// digest either indexed with files that load or absent with no file at
+// all. Run under -race -cpu=1,2,4 in CI.
+func TestDeleteRacingPutKeepsIndexAndFilesInStep(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 300; round++ {
+		id := mustPut(t, s, makeTrace("race", 5, 40))
+		// Force the next Sketch to backfill (and write its sidecar).
+		s.mu.Lock()
+		delete(s.sketches, id)
+		s.mu.Unlock()
+		os.Remove(s.sketchPath(id))
+
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() { defer wg.Done(); s.Delete(id) }()
+		go func() {
+			defer wg.Done()
+			if _, _, err := s.Put(makeTrace("race", 5, 40)); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() { defer wg.Done(); s.Sketch(id) }()
+		wg.Wait()
+
+		if _, err := s.Meta(id); err == nil {
+			dropDecoded(s)
+			if _, err := s.Get(id); err != nil {
+				t.Fatalf("round %d: indexed digest does not load: %v", round, err)
+			}
+			continue
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, id.String()+".*")); len(left) != 0 {
+			t.Fatalf("round %d: deleted digest left files %v", round, left)
+		}
 	}
 }
 
@@ -482,11 +628,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 
 func TestGetRejectsTruncatedDiskTier(t *testing.T) {
 	// The store must stay strict where the capture-recovery loader is
-	// forgiving: a stored trace whose trailing segment was truncated on
-	// disk is corruption, and Get must fail rather than serve a silent
-	// prefix that no longer matches its digest.
+	// forgiving: a stored trace whose file was truncated on disk is
+	// corruption, and Get must fail rather than serve anything.
 	dir := t.TempDir()
-	store, err := New(dir, Options{SegmentLimit: 10})
+	store, err := New(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,27 +645,37 @@ func TestGetRejectsTruncatedDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, id.String()+".*.seg"))
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("want multiple segments, got %v (err %v)", segs, err)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one trace file, got %v (err %v)", segs, err)
 	}
-	sort.Strings(segs)
-	last := segs[len(segs)-1]
-	raw, err := os.ReadFile(last)
+	raw, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(last, raw[:len(raw)/2], 0o644); err != nil {
+	if err := os.WriteFile(segs[0], raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	// Fresh store over the same dir: the decoded-trace LRU is cold, so
 	// Get must hit the (corrupted) disk tier.
-	reopened, err := New(dir, Options{SegmentLimit: 10})
+	reopened, err := New(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reopened.Get(id); err == nil {
-		t.Fatal("Get served a trace whose trailing segment is truncated")
+		t.Fatal("Get served a trace whose file is truncated")
+	}
+
+	// A whole file that holds no entries is refused too, not indexed.
+	if err := trace.New("empty").Save(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err = New(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reopened.Get(id); err == nil {
+		t.Fatal("Get served an empty trace file for a 35-entry sidecar")
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 
 // FuzzMetaSidecar feeds arbitrary bytes to New as the meta sidecar of a
 // stored trace, then reads the trace back. Sidecars are untrusted input
-// (Meta.Segments decides how many files a load opens): New may refuse
+// (Meta.Entries is checked against what a load decodes): New may refuse
 // one and Get may fail, but neither may panic.
 func FuzzMetaSidecar(f *testing.F) {
 	src := f.TempDir()
-	s, err := New(src, Options{SegmentLimit: 16})
+	s, err := New(src, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -281,7 +281,7 @@ func (s *Session) Web() *views.Web {
 }
 
 // Close finalizes the session: the accumulated trace is admitted to the
-// store through the normal Put path (canonical digest, disk segments,
+// store through the normal Put path (canonical digest, one trace file,
 // metadata sidecar, dedup against identical content) and the session
 // leaves the open set. It returns the content digest the trace is now
 // addressable by and whether new content was stored.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/atomicfile"
 	"repro/internal/index"
 	"repro/internal/trace"
 )
@@ -52,11 +53,25 @@ func (s *Store) Sketch(id trace.Digest) (*index.Sketch, error) {
 	}
 	sk := index.SketchTrace(t)
 	s.sketchBackfills.Add(1)
-	if raw, err := sk.Marshal(); err == nil {
-		_ = os.WriteFile(s.sketchPath(id), raw, 0o644)
-	}
+	s.writeSketch(id, sk)
 	s.admitSketch(id, sk)
 	return sk, nil
+}
+
+// writeSketch persists a backfilled sketch, best effort, under the write
+// lock and only while id is indexed: a raced Delete leaves no orphan.
+func (s *Store) writeSketch(id trace.Digest, sk *index.Sketch) {
+	unlock, err := s.lockWrites()
+	if err != nil {
+		return
+	}
+	defer unlock()
+	s.mu.Lock()
+	_, ok := s.index[id]
+	s.mu.Unlock()
+	if raw, err := sk.Marshal(); ok && err == nil {
+		_ = atomicfile.Write(s.sketchPath(id), raw)
+	}
 }
 
 // admitSketch publishes a resolved sketch to the in-memory map and the

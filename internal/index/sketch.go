@@ -65,31 +65,31 @@ type Sketch struct {
 	Counts  [CountBuckets]uint32
 }
 
-// Sketcher folds trace entries into a sketch incrementally — one Add
-// per entry, in any order, with no second pass — so Store.Put can
-// sketch while it writes segments and live sessions can sketch as they
-// append.
-type Sketcher struct {
+// sketcher folds trace entries into a sketch, one add per entry; the
+// result is a function of the entry multiset only.
+type sketcher struct {
 	sk       Sketch
 	seenFeat map[uint64]struct{}
 	seenTID  map[trace.ThreadID]struct{}
 }
 
-// NewSketcher returns an empty sketcher.
-func NewSketcher() *Sketcher {
-	s := &Sketcher{
+// SketchTrace computes the sketch of a whole trace in one pass.
+func SketchTrace(t *trace.Trace) *Sketch {
+	s := &sketcher{
 		seenFeat: make(map[uint64]struct{}),
 		seenTID:  make(map[trace.ThreadID]struct{}),
 	}
 	for i := range s.sk.MinHash {
 		s.sk.MinHash[i] = ^uint64(0)
 	}
-	return s
+	for i := range t.Entries {
+		s.add(&t.Entries[i])
+	}
+	sk := s.sk // a copy: a pointer into s would keep its maps alive
+	return &sk
 }
 
-// Add folds one entry into the sketch. Entries may arrive in any order;
-// the sketch is a function of the entry multiset only.
-func (s *Sketcher) Add(e *trace.Entry) {
+func (s *sketcher) add(e *trace.Entry) {
 	s.sk.Total++
 	if e.Event.Kind == trace.KindEOF {
 		return
@@ -108,22 +108,6 @@ func (s *Sketcher) Add(e *trace.Entry) {
 	}
 }
 
-// Sketch returns a copy of the accumulated sketch; the sketcher remains
-// usable for further Adds.
-func (s *Sketcher) Sketch() *Sketch {
-	cp := s.sk
-	return &cp
-}
-
-// SketchTrace computes the sketch of a whole trace in one pass.
-func SketchTrace(t *trace.Trace) *Sketch {
-	s := NewSketcher()
-	for i := range t.Entries {
-		s.Add(&t.Entries[i])
-	}
-	return s.Sketch()
-}
-
 // feature folds a distinct feature into the MinHash slots. Repeats are
 // skipped (min-wise hashing is over the feature *set*), which also
 // keeps the per-entry cost near zero once the vocabulary is seen. The
@@ -131,7 +115,7 @@ func SketchTrace(t *trace.Trace) *Sketch {
 // MinHash construction): one add per slot instead of a full mix, and a
 // pure function of the feature alone, so sketches stay comparable
 // across machines.
-func (s *Sketcher) feature(f uint64) {
+func (s *sketcher) feature(f uint64) {
 	if _, ok := s.seenFeat[f]; ok {
 		return
 	}

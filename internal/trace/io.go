@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/atomicfile"
 )
 
 // ReadAny reads a trace of any supported format from a stream, sniffing
@@ -37,17 +39,16 @@ func ReadAny(name string, r io.Reader) (*Trace, error) {
 }
 
 // Save writes the trace to a file in the on-disk format (RSEG; see
-// rseg.go).
+// rseg.go), replacing it whole: a save cut short leaves the old file.
 func (t *Trace) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: save: %w", err)
-	}
-	defer f.Close()
-	if err := t.WriteRSEG(f); err != nil {
+	var buf bytes.Buffer
+	if err := t.WriteRSEG(&buf); err != nil {
 		return err
 	}
-	return f.Close()
+	if err := atomicfile.Write(path, buf.Bytes()); err != nil {
+		return fmt.Errorf("trace: save: %w", err)
+	}
+	return nil
 }
 
 // sniffFormat detects the encoding of a trace from its first bytes: the

@@ -11,17 +11,16 @@ import (
 )
 
 // SegmentPath names segment i of the segmented trace name under dir:
-// <dir>/<name>.<i>.seg, the index zero-padded to six digits. Readers
-// that know a trace's segment count open its files by this name rather
-// than listing the directory.
+// <dir>/<name>.<i>.seg, the index zero-padded to six digits. The corpus
+// stores each trace whole under segment 0 of its digest.
 func SegmentPath(dir, name string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.%06d.seg", name, i))
 }
 
-// SegmentIndex extracts the numeric segment index from a path of the
+// segmentIndex extracts the numeric segment index from a path of the
 // form <dir>/<name>.<index>.seg, the inverse of SegmentPath (it also
 // accepts the bare indices foreign producers write).
-func SegmentIndex(path, name string) (int, bool) {
+func segmentIndex(path, name string) (int, bool) {
 	base := filepath.Base(path)
 	mid, ok := strings.CutPrefix(base, name+".")
 	if !ok {
@@ -44,8 +43,8 @@ func SegmentIndex(path, name string) (int, bool) {
 // them rather than silently reordering.
 func sortSegmentPaths(paths []string, name string) {
 	sort.SliceStable(paths, func(i, j int) bool {
-		ni, oki := SegmentIndex(paths[i], name)
-		nj, okj := SegmentIndex(paths[j], name)
+		ni, oki := segmentIndex(paths[i], name)
+		nj, okj := segmentIndex(paths[j], name)
 		switch {
 		case oki && okj:
 			return ni < nj
@@ -67,7 +66,6 @@ type SegmentWriter struct {
 	name    string
 	limit   int // entries per segment before a flush
 	current *Trace
-	base    EntryID // eid of the first entry in the current segment
 	next    EntryID
 	flushed int
 }
@@ -108,17 +106,12 @@ func (w *SegmentWriter) Flush() error {
 		return err
 	}
 	w.flushed++
-	w.base = w.next
 	w.current = New(w.name)
 	return nil
 }
 
 // Close flushes any remaining entries.
 func (w *SegmentWriter) Close() error { return w.Flush() }
-
-// Segments returns how many segment files the writer has flushed: after
-// Close, the trace occupies SegmentPath(dir, name, 0..Segments()-1).
-func (w *SegmentWriter) Segments() int { return w.flushed }
 
 // SegmentLoadReport describes what LoadSegmentsReport recovered: how
 // many segments were read and whether a truncated trailing segment
@@ -153,11 +146,13 @@ func LoadSegments(dir, name string) (*Trace, error) {
 }
 
 // LoadSegmentsReport is LoadSegments returning a load report instead of
-// logging. Decode failure of the *last* segment resyncs: the readable
-// prefix is returned along with a report naming the dropped file. Decode
-// failure of any earlier segment — corruption inside the sequence, which
-// skipping would silently hole — still fails the load, as does a first
-// segment so damaged that nothing is recoverable.
+// logging. Entry ids must run on consecutively from 0 across the
+// segments, and a single-segment trace is never copied. Decode failure
+// of the *last* segment resyncs: the readable prefix is returned along
+// with a report naming the dropped file. Decode failure of any earlier
+// segment — corruption inside the sequence, which skipping would
+// silently hole — still fails the load, as does a first segment so
+// damaged that nothing is recoverable.
 func LoadSegmentsReport(dir, name string) (*Trace, *SegmentLoadReport, error) {
 	pattern := filepath.Join(dir, name+".*.seg")
 	paths, err := filepath.Glob(pattern)
@@ -168,32 +163,12 @@ func LoadSegmentsReport(dir, name string) (*Trace, *SegmentLoadReport, error) {
 		return nil, nil, fmt.Errorf("trace: no segments match %q", pattern)
 	}
 	sortSegmentPaths(paths, name)
-	return reassemble(len(paths), func(i int) string { return paths[i] }, name, true)
-}
-
-// LoadSegmentCount is the strict loader for a trace of n segments: it
-// opens exactly SegmentPath(dir, name, 0..n-1), never listing dir, and
-// fails if any of them is missing or does not decode. A stray
-// higher-numbered segment is never read.
-func LoadSegmentCount(dir, name string, n int) (*Trace, error) {
-	t, _, err := reassemble(n, func(i int) string { return SegmentPath(dir, name, i) }, name, false)
-	return t, err
-}
-
-// reassemble loads segment files path(0..n-1) in order into one trace,
-// checking that entry ids run on consecutively from 0. Nothing is sized
-// from n, which may come from an untrusted count. The first segment's
-// trace is adopted as it is, so a single-segment trace is never copied.
-// With salvageTail set, a last segment that fails to decode is skipped
-// and reported instead of failing the load.
-func reassemble(n int, path func(int) string, name string, salvageTail bool) (*Trace, *SegmentLoadReport, error) {
 	var out *Trace
 	rep := &SegmentLoadReport{}
-	for i := 0; i < n; i++ {
-		p := path(i)
+	for i, p := range paths {
 		seg, err := Load(p)
 		if err != nil {
-			if salvageTail && i == n-1 && out != nil && out.Len() > 0 {
+			if i == len(paths)-1 && out != nil && out.Len() > 0 {
 				rep.SkippedTail = p
 				rep.Warning = fmt.Sprintf(
 					"skipped truncated trailing segment %s (crash mid-write?): %v; recovered %d entries from %d segment(s)",
@@ -218,9 +193,6 @@ func reassemble(n int, path func(int) string, name string, salvageTail bool) (*T
 			out.Entries = append(out.Entries, seg.Entries...)
 		}
 		rep.Segments++
-	}
-	if out == nil {
-		return nil, nil, fmt.Errorf("trace: no segments of %s", name)
 	}
 	out.Name = name
 	return out, rep, nil
