@@ -11,7 +11,7 @@ import (
 type ClusterOptions struct {
 	// Threshold is the minimum estimated Jaccard similarity (MinHash slot
 	// agreement) for two traces to join one cluster (default 0.5, the
-	// index's LSH banding threshold).
+	// S-curve threshold of the sketches' LSH banding).
 	Threshold float64
 }
 
@@ -38,7 +38,7 @@ type ClusterResult struct {
 }
 
 // ClusterCorpus partitions the stored traces into similarity clusters:
-// LSH band cohabitation proposes candidate pairs, estimated Jaccard ≥
+// a shared LSH band key proposes candidate pairs, estimated Jaccard ≥
 // the threshold confirms them, and confirmed pairs are closed
 // transitively. No exact diffs run — this is the coarse map of the
 // corpus ("which runs behave alike"), with Search as the exact lens on
@@ -55,13 +55,13 @@ func (e *Engine) ClusterCorpus(ctx context.Context, opts ClusterOptions) (*Clust
 		return nil, err
 	}
 	defer release()
-	if err := e.store.EnsureIndexed(); err != nil {
+	groups, err := e.store.Clusters(opts.Threshold)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	groups := e.store.SimilarityIndex().Clusters(opts.Threshold)
 	out := &ClusterResult{
 		Threshold: opts.Threshold,
 		Clusters:  []Cluster{},

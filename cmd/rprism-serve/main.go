@@ -85,7 +85,6 @@ type serveConfig struct {
 	grace      time.Duration
 	reqTimeout time.Duration
 	debounce   time.Duration
-	ring       int
 
 	blob      blob.Config
 	blobPfx   string
@@ -106,7 +105,6 @@ func main() {
 	flag.DurationVar(&cfg.grace, "grace", 15*time.Second, "shutdown grace period")
 	flag.DurationVar(&cfg.reqTimeout, "request-timeout", 0, "kill analyses exceeding this deadline (0 = none)")
 	flag.DurationVar(&cfg.debounce, "watch-debounce", 0, "quiet period coalescing appends before a watch re-evaluates (0 = default)")
-	flag.IntVar(&cfg.ring, "watch-ring", 0, "events buffered per watch for SSE replay (0 = default)")
 
 	flag.StringVar(&cfg.blob.Bucket, "blob-bucket", envOr("RPRISM_BLOB_BUCKET", ""),
 		"object-store bucket backing the corpus (\"\" = disk only; also fs://dir or mem://) [$RPRISM_BLOB_BUCKET]")
@@ -186,7 +184,7 @@ func run(cfg serveConfig) error {
 	eng := rprism.NewEngine(rprism.WithCorpus(store),
 		rprism.WithWorkers(cfg.workers),
 		rprism.WithDiffParallelism(cfg.parallel),
-		rprism.WithSentinelOptions(rprism.SentinelOptions{Debounce: cfg.debounce, RingSize: cfg.ring}))
+		rprism.WithSentinelOptions(rprism.SentinelOptions{Debounce: cfg.debounce}))
 	srv := server.New(eng, server.Options{
 		Workers:        cfg.workers,
 		RequestTimeout: cfg.reqTimeout,

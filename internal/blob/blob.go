@@ -43,9 +43,6 @@ type Backend interface {
 	// Get opens a streaming reader over the object. The caller must
 	// close it. A missing key wraps ErrNotFound.
 	Get(ctx context.Context, key string) (io.ReadCloser, error)
-	// Stat returns the object's size without fetching it. A missing key
-	// wraps ErrNotFound.
-	Stat(ctx context.Context, key string) (int64, error)
 	// Delete removes the object. Deleting a missing key is not an error
 	// (S3 semantics).
 	Delete(ctx context.Context, key string) error
@@ -87,9 +84,6 @@ type Config struct {
 	// Region is the SigV4 signing region (default "us-east-1").
 	Region string
 }
-
-// IsConfigured reports whether a blob tier was requested.
-func (c Config) IsConfigured() bool { return c.Bucket != "" }
 
 // Open builds the configured backend, or (nil, nil) when no blob tier
 // is configured.

@@ -16,7 +16,7 @@ import (
 )
 
 // conformance runs the Backend contract against one implementation:
-// put/get/stat round trips, ErrNotFound on misses, idempotent delete,
+// put/get round trips, ErrNotFound on misses, idempotent delete,
 // sorted prefix listing, and keys containing dots and slashes.
 func conformance(t *testing.T, b Backend) {
 	t.Helper()
@@ -24,9 +24,6 @@ func conformance(t *testing.T, b Backend) {
 
 	if _, err := b.Get(ctx, "absent"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(absent) = %v, want ErrNotFound", err)
-	}
-	if _, err := b.Stat(ctx, "absent"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Stat(absent) = %v, want ErrNotFound", err)
 	}
 	if err := b.Delete(ctx, "absent"); err != nil {
 		t.Fatalf("Delete(absent) = %v, want nil (idempotent)", err)
@@ -57,13 +54,6 @@ func conformance(t *testing.T, b Backend) {
 		}
 		if string(got) != string(v) {
 			t.Fatalf("Get(%s) = %q, want %q", k, got, v)
-		}
-		n, err := b.Stat(ctx, k)
-		if err != nil {
-			t.Fatalf("Stat(%s): %v", k, err)
-		}
-		if n != int64(len(v)) {
-			t.Fatalf("Stat(%s) = %d, want %d", k, n, len(v))
 		}
 	}
 
@@ -135,7 +125,15 @@ func TestFSListSkipsLeftoverTemps(t *testing.T) {
 }
 
 func TestMemConformance(t *testing.T) {
-	conformance(t, NewMem())
+	m := NewMem()
+	conformance(t, m)
+	ctx := context.Background()
+	if n, err := m.Stat(ctx, "aa11.meta.json"); err != nil || n != int64(len(`{"id":"aa11"}`)) {
+		t.Fatalf("Stat = %d, %v; want %d", n, err, len(`{"id":"aa11"}`))
+	}
+	if _, err := m.Stat(ctx, "absent"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Stat(absent) = %v, want ErrNotFound", err)
+	}
 }
 
 func TestS3Conformance(t *testing.T) {

@@ -67,20 +67,6 @@ func (f *FS) Get(ctx context.Context, key string) (io.ReadCloser, error) {
 	return rc, nil
 }
 
-func (f *FS) Stat(ctx context.Context, key string) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	fi, err := os.Stat(f.path(key))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
-		}
-		return 0, fmt.Errorf("blob: %w", err)
-	}
-	return fi.Size(), nil
-}
-
 func (f *FS) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err

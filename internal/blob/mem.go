@@ -118,6 +118,9 @@ func (m *Mem) Get(ctx context.Context, key string) (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(data)), nil
 }
 
+// Stat returns the size of the object under key. Backend has no Stat,
+// since no corpus path needs one; perfbench sums the bytes of its
+// in-memory bucket with this method.
 func (m *Mem) Stat(ctx context.Context, key string) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

@@ -59,16 +59,6 @@ func (r *retrying) Get(ctx context.Context, key string) (io.ReadCloser, error) {
 	return rc, err
 }
 
-func (r *retrying) Stat(ctx context.Context, key string) (int64, error) {
-	var n int64
-	err := r.do(ctx, func() error {
-		var err error
-		n, err = r.b.Stat(ctx, key)
-		return err
-	})
-	return n, err
-}
-
 func (r *retrying) Delete(ctx context.Context, key string) error {
 	return r.do(ctx, func() error { return r.b.Delete(ctx, key) })
 }

@@ -140,15 +140,6 @@ func (s *S3) Get(ctx context.Context, key string) (io.ReadCloser, error) {
 	return resp.Body, nil
 }
 
-func (s *S3) Stat(ctx context.Context, key string) (int64, error) {
-	resp, err := s.send(ctx, http.MethodHead, s.objectURL(key), nil)
-	if err != nil {
-		return 0, err
-	}
-	resp.Body.Close()
-	return resp.ContentLength, nil
-}
-
 func (s *S3) Delete(ctx context.Context, key string) error {
 	resp, err := s.send(ctx, http.MethodDelete, s.objectURL(key), nil)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 )
 
 // S3Stub is an in-process S3-compatible object store: enough of the
-// REST API (path-style PUT/GET/HEAD/DELETE object, list-type=2 bucket
+// REST API (path-style PUT/GET/DELETE object, list-type=2 bucket
 // listing with continuation) for the S3 backend, the cluster e2e
 // tests, and the CI cluster job to run against real HTTP without
 // minio. When credentials are set it verifies SigV4 signatures by
@@ -121,7 +121,7 @@ func (s *S3Stub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.objects[key] = body
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusOK)
-	case http.MethodGet, http.MethodHead:
+	case http.MethodGet:
 		s.mu.Lock()
 		data, ok := s.objects[key]
 		s.mu.Unlock()
@@ -131,9 +131,7 @@ func (s *S3Stub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.WriteHeader(http.StatusOK)
-		if r.Method == http.MethodGet {
-			w.Write(data)
-		}
+		w.Write(data)
 	case http.MethodDelete:
 		s.mu.Lock()
 		delete(s.objects, key)

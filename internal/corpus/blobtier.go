@@ -51,8 +51,8 @@ func (s *Store) BlobCounters() *metrics.BlobCounters { return &s.blobCounters }
 // HasBlob reports whether a blob tier is configured.
 func (s *Store) HasBlob() bool { return s.blob != nil }
 
-// LocalLen returns how many traces are resident in the local disk
-// tier (== Len() when no blob tier is configured).
+// LocalLen returns how many traces are indexed on the local disk tier
+// (== Len() when no blob tier is configured).
 func (s *Store) LocalLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

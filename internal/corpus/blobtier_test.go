@@ -146,6 +146,9 @@ func TestBlobDiskEviction(t *testing.T) {
 	if got := s.LocalLen(); got != 2 {
 		t.Fatalf("local traces = %d, want 2 (disk cap)", got)
 	}
+	if got := s.Len(); got != 5 {
+		t.Fatalf("Len = %d, want 5 (every tier)", got)
+	}
 	st := s.Stats()
 	if st.Blob.DiskEvictions != 3 {
 		t.Fatalf("disk evictions = %d, want 3", st.Blob.DiskEvictions)
@@ -176,6 +179,11 @@ func TestBlobDiskEviction(t *testing.T) {
 	// The disk tier still respects its cap after the read sweep.
 	if got := s.LocalLen(); got > 2 {
 		t.Fatalf("local traces = %d after reads, want <= 2", got)
+	}
+	// A Put of a trace that is no longer local files it once.
+	mustPut(t, s, makeTrace("big", 10, 40))
+	if got := s.Len(); got != 5 {
+		t.Fatalf("Len = %d after reads and a re-Put, want 5", got)
 	}
 }
 

@@ -159,11 +159,9 @@ type Store struct {
 	webLRU   *list.List
 	sessions map[string]*Session // append-open live sessions, by id
 
-	// sketches holds the loaded similarity sketches (a subset of the
-	// index: sidecars load lazily on first need) and lsh the LSH-banded
-	// cluster index over them, maintained on Put/Delete.
+	// sketches holds the loaded similarity sketches, a subset of the
+	// index: sidecars load lazily on first need.
 	sketches map[trace.Digest]*index.Sketch
-	lsh      *index.Index
 
 	// blob is the retry-wrapped object-store tier (nil: disabled).
 	// local/localLRU track which digests hold disk-tier files, for the
@@ -215,7 +213,6 @@ func New(dir string, opts Options) (*Store, error) {
 		webLRU:   list.New(),
 		sessions: make(map[string]*Session),
 		sketches: make(map[trace.Digest]*index.Sketch),
-		lsh:      index.NewIndex(),
 		local:    make(map[trace.Digest]*list.Element),
 		localLRU: list.New(),
 		remote:   make(map[trace.Digest]Meta),
@@ -400,10 +397,10 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 	s.sketchComputed.Add(1)
 	s.mu.Lock()
 	s.index[id] = m
+	delete(s.remote, id)
 	s.admitTraceLocked(id, t)
 	s.sketches[id] = sk
 	s.mu.Unlock()
-	s.lsh.Add(id, sk)
 	s.touchLocal(id)
 	return id, true, nil
 }
@@ -459,11 +456,13 @@ func (s *Store) List() []Meta {
 	return out
 }
 
-// Len returns the number of stored traces.
+// Len returns the number of stored traces this store knows of in every
+// tier: those indexed on local disk and those it knows only in the blob
+// tier (evicted past DiskCacheTraces, or learned from the bucket).
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return len(s.index) + len(s.remote)
 }
 
 // Get returns the decoded trace for id, loading it from the disk tier on
@@ -703,7 +702,6 @@ func (s *Store) Delete(id trace.Digest) error {
 	}
 	delete(s.sketches, id)
 	s.mu.Unlock()
-	s.lsh.Remove(id)
 
 	if err := s.removeLocalFiles(id); err != nil {
 		return fmt.Errorf("corpus: %w", err)

@@ -3,6 +3,7 @@ package corpus
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 
@@ -74,26 +75,24 @@ func (s *Store) writeSketch(id trace.Digest, sk *index.Sketch) {
 	}
 }
 
-// admitSketch publishes a resolved sketch to the in-memory map and the
-// LSH index. Two goroutines backfilling the same id race benignly: the
-// sketches are identical (pure function of the stored trace).
+// admitSketch publishes a resolved sketch to the in-memory map. Two
+// goroutines backfilling the same id race benignly: the sketches are
+// identical (pure function of the stored trace).
 func (s *Store) admitSketch(id trace.Digest, sk *index.Sketch) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	// A concurrent Delete may have removed the trace while we were
-	// loading; indexing a ghost would resurrect it in search results.
-	if _, ok := s.index[id]; !ok {
-		s.mu.Unlock()
-		return
+	// loading; admitting a ghost would resurrect it in search results
+	// and clusters.
+	if _, ok := s.index[id]; ok {
+		s.sketches[id] = sk
 	}
-	s.sketches[id] = sk
-	s.mu.Unlock()
-	s.lsh.Add(id, sk)
 }
 
-// EnsureIndexed resolves the sketch of every stored trace (loading
-// sidecars, backfilling where necessary) so the LSH index covers the
-// whole corpus. Corpus-scale analyses call it before consulting the
-// index; after the first call over a given corpus it is cheap (all
+// EnsureIndexed resolves the sketch of every locally indexed trace
+// (loading sidecars, backfilling where necessary) so the resident
+// sketches cover the whole local corpus. Corpus-scale analyses call it
+// first; after the first call over a given corpus it is cheap (all
 // sketches resident). Returns the first resolution error, after
 // attempting every trace.
 func (s *Store) EnsureIndexed() error {
@@ -121,25 +120,37 @@ func (s *Store) EnsureIndexed() error {
 	return nil
 }
 
-// SimilarityIndex exposes the LSH cluster index over the stored
-// sketches. Call EnsureIndexed first if the analysis needs full-corpus
-// coverage; the index is otherwise populated lazily.
-func (s *Store) SimilarityIndex() *index.Index { return s.lsh }
+// Clusters partitions the locally indexed traces by sketch similarity
+// (see index.Clusters), after making every sketch resident.
+func (s *Store) Clusters(threshold float64) ([][]trace.Digest, error) {
+	if err := s.EnsureIndexed(); err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	sketches := maps.Clone(s.sketches)
+	s.mu.Unlock()
+	return index.Clusters(sketches, threshold), nil
+}
 
-// IndexStats reports similarity-index coverage and provenance.
+// IndexStats reports similarity-sketch coverage and provenance.
 type IndexStats struct {
-	index.Stats
-	Traces    int   `json:"traces"`           // traces in the corpus (coverage target)
+	Sketches  int   `json:"sketches"`         // resident sketches
+	Bands     int   `json:"bands"`            // LSH bands per sketch
+	Traces    int   `json:"traces"`           // locally indexed traces (coverage target)
 	Loads     int64 `json:"sketch_loads"`     // sidecar loads
 	Backfills int64 `json:"sketch_backfills"` // recomputed from trace entries
 	Computed  int64 `json:"sketch_computed"`  // computed inline at Put
 }
 
-// IndexStats snapshots the similarity index.
+// IndexStats snapshots sketch coverage.
 func (s *Store) IndexStats() IndexStats {
+	s.mu.Lock()
+	sketches, traces := len(s.sketches), len(s.index)
+	s.mu.Unlock()
 	return IndexStats{
-		Stats:     s.lsh.Stats(),
-		Traces:    s.Len(),
+		Sketches:  sketches,
+		Bands:     index.Bands,
+		Traces:    traces,
 		Loads:     s.sketchLoads.Load(),
 		Backfills: s.sketchBackfills.Load(),
 		Computed:  s.sketchComputed.Load(),

@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/index"
@@ -137,9 +138,9 @@ func TestSketchRejectsStaleSidecar(t *testing.T) {
 	}
 }
 
-// TestIndexRebuildOnReopenEquivalence: the LSH index built lazily after
-// a reopen partitions the corpus exactly as the one maintained
-// incrementally across the original Puts.
+// TestIndexRebuildOnReopenEquivalence: the sketches loaded lazily after
+// a reopen partition the corpus exactly as the ones computed across the
+// original Puts.
 func TestIndexRebuildOnReopenEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := New(dir, Options{})
@@ -151,24 +152,25 @@ func TestIndexRebuildOnReopenEquivalence(t *testing.T) {
 			mustPut(t, s1, makeTrace("t", seed, n))
 		}
 	}
-	if err := s1.EnsureIndexed(); err != nil {
+	liveClusters, err := s1.Clusters(0.5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	liveClusters := s1.SimilarityIndex().Clusters(0.5)
-	liveStats := s1.SimilarityIndex().Stats()
+	liveSketches := s1.IndexStats().Sketches
 
 	s2, err := New(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.EnsureIndexed(); err != nil {
+	got, err := s2.Clusters(0.5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.SimilarityIndex().Clusters(0.5); !reflect.DeepEqual(got, liveClusters) {
+	if !reflect.DeepEqual(got, liveClusters) {
 		t.Errorf("rebuilt clusters differ:\nlive    %v\nrebuilt %v", liveClusters, got)
 	}
-	if got := s2.SimilarityIndex().Stats(); got != liveStats {
-		t.Errorf("rebuilt index stats = %+v, live %+v", got, liveStats)
+	if got := s2.IndexStats().Sketches; got != liveSketches || got != 9 {
+		t.Errorf("rebuilt sketches = %d, live %d, want 9", got, liveSketches)
 	}
 }
 
@@ -178,6 +180,7 @@ func TestDeleteRemovesSketchEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := mustPut(t, s, makeTrace("alpha", 5, 50))
+	kept := mustPut(t, s, makeTrace("beta", 6, 50))
 	if _, err := s.Sketch(id); err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +190,88 @@ func TestDeleteRemovesSketchEverywhere(t *testing.T) {
 	if _, err := os.Stat(s.sketchPath(id)); !errors.Is(err, os.ErrNotExist) {
 		t.Error("Delete left the sketch sidecar on disk")
 	}
-	if st := s.IndexStats(); st.Stats.Sketches != 0 {
-		t.Errorf("Delete left the trace in the LSH index: %+v", st)
+	if st := s.IndexStats(); st.Sketches != 1 {
+		t.Errorf("Delete left the sketch resident: %+v", st)
+	}
+	clusters, err := s.Clusters(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]trace.Digest{{kept}}; !reflect.DeepEqual(clusters, want) {
+		t.Errorf("Clusters after Delete = %v, want %v", clusters, want)
 	}
 	if _, err := s.Sketch(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Sketch after Delete = %v, want ErrNotFound", err)
+	}
+	if err := s.Delete(kept); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.IndexStats(); st.Sketches != 0 {
+		t.Errorf("Delete left the sketch resident: %+v", st)
+	}
+}
+
+// TestDeleteRacingSketchLoadLeavesNoGhost races the sidecar loads of a
+// reopened store against Deletes of the same traces: a load that
+// resolves after its trace was deleted must not publish the sketch, or
+// the deleted digest would come back in Clusters.
+func TestDeleteRacingSketchLoadLeavesNoGhost(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []trace.Digest
+	for i := 0; i < 16; i++ {
+		ids = append(ids, mustPut(t, s1, makeTrace("race", 20+i, 30)))
+	}
+	s2, err := New(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := make(map[trace.Digest]bool)
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		del := i%2 == 0
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A load racing the Delete of its trace may fail in any
+			// way; the other loads must succeed.
+			if _, err := s2.Sketch(id); err != nil && !del {
+				t.Errorf("Sketch(%s): %v", id, err)
+			}
+		}()
+		if del {
+			deleted[id] = true
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s2.Delete(id); err != nil {
+					t.Errorf("Delete(%s): %v", id, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	clusters, err := s2.Clusters(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, c := range clusters {
+		for _, id := range c {
+			n++
+			if deleted[id] {
+				t.Errorf("deleted trace %s is back in Clusters", id)
+			}
+		}
+	}
+	if n != len(ids)-len(deleted) {
+		t.Errorf("Clusters covers %d traces, want %d", n, len(ids)-len(deleted))
+	}
+	if got := s2.IndexStats().Sketches; got != n {
+		t.Errorf("IndexStats().Sketches = %d, want %d", got, n)
 	}
 }
 

@@ -1,197 +1,91 @@
 package index
 
 import (
-	"sort"
-	"sync"
+	"bytes"
+	"cmp"
+	"slices"
 
 	"repro/internal/trace"
 )
 
-// Index is the in-memory LSH cluster index over sketches: each trace is
-// filed under one bucket per band (Bands buckets total), and traces
-// sharing any bucket are similarity candidates. It is maintained on
-// Put/Delete by the corpus store and rebuilt (lazily, from persisted
-// sketch sidecars) when a store reopens. Safe for concurrent use.
-type Index struct {
-	mu       sync.RWMutex
-	sketches map[trace.Digest]*Sketch
-	buckets  [Bands]map[uint64]map[trace.Digest]struct{}
-}
-
-// NewIndex returns an empty index.
-func NewIndex() *Index {
-	ix := &Index{sketches: make(map[trace.Digest]*Sketch)}
-	for b := range ix.buckets {
-		ix.buckets[b] = make(map[uint64]map[trace.Digest]struct{})
-	}
-	return ix
-}
-
-// Add files (or re-files) a trace under its sketch's band buckets.
-func (ix *Index) Add(id trace.Digest, sk *Sketch) {
-	keys := sk.BandKeys()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if old, ok := ix.sketches[id]; ok {
-		ix.removeLocked(id, old)
-	}
-	ix.sketches[id] = sk
-	for b, key := range keys {
-		set := ix.buckets[b][key]
-		if set == nil {
-			set = make(map[trace.Digest]struct{})
-			ix.buckets[b][key] = set
-		}
-		set[id] = struct{}{}
-	}
-}
-
-// Remove unfiles a trace. Unknown ids are a no-op.
-func (ix *Index) Remove(id trace.Digest) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if sk, ok := ix.sketches[id]; ok {
-		ix.removeLocked(id, sk)
-		delete(ix.sketches, id)
-	}
-}
-
-func (ix *Index) removeLocked(id trace.Digest, sk *Sketch) {
-	for b, key := range sk.BandKeys() {
-		if set := ix.buckets[b][key]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(ix.buckets[b], key)
-			}
-		}
-	}
-}
-
-// Sketch returns the indexed sketch of a trace.
-func (ix *Index) Sketch(id trace.Digest) (*Sketch, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	sk, ok := ix.sketches[id]
-	return sk, ok
-}
-
-// Len returns the number of indexed traces.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.sketches)
-}
-
-// Candidates returns the indexed traces sharing at least one band
-// bucket with sk — the LSH shortlist for a query — sorted by id.
-func (ix *Index) Candidates(sk *Sketch) []trace.Digest {
-	keys := sk.BandKeys()
-	seen := make(map[trace.Digest]struct{})
-	ix.mu.RLock()
-	for b, key := range keys {
-		for id := range ix.buckets[b][key] {
-			seen[id] = struct{}{}
-		}
-	}
-	ix.mu.RUnlock()
-	out := make([]trace.Digest, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sortDigests(out)
-	return out
-}
-
-// Clusters partitions the indexed traces: band-bucket cohabitation
-// proposes candidate pairs, estimated Jaccard ≥ threshold confirms
-// them, and the confirmed pairs are closed under union-find. Traces
-// similar to nothing form singleton clusters. The result is
+// Clusters partitions the sketched traces: traces sharing the key of
+// any LSH band are candidate pairs, estimated Jaccard ≥ threshold
+// confirms them, and the confirmed pairs are closed under union-find.
+// Traces similar to nothing form singleton clusters. The result is
 // deterministic: clusters ordered by size (desc) then smallest member,
 // members ascending.
-func (ix *Index) Clusters(threshold float64) [][]trace.Digest {
-	ix.mu.RLock()
-	ids := make([]trace.Digest, 0, len(ix.sketches))
-	for id := range ix.sketches {
+//
+// Bands are formed on each call: per band, the (key, position) pairs
+// are sorted by key and each run of equal keys is one bucket.
+func Clusters(sketches map[trace.Digest]*Sketch, threshold float64) [][]trace.Digest {
+	ids := make([]trace.Digest, 0, len(sketches))
+	for id := range sketches {
 		ids = append(ids, id)
 	}
-	sortDigests(ids)
-	pos := make(map[trace.Digest]int, len(ids))
+	slices.SortFunc(ids, compareDigests)
+	sks := make([]*Sketch, len(ids))
+	keys := make([][Bands]uint64, len(ids))
 	for i, id := range ids {
-		pos[id] = i
+		sks[i] = sketches[id]
+		keys[i] = sks[i].BandKeys()
 	}
 	parent := make([]int, len(ids))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for b := range ix.buckets {
-		for _, set := range ix.buckets[b] {
-			if len(set) < 2 {
-				continue
+	type slot struct {
+		key uint64
+		pos int
+	}
+	band := make([]slot, len(ids))
+	for b := 0; b < Bands; b++ {
+		for i := range band {
+			band[i] = slot{keys[i][b], i}
+		}
+		// The partition does not depend on the order pairs are visited
+		// in, so positions need no tie-break.
+		slices.SortFunc(band, func(x, y slot) int { return cmp.Compare(x.key, y.key) })
+		for lo := 0; lo < len(band); {
+			hi := lo + 1
+			for hi < len(band) && band[hi].key == band[lo].key {
+				hi++
 			}
-			members := make([]int, 0, len(set))
-			for id := range set {
-				members = append(members, pos[id])
-			}
-			sort.Ints(members)
-			for i := 0; i < len(members); i++ {
-				for j := i + 1; j < len(members); j++ {
-					ri, rj := find(members[i]), find(members[j])
-					if ri == rj {
-						continue
-					}
-					if EstimatedJaccard(ix.sketches[ids[members[i]]], ix.sketches[ids[members[j]]]) >= threshold {
+			for i := lo; i < hi; i++ {
+				for j := i + 1; j < hi; j++ {
+					pi, pj := band[i].pos, band[j].pos
+					ri, rj := find(pi), find(pj)
+					if ri != rj && EstimatedJaccard(sks[pi], sks[pj]) >= threshold {
 						parent[rj] = ri
 					}
 				}
 			}
+			lo = hi
 		}
 	}
 	groups := make(map[int][]trace.Digest)
 	for i, id := range ids {
 		r := find(i)
-		groups[r] = append(groups[r], id)
+		groups[r] = append(groups[r], id) // ids is sorted, so each group is too
 	}
-	ix.mu.RUnlock()
 	out := make([][]trace.Digest, 0, len(groups))
 	for _, g := range groups {
-		sortDigests(g)
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
+	slices.SortFunc(out, func(x, y []trace.Digest) int {
+		if c := cmp.Compare(len(y), len(x)); c != 0 {
+			return c
 		}
-		return out[i][0].String() < out[j][0].String()
+		return compareDigests(x[0], y[0])
 	})
 	return out
 }
 
-// Stats summarizes the index for observability endpoints.
-type Stats struct {
-	Sketches int `json:"sketches"`     // indexed traces
-	Bands    int `json:"bands"`        // LSH bands per sketch
-	Buckets  int `json:"band_buckets"` // occupied buckets across all bands
-}
-
-// Stats snapshots the index.
-func (ix *Index) Stats() Stats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	st := Stats{Sketches: len(ix.sketches), Bands: Bands}
-	for b := range ix.buckets {
-		st.Buckets += len(ix.buckets[b])
-	}
-	return st
-}
-
-func sortDigests(ids []trace.Digest) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i].String() < ids[j].String() })
-}
+// compareDigests orders digests as their hex strings sort.
+func compareDigests(a, b trace.Digest) int { return bytes.Compare(a[:], b[:]) }

@@ -1,85 +1,104 @@
 package index
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/subjects"
 	"repro/internal/trace"
 )
 
-func put(ix *Index, family, variant, n int) (trace.Digest, *Sketch) {
+func put(sketches map[trace.Digest]*Sketch, family, variant, n int) trace.Digest {
 	tr := genTrace(family, variant, n)
-	sk := SketchTrace(tr)
 	id := tr.ComputeDigest()
-	ix.Add(id, sk)
-	return id, sk
+	sketches[id] = SketchTrace(tr)
+	return id
 }
 
-func TestIndexAddRemove(t *testing.T) {
-	ix := NewIndex()
-	id, sk := put(ix, 1, 0, 100)
-	if ix.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", ix.Len())
+// naiveClusters is the reference partition: connected components over
+// every pair of traces that share any band key and whose estimated
+// Jaccard reaches the threshold, presented in Clusters' order.
+func naiveClusters(sketches map[trace.Digest]*Sketch, threshold float64) [][]trace.Digest {
+	ids := make([]trace.Digest, 0, len(sketches))
+	for id := range sketches {
+		ids = append(ids, id)
 	}
-	if got, ok := ix.Sketch(id); !ok || !reflect.DeepEqual(got, sk) {
-		t.Fatal("Sketch did not return the filed sketch")
+	adj := make([][]int, len(ids))
+	for i := range ids {
+		ki := sketches[ids[i]].BandKeys()
+		for j := i + 1; j < len(ids); j++ {
+			kj := sketches[ids[j]].BandKeys()
+			shared := false
+			for b := range ki {
+				shared = shared || ki[b] == kj[b]
+			}
+			if shared && EstimatedJaccard(sketches[ids[i]], sketches[ids[j]]) >= threshold {
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], i)
+			}
+		}
 	}
-	if cands := ix.Candidates(sk); len(cands) != 1 || cands[0] != id {
-		t.Fatalf("Candidates = %v, want [%s]", cands, id)
+	seen := make([]bool, len(ids))
+	var out [][]trace.Digest
+	for i := range ids {
+		if seen[i] {
+			continue
+		}
+		var comp []trace.Digest
+		stack := []int{i}
+		seen[i] = true
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp = append(comp, ids[x])
+			for _, y := range adj[x] {
+				if !seen[y] {
+					seen[y] = true
+					stack = append(stack, y)
+				}
+			}
+		}
+		slices.SortFunc(comp, func(a, b trace.Digest) int { return strings.Compare(a.String(), b.String()) })
+		out = append(out, comp)
 	}
-	ix.Remove(id)
-	if ix.Len() != 0 || len(ix.Candidates(sk)) != 0 {
-		t.Fatal("Remove left residue")
-	}
-	if st := ix.Stats(); st.Buckets != 0 {
-		t.Fatalf("Stats.Buckets = %d after full removal, want 0", st.Buckets)
-	}
-	ix.Remove(id) // unknown id: no-op
+	slices.SortFunc(out, func(a, b []trace.Digest) int {
+		if len(a) != len(b) {
+			return len(b) - len(a)
+		}
+		return strings.Compare(a[0].String(), b[0].String())
+	})
+	return out
 }
 
-func TestIndexReAddReplacesBuckets(t *testing.T) {
-	ix := NewIndex()
-	tr := genTrace(1, 0, 100)
-	id := tr.ComputeDigest()
-	ix.Add(id, SketchTrace(tr))
-	// Re-file the same id under a very different sketch; the old band
-	// buckets must not keep a ghost entry.
-	other := SketchTrace(genTrace(7, 0, 100))
-	ix.Add(id, other)
-	if ix.Len() != 1 {
-		t.Fatalf("Len = %d after re-add, want 1", ix.Len())
+func TestClustersMatchNaiveReference(t *testing.T) {
+	sketches := make(map[trace.Digest]*Sketch)
+	for i := 0; i < 200; i++ {
+		tr := subjects.GenCorpusTrace(1+i%10, i, 300)
+		sketches[tr.ComputeDigest()] = SketchTrace(tr)
 	}
-	if cands := ix.Candidates(SketchTrace(genTrace(1, 0, 100))); len(cands) != 0 {
-		t.Fatalf("stale band buckets still list the re-filed trace: %v", cands)
-	}
-}
-
-func TestCandidatesFindSameFamily(t *testing.T) {
-	ix := NewIndex()
-	a, ska := put(ix, 1, 0, 120)
-	b, _ := put(ix, 1, 1, 120)
-	put(ix, 2, 0, 120)
-	cands := ix.Candidates(ska)
-	found := map[trace.Digest]bool{}
-	for _, id := range cands {
-		found[id] = true
-	}
-	if !found[a] || !found[b] {
-		t.Errorf("same-family variants missing from candidates: %v", cands)
+	for _, threshold := range []float64{0.3, 0.5, 0.8, 1.0} {
+		t.Run(fmt.Sprint(threshold), func(t *testing.T) {
+			got, want := Clusters(sketches, threshold), naiveClusters(sketches, threshold)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Clusters gives %d clusters, the reference %d", len(got), len(want))
+			}
+		})
 	}
 }
 
 func TestClustersPartitionByFamily(t *testing.T) {
-	ix := NewIndex()
+	sketches := make(map[trace.Digest]*Sketch)
 	byFamily := map[int]map[trace.Digest]bool{}
 	for fam := 1; fam <= 3; fam++ {
 		byFamily[fam] = map[trace.Digest]bool{}
 		for v := 0; v < 4; v++ {
-			id, _ := put(ix, fam, v, 120)
-			byFamily[fam][id] = true
+			byFamily[fam][put(sketches, fam, v, 120)] = true
 		}
 	}
-	clusters := ix.Clusters(0.5)
+	clusters := Clusters(sketches, 0.5)
 	if len(clusters) != 3 {
 		t.Fatalf("got %d clusters, want 3 (one per family): %v", len(clusters), clusters)
 	}
@@ -103,26 +122,16 @@ func TestClustersPartitionByFamily(t *testing.T) {
 
 func TestClustersDeterministic(t *testing.T) {
 	build := func() [][]trace.Digest {
-		ix := NewIndex()
+		sketches := make(map[trace.Digest]*Sketch)
 		// Insert in different orders across calls: the partition and its
 		// presentation order must not care.
 		for v := 3; v >= 0; v-- {
-			put(ix, 1, v, 100)
-			put(ix, 2, v, 100)
+			put(sketches, 1, v, 100)
+			put(sketches, 2, v, 100)
 		}
-		return ix.Clusters(0.5)
+		return Clusters(sketches, 0.5)
 	}
 	if !reflect.DeepEqual(build(), build()) {
 		t.Error("Clusters output is not deterministic")
-	}
-}
-
-func TestIndexStats(t *testing.T) {
-	ix := NewIndex()
-	put(ix, 1, 0, 80)
-	put(ix, 2, 0, 80)
-	st := ix.Stats()
-	if st.Sketches != 2 || st.Bands != Bands || st.Buckets == 0 {
-		t.Errorf("Stats = %+v", st)
 	}
 }

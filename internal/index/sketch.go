@@ -1,10 +1,10 @@
 // Package index is the corpus-scale similarity layer: a fixed-width
-// per-trace sketch computed once at ingest, and an LSH-banded in-memory
-// index over those sketches. Together they turn "which of my stored
-// traces diverge most/least from this one" from N full semantic diffs
-// into a cheap shortlist plus a handful of exact refinements — the same
-// coarsen-then-refine structure the paper's views bring to a single
-// diff, applied across the corpus.
+// per-trace sketch computed once at ingest, and Clusters, which bands
+// a set of sketches on demand to partition them. Sketch bounds turn
+// "which of my stored traces diverge most/least from this one" from N
+// full semantic diffs into a cheap ranking plus a handful of exact
+// refinements — the same coarsen-then-refine structure the paper's
+// views bring to a single diff, applied across the corpus.
 //
 // A sketch carries two independent summaries:
 //
@@ -17,8 +17,8 @@
 //     top-K search.
 //   - MinHash: 64 min-wise hash slots over the trace's distinct feature
 //     set (event classes, method names, target classes). Slot agreement
-//     estimates Jaccard similarity; banded into BandKeys it drives the
-//     LSH cluster index.
+//     estimates Jaccard similarity; banded into BandKeys it proposes
+//     the candidate pairs of Clusters.
 //
 // Sketches are derived exclusively from the canonical Sym-free fields
 // (the same strings trace.WriteCanonical hashes), never from interned
@@ -171,7 +171,7 @@ func EstimatedJaccard(a, b *Sketch) float64 {
 }
 
 // BandKeys collapses the MinHash rows into one key per LSH band. Two
-// traces agreeing on all rows of any band share that band's bucket.
+// traces agreeing on all rows of any band share that band's key.
 func (sk *Sketch) BandKeys() [Bands]uint64 {
 	var keys [Bands]uint64
 	for b := 0; b < Bands; b++ {

@@ -107,7 +107,3 @@ func (ct *ClassTable) IsSubclass(sub, name string) bool {
 		cur = c.Super
 	}
 }
-
-// QualifiedName renders the fully qualified method name C.m used as the
-// view name of method views (§2.4).
-func QualifiedName(class, method string) string { return class + "." + method }

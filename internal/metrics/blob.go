@@ -12,7 +12,6 @@ import "sync/atomic"
 type BlobCounters struct {
 	Puts          atomic.Int64
 	Gets          atomic.Int64
-	Stats         atomic.Int64
 	Deletes       atomic.Int64
 	Lists         atomic.Int64
 	Retries       atomic.Int64
@@ -28,7 +27,6 @@ type BlobCounters struct {
 type BlobSnapshot struct {
 	Puts          int64 `json:"puts"`
 	Gets          int64 `json:"gets"`
-	Stats         int64 `json:"stats"`
 	Deletes       int64 `json:"deletes"`
 	Lists         int64 `json:"lists"`
 	Retries       int64 `json:"retries"`
@@ -44,7 +42,6 @@ func (c *BlobCounters) Snapshot() BlobSnapshot {
 	return BlobSnapshot{
 		Puts:          c.Puts.Load(),
 		Gets:          c.Gets.Load(),
-		Stats:         c.Stats.Load(),
 		Deletes:       c.Deletes.Load(),
 		Lists:         c.Lists.Load(),
 		Retries:       c.Retries.Load(),

@@ -18,7 +18,6 @@ package regression
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/diff"
@@ -334,14 +333,4 @@ func seqTouches(res *diff.Result, seq diff.Sequence, site string) bool {
 		}
 	}
 	return false
-}
-
-// SortRefs orders refs by side then entry id (deterministic output).
-func SortRefs(refs []Ref) {
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Side != refs[j].Side {
-			return refs[i].Side < refs[j].Side
-		}
-		return refs[i].EID < refs[j].EID
-	})
 }

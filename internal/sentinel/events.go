@@ -72,12 +72,9 @@ func summarize(t *trace.Trace, eids []trace.EntryID, max int) []Candidate {
 	return out
 }
 
-// append stamps and buffers an event, wakes subscribers, and returns
-// the stamped event. The ring keeps the most recent RingSize events;
-// an SSE connection replays from the ring, so a client that falls more
-// than RingSize events behind misses the oldest (each watch emits at
-// most one divergence and one terminal event, so in practice the ring
-// holds everything).
+// append stamps and keeps an event, wakes subscribers, and returns the
+// stamped event. Every event is kept for SSE replay: a watch emits at
+// most one divergence and one terminal event.
 func (w *Watch) append(ev Event) Event {
 	w.mu.Lock()
 	w.nextSeq++
@@ -88,12 +85,7 @@ func (w *Watch) append(ev Event) Event {
 	if !w.spec.BaselineDigest.IsZero() {
 		ev.Baseline = w.spec.BaselineDigest.String()
 	}
-	if len(w.ring) == cap(w.ring) && cap(w.ring) > 0 {
-		copy(w.ring, w.ring[1:])
-		w.ring[len(w.ring)-1] = ev
-	} else {
-		w.ring = append(w.ring, ev)
-	}
+	w.events = append(w.events, ev)
 	for _, ch := range w.subs {
 		select {
 		case ch <- struct{}{}:
@@ -126,7 +118,7 @@ func (w *Watch) emitClosed(reason string) {
 func (w *Watch) EventsSince(after uint64) (events []Event, ended bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, ev := range w.ring {
+	for _, ev := range w.events {
 		if ev.Seq > after {
 			events = append(events, ev)
 		}

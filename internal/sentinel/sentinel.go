@@ -5,8 +5,8 @@
 // and event-driven (Session.Subscribe, no polling). The first non-empty
 // candidate set D = right-side differences minus the expected-change
 // signatures raises a structured DivergenceEvent, fanned out to
-// per-watch SSE subscribers, an optional webhook, and an in-memory ring
-// of recent events.
+// per-watch SSE subscribers, an optional webhook, and the watch's
+// in-memory event list.
 package sentinel
 
 import (
@@ -35,9 +35,6 @@ type Options struct {
 	// into the same evaluation. 0 means DefaultDebounce; negative
 	// disables debouncing (tests).
 	Debounce time.Duration
-	// RingSize is the per-watch ring of recent events kept for SSE
-	// replay. 0 means DefaultRingSize.
-	RingSize int
 	// Acquire gates each evaluation on an external worker budget (the
 	// engine's request pool): it blocks until a slot is free and returns
 	// its release. nil means unbounded.
@@ -50,16 +47,10 @@ type Options struct {
 	// values take retry.Policy's defaults.
 	WebhookAttempts int
 	WebhookBackoff  time.Duration
-	// Counters receives the sentinel's observability metrics; nil
-	// allocates a private set.
-	Counters *metrics.SentinelCounters
 }
 
-// Defaults for Options zero values.
-const (
-	DefaultDebounce = 20 * time.Millisecond
-	DefaultRingSize = 64
-)
+// DefaultDebounce is the Debounce an Options zero value takes.
+const DefaultDebounce = 20 * time.Millisecond
 
 // Spec describes one watch: which live session to monitor, against
 // which pinned baseline, and where to deliver divergence events.
@@ -110,20 +101,13 @@ func New(opts Options) *Monitor {
 	if opts.Debounce == 0 {
 		opts.Debounce = DefaultDebounce
 	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = DefaultRingSize
-	}
 	if opts.WebhookClient == nil {
 		opts.WebhookClient = &http.Client{Timeout: 10 * time.Second}
-	}
-	c := opts.Counters
-	if c == nil {
-		c = &metrics.SentinelCounters{}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Monitor{
 		opts:     opts,
-		counters: c,
+		counters: &metrics.SentinelCounters{},
 		ctx:      ctx,
 		cancel:   cancel,
 		watches:  make(map[string]*Watch),
@@ -170,7 +154,6 @@ func (m *Monitor) Attach(spec Spec) (*Watch, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
-		ring:   make([]Event, 0, m.opts.RingSize),
 	}
 	m.watches[id] = w
 	m.wg.Add(1)
@@ -273,7 +256,7 @@ type Watch struct {
 	done   chan struct{}
 
 	mu        sync.Mutex
-	ring      []Event
+	events    []Event // every event emitted, in Seq order
 	nextSeq   uint64
 	subs      map[int]chan struct{}
 	nextSub   int

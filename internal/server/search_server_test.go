@@ -30,6 +30,9 @@ func TestIndexStatsEndpoint(t *testing.T) {
 	if stats.Sketches != 6 || stats.Bands == 0 || stats.Computed != 6 {
 		t.Errorf("index stats = %+v (raw %s)", stats, raw)
 	}
+	if strings.Contains(string(raw), "band_buckets") {
+		t.Errorf("index stats still report band_buckets: %s", raw)
+	}
 }
 
 func TestRunSearchEndpoint(t *testing.T) {

@@ -56,7 +56,7 @@
 //	DELETE /watches/{id}         detach a watch (emits terminal event)
 //	GET  /watches/{id}/events    per-watch SSE event stream (?after=N replay)
 //	GET  /stats                  corpus, cache, symbol, session, sentinel, server stats
-//	GET  /index/stats            similarity-index coverage (sketches, LSH buckets, provenance)
+//	GET  /index/stats            similarity-sketch coverage (resident sketches, bands, provenance)
 //	GET  /healthz                liveness + open-session counts
 //
 // The built-in analyses (diff, regression, and the corpus-scale search,
@@ -810,8 +810,8 @@ func (s *Server) statsResponse() StatsResponse {
 	return resp
 }
 
-// handleIndexStats reports similarity-index coverage: how many stored
-// traces have resident sketches, the LSH bucket occupancy, and where
+// handleIndexStats reports similarity-sketch coverage: how many stored
+// traces have resident sketches, the LSH bands per sketch, and where
 // the sketches came from (computed at Put, loaded from sidecars, or
 // backfilled from trace entries).
 func (s *Server) handleIndexStats(w http.ResponseWriter, r *http.Request) {

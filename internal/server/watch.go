@@ -127,8 +127,8 @@ func (s *Server) handleDeleteWatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, watch.Info())
 }
 
-// handleWatchEvents is the per-watch SSE stream: buffered events replay
-// from the ring (from ?after= or the standard Last-Event-ID header),
+// handleWatchEvents is the per-watch SSE stream: kept events replay
+// (from ?after= or the standard Last-Event-ID header),
 // live events follow as they are emitted, and the stream ends after the
 // terminal watch-closed event. Event frames carry the per-watch
 // sequence number as the SSE id, so a reconnecting client resumes

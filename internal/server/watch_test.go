@@ -111,7 +111,7 @@ func awaitInfo(t *testing.T, ts *httptest.Server, id string, pred func(sentinel.
 
 // TestWatchRoutesEndToEnd drives the full HTTP watch surface: create a
 // watch on a live session, diverge the session, observe the divergence
-// and terminal events over SSE (with ring replay for a late subscriber
+// and terminal events over SSE (with replay for a late subscriber
 // and ?after= resume), and check /stats reflects it all.
 func TestWatchRoutesEndToEnd(t *testing.T) {
 	ts, srv := newTestServer(t, Options{})
@@ -180,7 +180,7 @@ func TestWatchRoutesEndToEnd(t *testing.T) {
 	}
 	awaitInfo(t, ts, wi.ID, func(i sentinel.Info) bool { return i.Diverged })
 
-	// Subscribe late: the ring must replay the divergence that already
+	// Subscribe late: the watch must replay the divergence that already
 	// happened. A second stream resumes past it with ?after=1 (the
 	// divergence is this watch's first event, seq 1).
 	full := startSSE(t, ts, "/watches/"+wi.ID+"/events")

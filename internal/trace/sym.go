@@ -65,23 +65,6 @@ func (st *SymbolTable) Intern(s string) Sym {
 	return id
 }
 
-// InternBytes is Intern for a byte slice. A string already in the table
-// is found without copying b (the map lookup converts in place); only a
-// first sight pays the string allocation — the fast path for loaders
-// that decode symbol blocks from file images.
-func (st *SymbolTable) InternBytes(b []byte) Sym {
-	if len(b) == 0 {
-		return NoSym
-	}
-	st.mu.RLock()
-	id, ok := st.ids[string(b)]
-	st.mu.RUnlock()
-	if ok {
-		return id
-	}
-	return st.Intern(string(b))
-}
-
 // InternBatch interns every byte string in bs under a single lock
 // acquisition, appending each symbol and its canonical string to syms
 // and strs (returned re-sliced). One lock round trip per *block* instead

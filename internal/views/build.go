@@ -154,17 +154,6 @@ func appendNames(dst []Name, e *trace.Entry) []Name {
 	return dst
 }
 
-// MapEntry computes the set of view names an entry belongs to.
-// Hand-built entries without interned symbols work too: the two Sym
-// fields the mapping depends on are backfilled on the local copy (both
-// live directly in the Entry value, so the caller's entry — including
-// its shared Args/Stack storage — is never written).
-func MapEntry(e trace.Entry) []Name {
-	e.MethodSym = trace.EnsureSym(e.MethodSym, e.Method)
-	e.Event.Target.ClassSym = trace.EnsureSym(e.Event.Target.ClassSym, e.Event.Target.Class)
-	return appendNames(make([]Name, 0, 4), &e)
-}
-
 // symString is the interned symbol of the class name "String", resolved
 // lazily (interning in an init racing other packages' inits is fine, but
 // there is no need).

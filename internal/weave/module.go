@@ -79,14 +79,11 @@ func (p *listPkg) relPath(modPath string) string {
 	return strings.TrimPrefix(p.ImportPath, modPath+"/")
 }
 
-// listPackages runs `go list -deps -json` over patterns, optionally with
-// -export so each dependency's gc export data is available for the typed
-// go-statement hoisting.
-func listPackages(ctx context.Context, g *goRunner, export bool, patterns []string) ([]*listPkg, error) {
-	args := []string{"list", "-deps", "-json=ImportPath,Name,Dir,Standard,Export,Module,GoFiles,CgoFiles,ImportMap,Incomplete,Error"}
-	if export {
-		args = append(args, "-export")
-	}
+// listPackages runs `go list -deps -export -json` over patterns, so each
+// dependency's gc export data is available for the typed go-statement
+// hoisting.
+func listPackages(ctx context.Context, g *goRunner, patterns []string) ([]*listPkg, error) {
+	args := []string{"list", "-deps", "-export", "-json=ImportPath,Name,Dir,Standard,Export,Module,GoFiles,CgoFiles,ImportMap,Incomplete,Error"}
 	args = append(args, patterns...)
 	out, err := g.run(ctx, args...)
 	if err != nil {

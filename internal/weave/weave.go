@@ -41,9 +41,6 @@ type Config struct {
 	// KeepWork leaves the work directory behind for inspection (it is
 	// also always kept when the build fails).
 	KeepWork bool
-	// NoTypes disables export-data type checking, forcing the syntactic
-	// go-statement hoisting (tests and debugging).
-	NoTypes bool
 	// GoBin is the go tool to invoke (default "go").
 	GoBin string
 	// Env is the build environment (default os.Environ()).
@@ -163,7 +160,7 @@ func Weave(ctx context.Context, cfg Config) (*Result, error) {
 	cfg.Dir = dir
 	g := &goRunner{bin: cfg.GoBin, dir: cfg.Dir, env: cfg.Env}
 
-	pkgs, err := listPackages(ctx, g, !cfg.NoTypes, cfg.Patterns)
+	pkgs, err := listPackages(ctx, g, cfg.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -245,9 +242,6 @@ func Weave(ctx context.Context, cfg Config) (*Result, error) {
 // consumes.
 func rewriteSelected(cfg *Config, res *Result, pkgs, selected []*listPkg, mainPkg *listPkg, replace map[string]string) error {
 	lookup := exportLookup(pkgs)
-	if cfg.NoTypes {
-		lookup = nil
-	}
 	srcDir := filepath.Join(res.WorkDir, "src")
 	if err := os.MkdirAll(srcDir, 0o755); err != nil {
 		return err

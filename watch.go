@@ -16,8 +16,8 @@ import (
 // on the first non-empty candidate set. Aliases re-export the sentinel
 // vocabulary at the API surface.
 
-// SentinelOptions configure the engine's watch monitor (debounce, event
-// ring size, webhook retry policy, metrics counters).
+// SentinelOptions configure the engine's watch monitor (debounce,
+// worker-budget gate, webhook client and retry policy).
 type SentinelOptions = sentinel.Options
 
 // Watch is one attached session monitor.
