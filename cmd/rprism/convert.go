@@ -8,6 +8,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,8 +19,9 @@ import (
 )
 
 // cmdConvert migrates traces to the RSEG columnar format. It is the one
-// reader left for the gob encoding of earlier releases: the loaders
-// everywhere else take RSEG and JSONL only.
+// reader left for the gob encoding and the headerless JSONL (version 1)
+// of earlier releases: the loaders everywhere else take RSEG and
+// headed JSONL only.
 //
 //	rprism convert -trace run.trace [-out new.trace] [-compress]
 //	rprism convert -dir corpusOrSegmentDir [-compress]
@@ -180,12 +182,15 @@ func mergeCorpusTrace(dir, id, metaPath string, opts trace.RSEGOptions) error {
 }
 
 // sourceFormat names the encoding of a file to convert: "rseg" or
-// "jsonl" as sniffed, and "gob" for any other prefix — gob streams have
-// no magic, so a file that is not gob either fails in loadForConvert.
+// "jsonl" as sniffed, "jsonl v1" for JSONL without a header, and "gob"
+// for any other prefix — gob streams have no magic, so a file that is
+// not gob either fails in loadForConvert.
 func sourceFormat(path string) (string, error) {
 	format, err := trace.SniffFile(path)
 	var fe *trace.FormatError
 	switch {
+	case err == nil && format == trace.FormatJSONL && !hasJSONLHeader(path):
+		return "jsonl v1", nil
 	case err == nil:
 		return format.String(), nil
 	case errors.As(err, &fe):
@@ -199,10 +204,17 @@ func sourceFormat(path string) (string, error) {
 // CLI's friendly error translation (a corrupt input names its file and
 // offset rather than surfacing a raw decode error).
 func loadForConvert(path, format string) (*trace.Trace, error) {
-	if format == "gob" {
+	switch format {
+	case "gob":
 		t, err := readGob(path)
 		if err != nil {
 			return nil, fmt.Errorf("convert: %q is not a trace file (neither RSEG, JSONL, nor the gob of earlier releases): %w", path, err)
+		}
+		return t, nil
+	case "jsonl v1":
+		t, err := readJSONLv1(path)
+		if err != nil {
+			return nil, fmt.Errorf("convert: %q: headerless JSONL: %w", path, err)
 		}
 		return t, nil
 	}
@@ -229,6 +241,78 @@ func readGob(path string) (*trace.Trace, error) {
 	}
 	t.RehashSyms()
 	return &t, nil
+}
+
+// hasJSONLHeader reports whether a JSONL file's first record is the
+// header of the current version; an unreadable file reports true, so
+// the ordinary loader names the failure.
+func hasJSONLHeader(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return true
+	}
+	defer f.Close()
+	var hdr struct {
+		Format string `json:"format"`
+	}
+	err = json.NewDecoder(bufio.NewReader(f)).Decode(&hdr)
+	return err != nil || hdr.Format != ""
+}
+
+// jsonEntryV1 is one line of the headerless JSONL of earlier releases:
+// a self-contained entry with every string inlined.
+type jsonEntryV1 struct {
+	EID    trace.EntryID  `json:"eid"`
+	TID    trace.ThreadID `json:"tid"`
+	Method string         `json:"method,omitempty"`
+	Self   *trace.Repr    `json:"self,omitempty"`
+	Kind   string         `json:"kind"`
+	Target *trace.Repr    `json:"target,omitempty"`
+	Member string         `json:"member,omitempty"`
+	Args   []trace.Repr   `json:"args,omitempty"`
+	Stack  []trace.Frame  `json:"stack,omitempty"`
+}
+
+// readJSONLv1 decodes a headerless JSONL trace, one jsonEntryV1 per
+// line, named like trace.Load names a JSONL trace without a name. Like
+// readGob, it interns the strings into this process's symbol table.
+func readJSONLv1(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	kinds := make(map[string]trace.EventKind)
+	for k := trace.KindEOF; k <= trace.KindEnd; k++ {
+		kinds[k.String()] = k
+	}
+	t := trace.New(filepath.Base(path))
+	dec := json.NewDecoder(bufio.NewReader(f))
+	for {
+		var je jsonEntryV1
+		if err := dec.Decode(&je); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("byte offset %d: %w", dec.InputOffset(), err)
+		}
+		kind, ok := kinds[je.Kind]
+		if !ok {
+			return nil, fmt.Errorf("byte offset %d: unknown event kind %q", dec.InputOffset(), je.Kind)
+		}
+		e := trace.Entry{
+			EID: je.EID, TID: je.TID, Method: je.Method,
+			Event: trace.Event{Kind: kind, Member: je.Member, Args: je.Args, Stack: je.Stack},
+		}
+		if je.Self != nil {
+			e.Self = *je.Self
+		}
+		if je.Target != nil {
+			e.Event.Target = *je.Target
+		}
+		t.Entries = append(t.Entries, e)
+	}
+	t.RehashSyms()
+	return t, nil
 }
 
 // writeVerified encodes t as RSEG, decodes the bytes back and compares

@@ -308,7 +308,16 @@ func TestConvertRefusesCorruptInput(t *testing.T) {
 // TestConvertGoldenGob converts the golden gob fixture of the trace
 // package's compatibility suite and checks the RSEG result carries the
 // pinned canonical digest every other golden encoding loads to.
-func TestConvertGoldenGob(t *testing.T) {
+func TestConvertGoldenGob(t *testing.T) { convertGolden(t, "golden.gob", "gob → rseg") }
+
+// TestConvertGoldenV1JSONL does the same for the headerless JSONL
+// fixture, which the loaders refuse.
+func TestConvertGoldenV1JSONL(t *testing.T) {
+	convertGolden(t, "golden.v1.jsonl", "jsonl v1 → rseg")
+}
+
+func convertGolden(t *testing.T, fixture, report string) {
+	t.Helper()
 	fixtures := filepath.Join("..", "..", "internal", "trace", "testdata")
 	raw, err := os.ReadFile(filepath.Join(fixtures, "golden.digest"))
 	if err != nil {
@@ -316,11 +325,11 @@ func TestConvertGoldenGob(t *testing.T) {
 	}
 	want := strings.TrimSpace(string(raw))
 	out := filepath.Join(t.TempDir(), "golden.rseg")
-	msg, err := convertFile(filepath.Join(fixtures, "golden.gob"), out, trace.RSEGOptions{})
+	msg, err := convertFile(filepath.Join(fixtures, fixture), out, trace.RSEGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(msg, "gob → rseg") {
+	if !strings.Contains(msg, report) {
 		t.Errorf("report %q does not name the conversion", msg)
 	}
 	if f, err := trace.SniffFile(out); err != nil || f != trace.FormatRSEG {
@@ -332,5 +341,60 @@ func TestConvertGoldenGob(t *testing.T) {
 	}
 	if d := got.ComputeDigest().String(); d != want {
 		t.Errorf("converted digest %s, want pinned %s", d, want)
+	}
+}
+
+// TestConvertReadsLegacyV1: the headerless JSONL of earlier releases
+// (one self-contained entry per line, all strings inlined) is refused
+// by the loaders and read by convert, its strings restored and interned
+// into the same id space a current load uses.
+func TestConvertReadsLegacyV1(t *testing.T) {
+	legacy := strings.Join([]string{
+		`{"eid":0,"tid":0,"method":"Main.main/0","self":{"Loc":1,"Class":"Main","Hash":0,"Str":"","Seq":1},"kind":"init","target":{"Loc":2,"Class":"C","Hash":9,"Str":"C:[]","Seq":1},"member":"C","args":[{"Loc":0,"Class":"Int","Hash":3,"Str":"Int:[32]","Seq":0}]}`,
+		`{"eid":1,"tid":0,"method":"Main.main/0","kind":"fork","member":"1","stack":[{"Method":"Main.main/0","Caller":{"Loc":0,"Class":"","Hash":0,"Str":"","Seq":0},"Callee":{"Loc":1,"Class":"Main","Hash":0,"Str":"","Seq":1}}]}`,
+		`{"eid":2,"tid":1,"method":"w","kind":"end"}`,
+	}, "\n") + "\n"
+	path := filepath.Join(t.TempDir(), "legacy.jsonl")
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Load(path); err == nil || !strings.Contains(err.Error(), "rprism convert -trace") {
+		t.Fatalf("Load(v1) = %v, want a refusal naming rprism convert -trace", err)
+	}
+	format, err := sourceFormat(path)
+	if err != nil || format != "jsonl v1" {
+		t.Fatalf("sourceFormat = %q, %v, want jsonl v1", format, err)
+	}
+	got, err := loadForConvert(path, format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 3 {
+		t.Fatalf("loaded %d entries, want 3", got.Len())
+	}
+	e0 := got.Entries[0]
+	if e0.Method != "Main.main/0" || e0.Event.Member != "C" || e0.Event.Target.Class != "C" {
+		t.Errorf("v1 strings not restored: %+v", e0)
+	}
+	if e0.MethodSym == trace.NoSym || e0.Event.Target.ClassSym == trace.NoSym {
+		t.Error("v1 entries must be interned on load")
+	}
+	if got.Entries[1].Event.Stack[0].MethodSym == trace.NoSym {
+		t.Error("v1 stack frames must be interned on load")
+	}
+	if e0.MethodSym != trace.Intern("Main.main/0") {
+		t.Error("v1 load interned into a different id space")
+	}
+
+	// In place, the file becomes RSEG that loads to the same digest.
+	if _, err := convertFile(path, "", trace.RSEGOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.ComputeDigest() != got.ComputeDigest() {
+		t.Errorf("in-place convert changed the digest")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	rprism "repro"
 	"repro/internal/trace"
@@ -23,6 +24,9 @@ func loadTraceFile(flagName, path string) (*rprism.Trace, error) {
 	switch {
 	case errors.As(err, &fe) && !isSniffable(path):
 		return nil, fmt.Errorf("-%s: %q is not a valid trace file: neither RSEG nor JSONL (a gob trace of an earlier release migrates with 'rprism convert -trace %s')",
+			flagName, path, path)
+	case errors.As(err, &fe) && strings.Contains(fe.Msg, "rprism convert -trace FILE"):
+		return nil, fmt.Errorf("-%s: %q is not a valid trace file: headerless JSONL of an earlier release migrates with 'rprism convert -trace %s'",
 			flagName, path, path)
 	case errors.As(err, &fe):
 		return nil, fmt.Errorf("-%s: trace file %q is damaged: %s data is malformed at byte offset %d: %s (the file may be truncated or partially written; re-record it or restore from a backup)",

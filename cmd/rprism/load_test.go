@@ -31,6 +31,10 @@ func TestLoadTraceFileErrors(t *testing.T) {
 	}
 	legacy := filepath.Join(dir, "legacy.trace")
 	writeGob(t, good, legacy)
+	v1 := filepath.Join(dir, "v1.jsonl")
+	if err := os.WriteFile(v1, []byte(`{"eid":0,"tid":1,"method":"w","kind":"end"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	valid := filepath.Join(dir, "valid.trace")
 	if err := good.Save(valid); err != nil {
 		t.Fatal(err)
@@ -51,6 +55,9 @@ func TestLoadTraceFileErrors(t *testing.T) {
 		// A gob file of an earlier release names the migration command.
 		{"gob file", "left", legacy,
 			[]string{"-left", "not a valid trace file", "rprism convert -trace " + legacy}},
+		// So does the headerless JSONL of earlier releases.
+		{"jsonl v1 file", "right", v1,
+			[]string{"-right", "not a valid trace file", "rprism convert -trace " + v1}},
 		{"directory", "left", dir,
 			[]string{"-left", "directory"}},
 		{"valid file", "left", valid, nil},

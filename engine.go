@@ -31,7 +31,6 @@ import (
 // An Engine is safe for concurrent use by any number of goroutines.
 type Engine struct {
 	store    *corpus.Store
-	symbols  *trace.SymbolTable
 	diffOpts diff.ViewOptions
 	workers  chan struct{} // nil: unbounded
 
@@ -52,13 +51,6 @@ type EngineOption func(*Engine)
 // cache is shared with every other consumer of the store.
 func WithCorpus(store *corpus.Store) EngineOption {
 	return func(e *Engine) { e.store = store }
-}
-
-// WithSymbolTable sets the symbol table the engine reports stats from.
-// Interning itself is process-wide (trace.Symbols); a custom table is
-// useful for isolated accounting in multi-tenant embeddings.
-func WithSymbolTable(st *trace.SymbolTable) EngineOption {
-	return func(e *Engine) { e.symbols = st }
 }
 
 // WithWorkers bounds the number of concurrently executing analyses. A
@@ -136,12 +128,9 @@ func (e *Engine) Corpus() *corpus.Store { return e.store }
 // DefaultDiffOptions returns the engine's default differencing tunables.
 func (e *Engine) DefaultDiffOptions() DiffOptions { return e.diffOpts }
 
-// SymbolStats reports the engine's symbol table statistics (the
-// process-wide table unless WithSymbolTable overrode it).
+// SymbolStats reports the statistics of the process-wide symbol table
+// every trace interns into.
 func (e *Engine) SymbolStats() trace.SymbolStats {
-	if e.symbols != nil {
-		return e.symbols.Stats()
-	}
 	return trace.GlobalSymbolStats()
 }
 

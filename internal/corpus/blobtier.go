@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/atomicfile"
@@ -21,7 +20,7 @@ import (
 // tests) behind the local disk tier. Puts write through — a trace is
 // not admitted until its objects are durable in the bucket — and reads
 // of digests absent locally hydrate: the trace file is pulled back
-// onto local disk, re-admitted to the index, and served through the
+// onto local disk, made resident again, and served through the
 // ordinary strict load path, so corruption checks apply to hydrated
 // traces exactly as to native ones.
 //
@@ -34,9 +33,10 @@ import (
 //
 // With DiskCacheTraces set, local disk becomes a bounded cache over
 // the bucket: past the bound the least recently used local copy is
-// deleted and its index entry moves to the remote-meta cache. The
-// digest stays resolvable — the next read hydrates it back — which is
-// what lets a cluster node serve a corpus larger than its own disk.
+// deleted, while the trace stays a member with its meta and any
+// resolved sketch. The digest stays resolvable — the next read
+// hydrates it back — which is what lets a cluster node serve a corpus
+// larger than its own disk. List learns the bucket's other members.
 
 // blobKey maps a local trace or sidecar file name to its object key.
 func (s *Store) blobKey(name string) string {
@@ -47,17 +47,6 @@ func (s *Store) blobKey(name string) string {
 // only when a blob tier is configured; the server wires them into
 // /stats).
 func (s *Store) BlobCounters() *metrics.BlobCounters { return &s.blobCounters }
-
-// HasBlob reports whether a blob tier is configured.
-func (s *Store) HasBlob() bool { return s.blob != nil }
-
-// LocalLen returns how many traces are indexed on the local disk tier
-// (== Len() when no blob tier is configured).
-func (s *Store) LocalLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
 
 // blobGet fetches one object, counting the transfer.
 func (s *Store) blobGet(ctx context.Context, key string) ([]byte, error) {
@@ -126,9 +115,9 @@ func (s *Store) blobMeta(ctx context.Context, id trace.Digest) (Meta, error) {
 }
 
 // hydrate pulls a trace from the bucket into the local disk tier and
-// admits it to the index. With force set, local state is ignored and
-// the trace re-downloaded — the recovery path when local files
-// were evicted or corrupted between an index check and a load. The
+// makes it a resident member. With force set, local state is ignored
+// and the trace re-downloaded — the recovery path when local files
+// were evicted or corrupted between a residency check and a load. The
 // local meta sidecar is written last, mirroring Put's commit order.
 func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta, error) {
 	if s.blob == nil {
@@ -144,9 +133,10 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 	defer unlock()
 
 	s.mu.Lock()
-	m, ok := s.index[id]
+	m := s.metas[id]
+	_, resident := s.local[id]
 	s.mu.Unlock()
-	if ok && !force {
+	if resident && !force {
 		return m, nil
 	}
 
@@ -179,8 +169,7 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 	}
 
 	s.mu.Lock()
-	s.index[id] = m
-	delete(s.remote, id)
+	s.metas[id] = m
 	s.mu.Unlock()
 	s.blobCounters.Hydrations.Add(1)
 	s.touchLocal(id)
@@ -214,13 +203,8 @@ func (s *Store) touchLocal(id trace.Digest) {
 			oldest := s.localLRU.Back()
 			eid := oldest.Value.(trace.Digest)
 			s.localLRU.Remove(oldest)
+			// The trace stays a member: the next read hydrates it back.
 			delete(s.local, eid)
-			// The trace leaves the local index but stays resolvable: its
-			// meta moves to the remote cache and the next read hydrates.
-			if m, ok := s.index[eid]; ok {
-				s.remote[eid] = m
-				delete(s.index, eid)
-			}
 			evicted = append(evicted, eid)
 		}
 	}
@@ -241,16 +225,6 @@ func (s *Store) touchLocalLocked(id trace.Digest) {
 	s.local[id] = s.localLRU.PushFront(id)
 }
 
-// dropLocalLocked forgets id's disk-tier bookkeeping (Delete path).
-// Caller holds s.mu.
-func (s *Store) dropLocalLocked(id trace.Digest) {
-	if el, ok := s.local[id]; ok {
-		s.localLRU.Remove(el)
-		delete(s.local, id)
-	}
-	delete(s.remote, id)
-}
-
 // deleteBlob removes a trace's objects from the bucket by name, with no
 // LIST. The meta object goes first: it is the commit marker, so a
 // partially deleted trace reads as absent, not corrupted.
@@ -265,40 +239,23 @@ func (s *Store) deleteBlob(ctx context.Context, id trace.Digest) error {
 	return nil
 }
 
-// ListAll returns metadata for every trace in every tier: the local
-// index plus traces living only in the bucket. Remote metas are
-// fetched once and cached; a key that disappears mid-walk (concurrent
-// delete) is skipped.
-func (s *Store) ListAll(ctx context.Context) ([]Meta, error) {
-	out := s.List()
-	if s.blob == nil {
-		return out, nil
-	}
+// learnBlob walks the bucket with one LIST and admits each meta object
+// whose digest the store does not know yet as a member, with one GET
+// each. A failed LIST leaves the known members as they are (Blob.Errors
+// counts it), and a meta that is gone by the time it is read (a
+// concurrent delete) or fails its checks is skipped.
+func (s *Store) learnBlob(ctx context.Context) {
 	keys, err := s.blobList(ctx, s.blobKey(""))
 	if err != nil {
-		return nil, fmt.Errorf("corpus: list blob: %w", err)
-	}
-	seen := make(map[string]bool, len(out))
-	for _, m := range out {
-		seen[m.ID] = true
+		return
 	}
 	for _, k := range keys {
-		base := strings.TrimPrefix(k, s.blobPrefix)
-		idStr, ok := strings.CutSuffix(base, ".meta.json")
-		if !ok || seen[idStr] {
+		idStr, ok := strings.CutSuffix(strings.TrimPrefix(k, s.blobPrefix), ".meta.json")
+		if !ok {
 			continue
 		}
-		id, err := trace.ParseDigest(idStr)
-		if err != nil {
-			continue
+		if id, err := trace.ParseDigest(idStr); err == nil {
+			s.Meta(id)
 		}
-		m, err := s.Meta(id)
-		if err != nil {
-			continue
-		}
-		seen[idStr] = true
-		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
 }

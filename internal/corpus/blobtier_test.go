@@ -99,8 +99,8 @@ func TestBlobHydration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.LocalLen() != 0 {
-		t.Fatalf("fresh store has %d local traces", s2.LocalLen())
+	if local := s2.Stats().Traces; local != 0 {
+		t.Fatalf("fresh store has %d local traces", local)
 	}
 	got, err := s2.Get(id)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestBlobDiskEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ids = append(ids, mustPut(t, s, makeTrace("big", 10+i, 40)))
 	}
-	if got := s.LocalLen(); got != 2 {
+	if got := s.Stats().Traces; got != 2 {
 		t.Fatalf("local traces = %d, want 2 (disk cap)", got)
 	}
 	if got := s.Len(); got != 5 {
@@ -177,7 +177,7 @@ func TestBlobDiskEviction(t *testing.T) {
 		t.Fatal("reading evicted traces performed no hydrations")
 	}
 	// The disk tier still respects its cap after the read sweep.
-	if got := s.LocalLen(); got > 2 {
+	if got := s.Stats().Traces; got > 2 {
 		t.Fatalf("local traces = %d after reads, want <= 2", got)
 	}
 	// A Put of a trace that is no longer local files it once.
@@ -218,31 +218,50 @@ func TestBlobResolvePrefix(t *testing.T) {
 	}
 }
 
+// TestBlobListAll: List covers every tier — the one trace left on
+// disk, the ones evicted past the bound, and, on a fresh store over the
+// same bucket, the ones it never saw — and a bucket that fails the LIST
+// leaves the known members listed.
 func TestBlobListAll(t *testing.T) {
-	s, _ := newBlobStore(t, Options{DiskCacheTraces: 1})
+	s, mem := newBlobStore(t, Options{DiskCacheTraces: 1})
 	n := 4
 	want := make(map[string]bool)
 	for i := 0; i < n; i++ {
 		want[mustPut(t, s, makeTrace("la", 30+i, 25)).String()] = true
 	}
-	all, err := s.ListAll(context.Background())
+	s2, err := New(t.TempDir(), Options{Blob: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != n {
-		t.Fatalf("ListAll = %d traces, want %d", len(all), n)
-	}
-	for _, m := range all {
-		if !want[m.ID] {
-			t.Fatalf("unexpected trace %s", m.ID)
+	for name, st := range map[string]*Store{"writer": s, "fresh": s2} {
+		all := st.List()
+		if len(all) != n {
+			t.Fatalf("%s: List = %d traces, want %d", name, len(all), n)
 		}
-		if m.Entries != 25 {
-			t.Fatalf("trace %s entries = %d", m.ID, m.Entries)
+		for _, m := range all {
+			if !want[m.ID] {
+				t.Fatalf("%s: unexpected trace %s", name, m.ID)
+			}
+			if m.Entries != 25 {
+				t.Fatalf("%s: trace %s entries = %d", name, m.ID, m.Entries)
+			}
+		}
+		if got := st.Stats().Traces; name == "writer" && got != 1 {
+			t.Fatalf("writer: %d traces on local disk, want 1", got)
 		}
 	}
-	// Local List sees only the disk tier.
-	if got := len(s.List()); got != 1 {
-		t.Fatalf("List = %d, want 1 local", got)
+	mem.SetFault(func(op blob.Op, key string) error {
+		if op == blob.OpList {
+			return blob.ErrNotFound
+		}
+		return nil
+	})
+	errs := s2.Stats().Blob.Errors
+	if got := len(s2.List()); got != n {
+		t.Fatalf("List with a failing bucket = %d, want the %d known", got, n)
+	}
+	if got := s2.Stats().Blob.Errors; got != errs+1 {
+		t.Fatalf("blob errors = %d after a failed LIST, want %d", got, errs+1)
 	}
 }
 
@@ -329,7 +348,7 @@ func TestHydrateCrashLeavesOldState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.LocalLen() != 0 {
+	if s2.Stats().Traces != 0 {
 		t.Fatalf("half-hydrated trace was indexed locally")
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, id.String()+".*")); len(left) != 0 {

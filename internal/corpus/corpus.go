@@ -17,8 +17,14 @@
 //
 //   - Stored traces are immutable: Put interns all symbols before the
 //     trace becomes visible, so every later Build/diff only reads it.
-//   - A digest admitted to the index stays resolvable until Delete:
-//     eviction only drops decoded/built forms, never the disk tier.
+//   - A digest the store knows (a member: Put, loaded at New, hydrated,
+//     or learned from the blob tier) stays resolvable until Delete. The
+//     trace and web LRUs drop decoded and built forms; with a blob tier,
+//     the DiskCacheTraces bound drops local files too, and the trace
+//     then hydrates back from the bucket. Eviction never drops a
+//     member's meta or its resolved sketch.
+//   - Every corpus-scale reader (List, EnsureIndexed, Clusters, and the
+//     engine's search) covers the same set: every member, in every tier.
 //   - A web handed out by Views is never mutated (see views.Build), so
 //     callers may share it freely across goroutines.
 package corpus
@@ -117,8 +123,8 @@ type Meta struct {
 
 // Stats is a snapshot of store contents and cache behavior.
 type Stats struct {
-	Traces         int   `json:"traces"`          // traces in the index
-	EntriesOnDisk  int   `json:"entries_on_disk"` // sum of entry counts
+	Traces         int   `json:"traces"`          // members resident on local disk
+	EntriesOnDisk  int   `json:"entries_on_disk"` // sum of their entry counts
 	OpenSessions   int   `json:"open_sessions"`   // append-open live sessions
 	SessionEntries int   `json:"session_entries"` // entries buffered across open sessions
 	WebWaits       int64 `json:"web_waits"`       // coalesced onto another goroutine's build
@@ -132,8 +138,9 @@ type Stats struct {
 	TraceCache metrics.CacheSnapshot `json:"trace_cache"`
 	WebCache   metrics.CacheSnapshot `json:"web_cache"`
 	// Blob is the object-store tier's counters; nil when no blob tier
-	// is configured. RemoteTraces counts traces known to live only in
-	// the bucket (disk-evicted locally or discovered via lookups).
+	// is configured. RemoteTraces counts the members not on local disk
+	// (disk-evicted, or learned from the bucket); Traces + RemoteTraces
+	// is Len.
 	Blob         *metrics.BlobSnapshot `json:"blob,omitempty"`
 	RemoteTraces int                   `json:"remote_traces,omitempty"`
 }
@@ -145,33 +152,34 @@ type Store struct {
 	opts Options
 
 	// putMu serializes disk writes (Put, hydrate, Delete, the sketch
-	// backfill), so each checks the index and changes the files as one
+	// backfill), so each checks residency and changes the files as one
 	// step, and no writer removes files another one admitted.
 	// lock is the directory's lock file (see lockWrites).
 	putMu sync.Mutex
 	lock  *os.File
 
-	mu       sync.Mutex
-	index    map[trace.Digest]Meta
+	mu sync.Mutex
+	// metas holds every member: each trace the store knows, whether its
+	// files are on local disk or only in the blob tier.
+	metas    map[trace.Digest]Meta
 	traces   map[trace.Digest]*list.Element // values: *traceItem, in lru
 	traceLRU *list.List                     // front = most recent
 	webs     map[trace.Digest]*list.Element // values: *webItem, in lru
 	webLRU   *list.List
 	sessions map[string]*Session // append-open live sessions, by id
 
-	// sketches holds the loaded similarity sketches, a subset of the
-	// index: sidecars load lazily on first need.
+	// sketches holds the resolved similarity sketches, a subset of the
+	// members: sidecars load lazily on first need, and a resolved
+	// sketch stays until Delete.
 	sketches map[trace.Digest]*index.Sketch
 
 	// blob is the retry-wrapped object-store tier (nil: disabled).
-	// local/localLRU track which digests hold disk-tier files, for the
-	// DiskCacheTraces bound; remote caches metas learned from the
-	// bucket for traces not locally resident.
+	// local/localLRU track which members hold disk-tier files, for the
+	// DiskCacheTraces bound; without a blob tier every member does.
 	blob       blob.Backend
 	blobPrefix string
 	local      map[trace.Digest]*list.Element // values: trace.Digest, in localLRU
 	localLRU   *list.List
-	remote     map[trace.Digest]Meta
 
 	traceCache, webCache metrics.CacheCounters
 	blobCounters         metrics.BlobCounters
@@ -206,7 +214,7 @@ func New(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		opts:     opts.withDefaults(),
-		index:    make(map[trace.Digest]Meta),
+		metas:    make(map[trace.Digest]Meta),
 		traces:   make(map[trace.Digest]*list.Element),
 		traceLRU: list.New(),
 		webs:     make(map[trace.Digest]*list.Element),
@@ -215,7 +223,6 @@ func New(dir string, opts Options) (*Store, error) {
 		sketches: make(map[trace.Digest]*index.Sketch),
 		local:    make(map[trace.Digest]*list.Element),
 		localLRU: list.New(),
-		remote:   make(map[trace.Digest]Meta),
 	}
 	if opts.Blob != nil {
 		if opts.BlobPrefix != "" && !strings.HasSuffix(opts.BlobPrefix, "/") {
@@ -258,7 +265,7 @@ func New(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 		id, _ := trace.ParseDigest(m.ID)
-		s.index[id] = m
+		s.metas[id] = m
 		s.touchLocalLocked(id)
 	}
 	if sweep {
@@ -279,7 +286,7 @@ func (s *Store) sweepOrphans(files []os.DirEntry) {
 			continue
 		}
 		own := rest == "meta.json" || rest == "sketch.json" || f.Name() == filepath.Base(s.tracePath(id))
-		if _, committed := s.index[id]; !committed || !own {
+		if _, committed := s.local[id]; !committed || !own {
 			os.Remove(filepath.Join(s.dir, f.Name()))
 		}
 	}
@@ -355,7 +362,7 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 	defer unlock()
 
 	s.mu.Lock()
-	_, exists := s.index[id]
+	_, exists := s.local[id]
 	s.mu.Unlock()
 	if exists {
 		s.dedups.Add(1)
@@ -379,7 +386,7 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 		_ = atomicfile.Write(s.sketchPath(id), skRaw)
 	}
 	// Write through to the blob tier before the local sidecar commits: a
-	// trace the index serves must be durable in the bucket, or a
+	// trace the store serves must be durable in the bucket, or a
 	// disk-tier eviction (or another cluster node's read) would lose it.
 	if err == nil && s.blob != nil {
 		if err = s.uploadBlob(context.Background(), id, enc.Bytes(), skRaw, raw); err != nil {
@@ -396,8 +403,7 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 
 	s.sketchComputed.Add(1)
 	s.mu.Lock()
-	s.index[id] = m
-	delete(s.remote, id)
+	s.metas[id] = m
 	s.admitTraceLocked(id, t)
 	s.sketches[id] = sk
 	s.mu.Unlock()
@@ -420,11 +426,7 @@ func (s *Store) tracePath(id trace.Digest) string {
 // metadata needs only the meta object).
 func (s *Store) Meta(id trace.Digest) (Meta, error) {
 	s.mu.Lock()
-	if m, ok := s.index[id]; ok {
-		s.mu.Unlock()
-		return m, nil
-	}
-	if m, ok := s.remote[id]; ok {
+	if m, ok := s.metas[id]; ok {
 		s.mu.Unlock()
 		return m, nil
 	}
@@ -439,16 +441,24 @@ func (s *Store) Meta(id trace.Digest) (Meta, error) {
 		return Meta{}, err
 	}
 	s.mu.Lock()
-	s.remote[id] = m
+	s.metas[id] = m
 	s.mu.Unlock()
 	return m, nil
 }
 
-// List returns metadata for every stored trace, sorted by id.
+// List returns the metadata of every member, sorted by id: every trace
+// on local disk and, with a blob tier, every trace in the bucket. It
+// first walks the bucket (see learnBlob), so a trace another node
+// stored, or one this store evicted before a reopen, is listed too; if
+// the bucket fails, List returns the members already known. Search,
+// EnsureIndexed and Clusters all cover this set.
 func (s *Store) List() []Meta {
+	if s.blob != nil {
+		s.learnBlob(context.Background())
+	}
 	s.mu.Lock()
-	out := make([]Meta, 0, len(s.index))
-	for _, m := range s.index {
+	out := make([]Meta, 0, len(s.metas))
+	for _, m := range s.metas {
 		out = append(out, m)
 	}
 	s.mu.Unlock()
@@ -456,13 +466,15 @@ func (s *Store) List() []Meta {
 	return out
 }
 
-// Len returns the number of stored traces this store knows of in every
-// tier: those indexed on local disk and those it knows only in the blob
-// tier (evicted past DiskCacheTraces, or learned from the bucket).
+// Len returns the number of members the store knows, in every tier:
+// those on local disk and those known only in the blob tier (evicted
+// past DiskCacheTraces, or learned from the bucket). It does not walk
+// the bucket: a reopened store learns its bucket-only members on its
+// first List.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index) + len(s.remote)
+	return len(s.metas)
 }
 
 // Get returns the decoded trace for id, loading it from the disk tier on
@@ -477,24 +489,23 @@ func (s *Store) Get(id trace.Digest) (*trace.Trace, error) {
 		s.traceCache.Hits.Add(1)
 		return t, nil
 	}
-	m, ok := s.index[id]
-	if !ok {
-		s.mu.Unlock()
+	m := s.metas[id]
+	_, resident := s.local[id]
+	s.mu.Unlock()
+	if !resident {
 		// Blob-tier fallback: hydrate the trace onto local disk and
 		// serve it through the same strict load path below.
 		var err error
 		if m, err = s.hydrate(context.Background(), id, false); err != nil {
 			return nil, err
 		}
-	} else {
-		s.mu.Unlock()
 	}
 	s.traceCache.Misses.Add(1)
 
 	t, err := s.loadLocal(id, m)
 	if err != nil && s.blob != nil {
 		// The local files may have been disk-evicted (or corrupted)
-		// between the index check and the load; re-pull the authoritative
+		// between the residency check and the load; re-pull the authoritative
 		// copy from the bucket and retry once.
 		if _, herr := s.hydrate(context.Background(), id, true); herr == nil {
 			t, err = s.loadLocal(id, m)
@@ -505,7 +516,9 @@ func (s *Store) Get(id trace.Digest) (*trace.Trace, error) {
 	}
 	s.mu.Lock()
 	s.admitTraceLocked(id, t)
-	s.touchLocalLocked(id)
+	if el, ok := s.local[id]; ok {
+		s.localLRU.MoveToFront(el)
+	}
 	s.mu.Unlock()
 	return t, nil
 }
@@ -563,7 +576,7 @@ func (s *Store) admitTraceLocked(id trace.Digest, t *trace.Trace) {
 // on the diff path hand it straight to diff.ViewDiffWebs.
 func (s *Store) Views(id trace.Digest) (*views.Web, error) {
 	s.mu.Lock()
-	if _, ok := s.index[id]; !ok {
+	if _, ok := s.local[id]; !ok {
 		s.mu.Unlock()
 		// Blob-tier fallback: pull the trace local before claiming a
 		// build slot, so the build's Get cannot miss.
@@ -676,8 +689,7 @@ func (s *Store) Delete(id trace.Digest) error {
 	}
 	defer unlock()
 	s.mu.Lock()
-	_, local := s.index[id]
-	if _, remote := s.remote[id]; !local && !remote {
+	if _, ok := s.metas[id]; !ok {
 		if s.blob == nil {
 			err := s.notFoundLocked(id)
 			s.mu.Unlock()
@@ -690,8 +702,11 @@ func (s *Store) Delete(id trace.Digest) error {
 		}
 		s.mu.Lock()
 	}
-	delete(s.index, id)
-	s.dropLocalLocked(id)
+	delete(s.metas, id)
+	if el, ok := s.local[id]; ok {
+		s.localLRU.Remove(el)
+		delete(s.local, id)
+	}
 	if el, ok := s.traces[id]; ok {
 		s.traceLRU.Remove(el)
 		delete(s.traces, id)
@@ -715,10 +730,13 @@ func (s *Store) Delete(id trace.Digest) error {
 // Stats snapshots the store.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{Traces: len(s.index)}
+	st := Stats{Traces: len(s.local)}
+	if s.blob != nil {
+		st.RemoteTraces = len(s.metas) - len(s.local)
+	}
 	traceLen, webLen := s.traceLRU.Len(), s.webLRU.Len()
-	for _, m := range s.index {
-		st.EntriesOnDisk += m.Entries
+	for id := range s.local {
+		st.EntriesOnDisk += s.metas[id].Entries
 	}
 	s.mu.Unlock()
 	st.OpenSessions, st.SessionEntries = s.sessionStats()
@@ -731,9 +749,6 @@ func (s *Store) Stats() Stats {
 	if s.blob != nil {
 		bs := s.blobCounters.Snapshot()
 		st.Blob = &bs
-		s.mu.Lock()
-		st.RemoteTraces = len(s.remote)
-		s.mu.Unlock()
 	}
 	return st
 }

@@ -41,11 +41,11 @@ func (s *Store) notFoundLocked(id trace.Digest) error {
 		ErrNotFound, id, strings.Join(short, ", "))
 }
 
-// prefixMatchesLocked returns the stored digests beginning with the
+// prefixMatchesLocked returns the members' digests beginning with the
 // given hex prefix, sorted. Caller holds s.mu.
 func (s *Store) prefixMatchesLocked(prefix string) []trace.Digest {
 	var out []trace.Digest
-	for id := range s.index {
+	for id := range s.metas {
 		if strings.HasPrefix(id.String(), prefix) {
 			out = append(out, id)
 		}
@@ -56,8 +56,8 @@ func (s *Store) prefixMatchesLocked(prefix string) []trace.Digest {
 
 // ResolvePrefix resolves a short hex digest prefix (git-style) to the
 // unique stored digest beginning with it, searching every tier: the
-// local index and — when a blob tier is configured — the bucket's key
-// space, so a trace held only remotely (disk-evicted here, or written
+// known members and — when a blob tier is configured — the bucket's
+// key space, so a trace held only remotely (disk-evicted here, or written
 // by another cluster node) resolves the same way a local one does. A
 // full digest resolves to itself. No match wraps ErrNotFound; several
 // matches is an error listing them.

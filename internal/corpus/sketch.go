@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -16,30 +17,38 @@ func (s *Store) sketchPath(id trace.Digest) string {
 	return filepath.Join(s.dir, id.String()+".sketch.json")
 }
 
-// Sketch returns the similarity sketch of a stored trace, resolving it
+// Sketch returns the similarity sketch of a member, resolving it
 // through three tiers: the in-memory map (populated at Put and by
-// earlier lookups), the persisted sidecar, and — for corpora written
-// before sketches existed, or after a sidecar was lost — a backfill
-// recomputed from the trace itself and re-persisted best-effort. The
-// returned sketch is shared and read-only.
+// earlier lookups), the persisted sidecar — the local file if the trace
+// is on local disk, the bucket's sketch object if not, so an evicted
+// trace is not hydrated for its sketch — and, for corpora written
+// before sketches existed or after a sidecar was lost, a backfill
+// recomputed from the trace itself and re-persisted best-effort. A
+// resolved sketch stays resident until Delete. The returned sketch is
+// shared and read-only.
 func (s *Store) Sketch(id trace.Digest) (*index.Sketch, error) {
 	s.mu.Lock()
-	if sk, ok := s.sketches[id]; ok {
-		s.mu.Unlock()
+	sk, ok := s.sketches[id]
+	_, resident := s.local[id]
+	s.mu.Unlock()
+	if ok {
 		return sk, nil
 	}
-	m, ok := s.index[id]
-	if !ok {
-		err := s.notFoundLocked(id)
-		s.mu.Unlock()
+	m, err := s.Meta(id)
+	if err != nil {
 		return nil, err
 	}
-	s.mu.Unlock()
 
 	// Sidecar tier. Unreadable or stale-version sidecars fall through to
 	// the backfill; Total is cross-checked against the meta so a sidecar
 	// belonging to a truncated earlier write cannot be served.
-	if raw, err := os.ReadFile(s.sketchPath(id)); err == nil {
+	var raw []byte
+	if resident {
+		raw, err = os.ReadFile(s.sketchPath(id))
+	} else {
+		raw, err = s.blobGet(context.Background(), s.blobKey(id.String()+".sketch.json"))
+	}
+	if err == nil {
 		if sk, err := index.UnmarshalSketch(raw); err == nil && int(sk.Total) == m.Entries {
 			s.sketchLoads.Add(1)
 			s.admitSketch(id, sk)
@@ -52,7 +61,7 @@ func (s *Store) Sketch(id trace.Digest) (*index.Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	sk := index.SketchTrace(t)
+	sk = index.SketchTrace(t)
 	s.sketchBackfills.Add(1)
 	s.writeSketch(id, sk)
 	s.admitSketch(id, sk)
@@ -60,7 +69,8 @@ func (s *Store) Sketch(id trace.Digest) (*index.Sketch, error) {
 }
 
 // writeSketch persists a backfilled sketch, best effort, under the write
-// lock and only while id is indexed: a raced Delete leaves no orphan.
+// lock and only while id is on local disk: a raced Delete or eviction
+// leaves no orphan.
 func (s *Store) writeSketch(id trace.Digest, sk *index.Sketch) {
 	unlock, err := s.lockWrites()
 	if err != nil {
@@ -68,7 +78,7 @@ func (s *Store) writeSketch(id trace.Digest, sk *index.Sketch) {
 	}
 	defer unlock()
 	s.mu.Lock()
-	_, ok := s.index[id]
+	_, ok := s.local[id]
 	s.mu.Unlock()
 	if raw, err := sk.Marshal(); ok && err == nil {
 		_ = atomicfile.Write(s.sketchPath(id), raw)
@@ -84,28 +94,21 @@ func (s *Store) admitSketch(id trace.Digest, sk *index.Sketch) {
 	// A concurrent Delete may have removed the trace while we were
 	// loading; admitting a ghost would resurrect it in search results
 	// and clusters.
-	if _, ok := s.index[id]; ok {
+	if _, ok := s.metas[id]; ok {
 		s.sketches[id] = sk
 	}
 }
 
-// EnsureIndexed resolves the sketch of every locally indexed trace
-// (loading sidecars, backfilling where necessary) so the resident
-// sketches cover the whole local corpus. Corpus-scale analyses call it
-// first; after the first call over a given corpus it is cheap (all
-// sketches resident). Returns the first resolution error, after
-// attempting every trace.
+// EnsureIndexed resolves the sketch of every member that List returns
+// (loading sidecars from disk or bucket, backfilling where necessary),
+// so the resident sketches cover the whole corpus. Corpus-scale
+// analyses call it first; after the first call over a given corpus it
+// costs one List. Returns the first resolution error, after attempting
+// every trace.
 func (s *Store) EnsureIndexed() error {
-	s.mu.Lock()
-	missing := make([]trace.Digest, 0)
-	for id := range s.index {
-		if _, ok := s.sketches[id]; !ok {
-			missing = append(missing, id)
-		}
-	}
-	s.mu.Unlock()
 	var firstErr error
-	for _, id := range missing {
+	for _, m := range s.List() {
+		id, _ := trace.ParseDigest(m.ID)
 		if _, err := s.Sketch(id); err != nil && firstErr == nil {
 			// A trace deleted while we walked is not an indexing failure.
 			if errors.Is(err, ErrNotFound) {
@@ -120,8 +123,8 @@ func (s *Store) EnsureIndexed() error {
 	return nil
 }
 
-// Clusters partitions the locally indexed traces by sketch similarity
-// (see index.Clusters), after making every sketch resident.
+// Clusters partitions the members by sketch similarity (see
+// index.Clusters), after making every member's sketch resident.
 func (s *Store) Clusters(threshold float64) ([][]trace.Digest, error) {
 	if err := s.EnsureIndexed(); err != nil {
 		return nil, err
@@ -136,7 +139,7 @@ func (s *Store) Clusters(threshold float64) ([][]trace.Digest, error) {
 type IndexStats struct {
 	Sketches  int   `json:"sketches"`         // resident sketches
 	Bands     int   `json:"bands"`            // LSH bands per sketch
-	Traces    int   `json:"traces"`           // locally indexed traces (coverage target)
+	Traces    int   `json:"traces"`           // every member (coverage target)
 	Loads     int64 `json:"sketch_loads"`     // sidecar loads
 	Backfills int64 `json:"sketch_backfills"` // recomputed from trace entries
 	Computed  int64 `json:"sketch_computed"`  // computed inline at Put
@@ -145,7 +148,7 @@ type IndexStats struct {
 // IndexStats snapshots sketch coverage.
 func (s *Store) IndexStats() IndexStats {
 	s.mu.Lock()
-	sketches, traces := len(s.sketches), len(s.index)
+	sketches, traces := len(s.sketches), len(s.metas)
 	s.mu.Unlock()
 	return IndexStats{
 		Sketches:  sketches,

@@ -102,7 +102,7 @@ func TestSketchIgnoresSymRemapping(t *testing.T) {
 
 // pinnedSketchTraces are the inputs whose sidecar bytes
 // TestSketchBytesPinned pins: generated families, an EOF-padded trace,
-// and the golden fixtures of every trace format.
+// and the golden fixtures of every loadable trace format.
 func pinnedSketchTraces(tb testing.TB) map[string]*trace.Trace {
 	padded := genTrace(1, 0, 40)
 	trace.PadEOF(padded, genTrace(1, 0, 44))
@@ -112,7 +112,7 @@ func pinnedSketchTraces(tb testing.TB) map[string]*trace.Trace {
 		"fam3-var2": genTrace(3, 2, 100),
 		"padded":    padded,
 	}
-	for _, name := range []string{"golden.v1.jsonl", "golden.v2.jsonl", "golden.rseg", "golden.rsegz"} {
+	for _, name := range []string{"golden.v2.jsonl", "golden.rseg", "golden.rsegz"} {
 		tr, err := trace.Load(filepath.Join("..", "trace", "testdata", name))
 		if err != nil {
 			tb.Fatal(err)
@@ -134,7 +134,6 @@ func TestSketchBytesPinned(t *testing.T) {
 		"fam2-var1":       "fb1f124282610d312a60c7fe21ad2fb1a18377d818bd191d5b88fa0f0e8ab47e",
 		"fam3-var2":       "5189f4c6294a99db2326aa6e79f0e1648a8d9765634d78e561fdcc7c7b877be2",
 		"padded":          "9ec685df8dc68f4b25d7633a9655cba3e5857cc6244b0c1f6e792f82746bac91",
-		"golden.v1.jsonl": golden,
 		"golden.v2.jsonl": golden,
 		"golden.rseg":     golden,
 		"golden.rsegz":    golden,

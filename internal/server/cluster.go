@@ -87,8 +87,8 @@ type ClusterInfo struct {
 // ClusterPeerStats is one node's contribution to GET /cluster/stats.
 type ClusterPeerStats struct {
 	cluster.PeerHealth
-	Traces       int   `json:"traces,omitempty"`        // local disk-tier traces
-	RemoteTraces int   `json:"remote_traces,omitempty"` // known bucket-only traces
+	Traces       int   `json:"traces,omitempty"`        // members on the node's local disk
+	RemoteTraces int   `json:"remote_traces,omitempty"` // members known only in the bucket
 	OpenSessions int   `json:"open_sessions,omitempty"`
 	Requests     int64 `json:"requests,omitempty"`
 	Forwards     int64 `json:"forwards,omitempty"`
@@ -158,10 +158,6 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	// The cluster-wide corpus size comes from the shared bucket (plus
 	// anything only local to this node), not from summing per-node
 	// counts — those overlap wherever traces were hydrated.
-	if all, err := s.store.ListAll(r.Context()); err == nil {
-		resp.CorpusTraces = len(all)
-	} else {
-		resp.CorpusTraces = s.store.Len()
-	}
+	resp.CorpusTraces = len(s.store.List())
 	writeJSON(w, http.StatusOK, resp)
 }

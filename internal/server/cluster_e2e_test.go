@@ -207,7 +207,7 @@ func TestClusterServesOversizedCorpus(t *testing.T) {
 				t.Fatalf("GET %s via node %s served by %q, want owner %q", id[:8], node.id, served, want)
 			}
 		}
-		if local := node.store.LocalLen(); local > 2 {
+		if local := node.store.Stats().Traces; local > 2 {
 			t.Fatalf("node %s holds %d traces on disk, cap is 2", node.id, local)
 		}
 	}
@@ -219,6 +219,46 @@ func TestClusterServesOversizedCorpus(t *testing.T) {
 		t.Fatalf("views across nodes: status %d: %s", status, raw)
 	} else if vs.Counts.Total == 0 {
 		t.Fatalf("views across nodes: empty web: %s", raw)
+	}
+}
+
+// TestClusterSearchSameFromEveryNode: with each node's disk holding two
+// of six traces, POST /run/search through any node ranks every other
+// stored trace — bucket-only ones included — and returns the same hits.
+func TestClusterSearchSameFromEveryNode(t *testing.T) {
+	nodes := startCluster(t, 3, 2)
+	var ids []string
+	for i := 0; i < 6; i++ {
+		var info TraceInfo
+		tr := mkClusterTrace(fmt.Sprintf("search-%d", i), i, 60)
+		if status, raw := doJSON(t, http.MethodPut, nodes[i%3].url+"/traces", rsegBytes(t, tr), &info); status != http.StatusCreated {
+			t.Fatalf("upload %d: %d: %s", i, status, raw)
+		}
+		ids = append(ids, info.ID)
+	}
+	body, _ := json.Marshal(RunRequest{
+		Traces: map[string]string{"query": ids[0]},
+		Params: json.RawMessage(`{"k": 6}`),
+	})
+	var first []byte
+	for _, node := range nodes {
+		var out struct {
+			Result rprism.SearchResult `json:"result"`
+		}
+		status, raw := doJSON(t, http.MethodPost, node.url+"/run/search", body, &out)
+		if status != http.StatusOK {
+			t.Fatalf("search via %s: %d: %s", node.id, status, raw)
+		}
+		if out.Result.Corpus != len(ids)-1 || len(out.Result.Hits) != len(ids)-1 {
+			t.Fatalf("search via %s ranks %d candidates with %d hits, want %d: %s",
+				node.id, out.Result.Corpus, len(out.Result.Hits), len(ids)-1, raw)
+		}
+		hits, _ := json.Marshal(out.Result.Hits)
+		if first == nil {
+			first = hits
+		} else if !bytes.Equal(hits, first) {
+			t.Fatalf("search via %s returned %s, another node %s", node.id, hits, first)
+		}
 	}
 }
 

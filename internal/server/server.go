@@ -101,7 +101,8 @@ type Options struct {
 	// Workers bounds concurrently executing heavy analyses (view builds,
 	// diffs, regressions). Default 4.
 	Workers int
-	// MaxUploadBytes caps PUT /traces request bodies (default 256 MiB).
+	// MaxUploadBytes caps PUT /traces bodies, and the frames of one
+	// POST /traces/stream session across its requests (default 256 MiB).
 	MaxUploadBytes int64
 	// QueueTimeout is how long a request waits for a worker slot before
 	// 503 (default 30s).
@@ -562,16 +563,7 @@ func (s *Server) handlePutTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
-	metas := s.store.List()
-	if s.store.HasBlob() {
-		// With a blob tier, the listing is the whole shared corpus —
-		// bucket-resident traces included — so every node of a cluster
-		// reports the same inventory. A bucket outage degrades to the
-		// local view rather than failing the listing.
-		if all, err := s.store.ListAll(r.Context()); err == nil {
-			metas = all
-		}
-	}
+	metas := s.store.List() // with a blob tier, the same on every node
 	out := make([]TraceInfo, len(metas))
 	for i, m := range metas {
 		out[i] = TraceInfo{ID: m.ID, Name: m.Name, Entries: m.Entries, Segments: m.Segments}
@@ -782,14 +774,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // statsResponse builds the /stats payload; /cluster/stats reuses it for
 // the self node when aggregating across the ring.
 func (s *Server) statsResponse() StatsResponse {
-	sessions := s.store.Sessions()
-	if sessions == nil {
-		sessions = []corpus.SessionInfo{}
-	}
 	resp := StatsResponse{
 		Corpus:   s.store.Stats(),
 		Symbols:  s.eng.SymbolStats(),
-		Sessions: sessions,
+		Sessions: s.store.Sessions(),
 		Sentinel: s.eng.Sentinel().Counters().Snapshot(),
 		Server: ServerStats{
 			Workers:         s.opts.Workers,

@@ -31,11 +31,14 @@ import (
 // streamState pairs a corpus session with its wire decoder. The decoder
 // accumulates the stream's cumulative symbol table, so it must be driven
 // by exactly one request at a time: mu serializes whole requests, which
-// also keeps a resumed stream's frames in order.
+// also keeps a resumed stream's frames in order. bytes sums the segment
+// frames applied across every request of the session, which together
+// may not pass MaxUploadBytes, the bound of one upload.
 type streamState struct {
-	mu   sync.Mutex
-	sess *corpus.Session
-	dec  trace.WireDecoder
+	mu    sync.Mutex
+	sess  *corpus.Session
+	dec   trace.WireDecoder
+	bytes int64
 }
 
 // stream returns the wire state for a session id, or nil.
@@ -141,6 +144,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ack := capture.StreamAck{Session: st.sess.ID()}
 	for {
 		var fr capture.StreamFrame
+		start := dec.InputOffset()
 		if err := dec.Decode(&fr); err == io.EOF {
 			break
 		} else if err != nil {
@@ -169,6 +173,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if n := len(fr.Entries); n > 0 && int(fr.Entries[n-1].EID) < st.sess.Len() {
 				continue
 			}
+			// The session stays open past a refused frame, so a close
+			// frame can still finalize what it holds.
+			size := dec.InputOffset() - start
+			if st.bytes+size > s.opts.MaxUploadBytes {
+				writeErr(w, http.StatusRequestEntityTooLarge, CodeTooLarge, fmt.Errorf(
+					"stream session %s: frame would pass the %d-byte session limit", st.sess.ID(), s.opts.MaxUploadBytes))
+				return
+			}
 			entries, err := st.dec.Segment(trace.WireSegment{Symbols: fr.Symbols, Entries: fr.Entries})
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, CodeBadRequest,
@@ -183,6 +195,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, status, code, err)
 				return
 			}
+			st.bytes += size
 		case capture.FrameClose:
 			id, created, err := st.sess.Close()
 			if err != nil {

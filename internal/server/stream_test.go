@@ -328,6 +328,59 @@ func TestStreamResume(t *testing.T) {
 	}
 }
 
+// TestStreamSessionByteBound: two requests, each under MaxUploadBytes,
+// whose segment frames together pass it. The second is refused with 413
+// in the JSON error envelope, and the session stays open, so a close
+// frame still finalizes the entries the first request carried.
+func TestStreamSessionByteBound(t *testing.T) {
+	const limit = 4096
+	ts, _ := newTestServer(t, Options{MaxUploadBytes: limit})
+	src := baselineTrace(60)
+	var enc trace.WireEncoder
+	frames := func(fs ...capture.StreamFrame) *bytes.Buffer {
+		var body bytes.Buffer
+		je := json.NewEncoder(&body)
+		for _, f := range fs {
+			if err := je.Encode(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if body.Len() >= limit {
+			t.Fatalf("request body of %d bytes is not under the %d-byte limit", body.Len(), limit)
+		}
+		return &body
+	}
+	post := func(body *bytes.Buffer) (int, []byte) {
+		resp, err := http.Post(ts.URL+"/traces/stream", "application/x-ndjson", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+	segFrame := func(entries []trace.Entry) capture.StreamFrame {
+		seg := enc.Segment(entries)
+		return capture.StreamFrame{Frame: capture.FrameSegment, Symbols: seg.Symbols, Entries: seg.Entries}
+	}
+
+	code, raw := post(frames(capture.StreamFrame{Frame: capture.FrameOpen, Name: "bounded"}, segFrame(src.Entries[:25])))
+	var ack capture.StreamAck
+	if code != http.StatusOK || json.Unmarshal(raw, &ack) != nil || ack.Entries != 25 {
+		t.Fatalf("first request: HTTP %d: %s", code, raw)
+	}
+	code, raw = post(frames(capture.StreamFrame{Frame: capture.FrameOpen, Session: ack.Session}, segFrame(src.Entries[25:50])))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("second request: HTTP %d, want 413: %s", code, raw)
+	}
+	assertErrEnvelope(t, string(raw), CodeTooLarge)
+
+	code, raw = post(frames(capture.StreamFrame{Frame: capture.FrameOpen, Session: ack.Session}, capture.StreamFrame{Frame: capture.FrameClose}))
+	if code != http.StatusOK || json.Unmarshal(raw, &ack) != nil || ack.Trace == nil || ack.Trace.Entries != 25 {
+		t.Fatalf("close after a refused frame: HTTP %d: %s", code, raw)
+	}
+}
+
 func TestStreamValidation(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	// Not starting with an open frame.

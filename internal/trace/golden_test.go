@@ -3,7 +3,7 @@
 // (JSONL v1, JSONL v2, gob, RSEG plain and compressed), all encoding the
 // same fixture trace. Every encoding the loaders read must load to an
 // identical canonical digest and an equivalent view web; the retired
-// gob encoding must be refused with the migration command. It lives in
+// gob and JSONL v1 encodings must be refused with the migration command. It lives in
 // the external test package so it can drive the views and diff layers
 // the internal package cannot import.
 package trace_test
@@ -61,9 +61,6 @@ func fixtureTrace() *trace.Trace {
 }
 
 // goldenFixtures maps each loadable golden file to its writer.
-// golden.v1.jsonl is an encoding no current API emits (the legacy
-// headerless JSONL of the original writer), so the update path
-// reproduces it field by field.
 func goldenFixtures() map[string]func(path string, tr *trace.Trace) error {
 	return map[string]func(string, *trace.Trace) error{
 		"golden.v2.jsonl": saveWith((*trace.Trace).WriteJSONL),
@@ -71,18 +68,20 @@ func goldenFixtures() map[string]func(path string, tr *trace.Trace) error {
 		"golden.rsegz": saveWith(func(tr *trace.Trace, w io.Writer) error {
 			return tr.WriteRSEGOpts(w, trace.RSEGOptions{Compress: true})
 		}),
-		"golden.v1.jsonl": writeLegacyV1,
 	}
 }
 
 // retiredFixtures maps each golden file in an encoding the loaders no
-// longer read to its writer: the gob files of releases before RSEG,
-// which only `rprism convert` migrates.
+// longer read to its writer: the gob files of releases before RSEG and
+// the headerless JSONL of the original writer, which only `rprism
+// convert` migrates. No current API emits golden.v1.jsonl, so the
+// update path reproduces it field by field.
 func retiredFixtures() map[string]func(path string, tr *trace.Trace) error {
 	return map[string]func(string, *trace.Trace) error{
 		"golden.gob": saveWith(func(tr *trace.Trace, w io.Writer) error {
 			return gob.NewEncoder(w).Encode(tr)
 		}),
+		"golden.v1.jsonl": writeLegacyV1,
 	}
 }
 
@@ -103,7 +102,7 @@ func saveWith(encode func(*trace.Trace, io.Writer) error) func(string, *trace.Tr
 
 // legacy v1 line shape: self-contained entries, strings inlined, no
 // header. Mirrors the original writer closely enough that the v1 reader
-// exercises its real decode path.
+// of `rprism convert` exercises its real decode path.
 type v1Repr struct {
 	Loc   trace.Loc `json:"Loc"`
 	Class string    `json:"Class"`
@@ -225,7 +224,7 @@ func TestGoldenFormatCompat(t *testing.T) {
 	}
 	// Retired encodings are refused with the migration command; that
 	// they still convert to the pinned digest is cmd/rprism's
-	// TestConvertGoldenGob.
+	// TestConvertGoldenGob and TestConvertGoldenV1JSONL.
 	for name := range retiredFixtures() {
 		t.Run(name, func(t *testing.T) {
 			_, err := trace.Load(filepath.Join("testdata", name))

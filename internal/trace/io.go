@@ -52,10 +52,9 @@ func (t *Trace) Save(path string) error {
 }
 
 // sniffFormat detects the encoding of a trace from its first bytes: the
-// RSEG magic, or a JSON object open (JSONL, both versions). Any other
-// prefix — including the gob files and segments of earlier releases,
-// which `rprism convert` migrates — is a *FormatError labelled with
-// path.
+// RSEG magic, or a JSON object open (JSONL). Any other prefix —
+// including the gob files and segments of earlier releases, which
+// `rprism convert` migrates — is a *FormatError labelled with path.
 func sniffFormat(prefix []byte, path string) (Format, error) {
 	switch {
 	case len(prefix) >= 4 && string(prefix[:4]) == rsegMagic:

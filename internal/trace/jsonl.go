@@ -19,9 +19,9 @@ import (
 // each distinct string exactly once and streams the (much smaller) entry
 // lines without re-interning or re-hashing per line.
 //
-// Version 1 (legacy, still readable): no header; every line is one entry
-// with all strings inlined. ReadJSONL detects the format from the first
-// record, so traces saved by the old writer remain loadable.
+// Version 1 (earlier releases): no header; every line is one entry with
+// all strings inlined. The loaders refuse it with a *FormatError naming
+// `rprism convert -trace FILE`, the one reader left for it.
 
 const (
 	jsonlFormat  = "rprism-trace"
@@ -33,19 +33,6 @@ type jsonHeader struct {
 	Version int      `json:"version"`
 	Name    string   `json:"name"`
 	Symbols []string `json:"symbols"`
-}
-
-// jsonEntryV1 is the legacy self-contained entry line.
-type jsonEntryV1 struct {
-	EID    EntryID  `json:"eid"`
-	TID    ThreadID `json:"tid"`
-	Method string   `json:"method,omitempty"`
-	Self   *Repr    `json:"self,omitempty"`
-	Kind   string   `json:"kind"`
-	Target *Repr    `json:"target,omitempty"`
-	Member string   `json:"member,omitempty"`
-	Args   []Repr   `json:"args,omitempty"`
-	Stack  []Frame  `json:"stack,omitempty"`
 }
 
 // WireRepr is the v2 wire form of Repr: strings become symbol refs.
@@ -189,9 +176,9 @@ func encodeWireEntry(fs *fileSyms, e *Entry) WireEntry {
 	return je
 }
 
-// ReadJSONL reconstructs a trace written by WriteJSONL — either format
-// version. The name parameter is used when the stream carries no header
-// (v1) or an empty header name. Any failure is a *FormatError at the
+// ReadJSONL reconstructs a trace written by WriteJSONL. The name
+// parameter is used when the header carries an empty name. Any failure,
+// a headerless (version 1) stream included, is a *FormatError at the
 // decoder's byte offset.
 func ReadJSONL(name string, r io.Reader) (*Trace, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -219,7 +206,7 @@ func readJSONL(name string, dec *json.Decoder) (*Trace, error) {
 		}
 		return readJSONLv2(name, hdr.Symbols, dec)
 	}
-	return readJSONLv1(name, first, dec)
+	return nil, fmt.Errorf("no %s header: headerless JSONL of earlier releases migrates with 'rprism convert -trace FILE'", jsonlFormat)
 }
 
 // readJSONLv2 interns the symbol block once, then streams entry lines,
@@ -354,47 +341,4 @@ func (wt *wireTable) entry(je *WireEntry) (Entry, error) {
 		}
 	}
 	return e, nil
-}
-
-// readJSONLv1 reads the legacy headerless format, starting from the
-// already-consumed first record. Entries are interned on the way in.
-func readJSONLv1(name string, first json.RawMessage, dec *json.Decoder) (*Trace, error) {
-	t := New(name)
-	appendV1 := func(raw []byte) error {
-		var je jsonEntryV1
-		if err := json.Unmarshal(raw, &je); err != nil {
-			return fmt.Errorf("decode: %w", err)
-		}
-		kind, ok := kindByName[je.Kind]
-		if !ok {
-			return fmt.Errorf("unknown event kind %q", je.Kind)
-		}
-		e := Entry{
-			EID: je.EID, TID: je.TID, Method: je.Method,
-			Event: Event{Kind: kind, Member: je.Member, Args: je.Args, Stack: je.Stack},
-		}
-		if je.Self != nil {
-			e.Self = *je.Self
-		}
-		if je.Target != nil {
-			e.Event.Target = *je.Target
-		}
-		internEntry(&e, true)
-		t.Entries = append(t.Entries, e)
-		return nil
-	}
-	if err := appendV1(first); err != nil {
-		return nil, err
-	}
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			return t, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("decode: %w", err)
-		}
-		if err := appendV1(raw); err != nil {
-			return nil, err
-		}
-	}
 }

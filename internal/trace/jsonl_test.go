@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,35 +93,15 @@ func TestJSONLWritesSymbolHeader(t *testing.T) {
 	}
 }
 
-// TestJSONLReadsLegacyV1 pins the backward-compatibility guarantee:
-// traces saved by the old headerless writer (one self-contained entry
-// per line, all strings inlined) remain loadable.
-func TestJSONLReadsLegacyV1(t *testing.T) {
-	legacy := strings.Join([]string{
-		`{"eid":0,"tid":0,"method":"Main.main/0","self":{"Loc":1,"Class":"Main","Hash":0,"Str":"","Seq":1},"kind":"init","target":{"Loc":2,"Class":"C","Hash":9,"Str":"C:[]","Seq":1},"member":"C","args":[{"Loc":0,"Class":"Int","Hash":3,"Str":"Int:[32]","Seq":0}]}`,
-		`{"eid":1,"tid":0,"method":"Main.main/0","kind":"fork","member":"1","stack":[{"Method":"Main.main/0","Caller":{"Loc":0,"Class":"","Hash":0,"Str":"","Seq":0},"Callee":{"Loc":1,"Class":"Main","Hash":0,"Str":"","Seq":1}}]}`,
-		`{"eid":2,"tid":1,"method":"w","kind":"end"}`,
-	}, "\n") + "\n"
-	got, err := ReadJSONL("legacy", strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 {
-		t.Fatalf("loaded %d entries, want 3", got.Len())
-	}
-	e0 := got.Entries[0]
-	if e0.Method != "Main.main/0" || e0.Event.Member != "C" || e0.Event.Target.Class != "C" {
-		t.Errorf("v1 strings not restored: %+v", e0)
-	}
-	if e0.MethodSym == NoSym || e0.Event.Target.ClassSym == NoSym {
-		t.Error("v1 entries must be interned on load")
-	}
-	if got.Entries[1].Event.Stack[0].MethodSym == NoSym {
-		t.Error("v1 stack frames must be interned on load")
-	}
-	// Symbols must be the same ids a v2 load of equal strings would get.
-	if e0.MethodSym != Intern("Main.main/0") {
-		t.Error("v1 load interned into a different id space")
+// TestJSONLRefusesLegacyV1: a headerless (version 1) stream of earlier
+// releases is refused with a *FormatError naming the migration command;
+// cmd/rprism's TestConvertReadsLegacyV1 reads it.
+func TestJSONLRefusesLegacyV1(t *testing.T) {
+	legacy := `{"eid":0,"tid":1,"method":"w","kind":"end"}` + "\n"
+	_, err := ReadJSONL("legacy", strings.NewReader(legacy))
+	var fe *FormatError
+	if !errors.As(err, &fe) || !strings.Contains(fe.Msg, "rprism convert -trace FILE") {
+		t.Fatalf("ReadJSONL(v1) = %v, want a *FormatError naming rprism convert -trace FILE", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package rprism
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -75,9 +76,6 @@ func (e *Engine) Search(ctx context.Context, query Source, opts SearchOptions) (
 		return nil, err
 	}
 	defer release()
-	if err := e.store.EnsureIndexed(); err != nil {
-		return nil, err
-	}
 
 	// Resolve the query's sketch and digest. A corpus source resolves
 	// through the store's sketch tiers (no trace decode); anything else
@@ -110,6 +108,8 @@ func (e *Engine) Search(ctx context.Context, query Source, opts SearchOptions) (
 		sk    *index.Sketch
 		bound int // lower bound (nearest) or upper bound (farthest)
 	}
+	// Every member is a candidate (see corpus.Store.List), wherever its
+	// files are; a trace deleted since the listing is not.
 	metas := e.store.List()
 	cands := make([]cand, 0, len(metas))
 	for _, m := range metas {
@@ -118,7 +118,9 @@ func (e *Engine) Search(ctx context.Context, query Source, opts SearchOptions) (
 			continue
 		}
 		sk, err := e.store.Sketch(id)
-		if err != nil {
+		if errors.Is(err, corpus.ErrNotFound) {
+			continue
+		} else if err != nil {
 			return nil, err
 		}
 		c := cand{id: id, meta: m, sk: sk}
