@@ -426,12 +426,12 @@ func BenchmarkServeDiffConcurrent(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				wl, err := store.Views(lid)
+				wl, err := store.ViewsCtx(context.Background(), lid)
 				if err != nil {
 					b.Error(err)
 					return
 				}
-				wr, err := store.Views(rid)
+				wr, err := store.ViewsCtx(context.Background(), rid)
 				if err != nil {
 					b.Error(err)
 					return
@@ -470,11 +470,11 @@ func BenchmarkEngineDiffCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wl, err := store.Views(lid)
+	wl, err := store.ViewsCtx(context.Background(), lid)
 	if err != nil {
 		b.Fatal(err)
 	}
-	wr, err := store.Views(rid)
+	wr, err := store.ViewsCtx(context.Background(), rid)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/diff"
 	"repro/internal/impact"
+	"repro/internal/lru"
 	"repro/internal/protocol"
 	"repro/internal/regression"
 	"repro/internal/sentinel"
@@ -36,10 +37,11 @@ type Engine struct {
 
 	sentinelOpts sentinel.Options
 
+	// webs caches the webs of in-memory traces (FromTrace), keyed by
+	// trace identity.
+	webs *lru.Cache[*trace.Trace, *views.Web]
+
 	mu       sync.Mutex
-	webs     map[*trace.Trace]*views.Web
-	webOrder []*trace.Trace // FIFO eviction order
-	webCap   int
 	sentinel *sentinel.Monitor // lazily created by Sentinel()
 }
 
@@ -98,12 +100,13 @@ func WithDiffParallelism(n int) EngineOption {
 }
 
 // WithWebCacheSize bounds the engine's own web cache for non-corpus
-// sources (default 32 webs). Corpus-backed sources are cached by the
-// store instead and do not count against this bound.
+// sources (default 32 webs; the least recently used goes first).
+// Corpus-backed sources are cached by the store instead and do not count
+// against this bound.
 func WithWebCacheSize(n int) EngineOption {
 	return func(e *Engine) {
 		if n > 0 {
-			e.webCap = n
+			e.webs = lru.New[*trace.Trace, *views.Web](n)
 		}
 	}
 }
@@ -112,10 +115,7 @@ func WithWebCacheSize(n int) EngineOption {
 // in-process web caching, unbounded workers, default DiffOptions, the
 // process-wide symbol table, and no corpus (FromCorpus sources fail).
 func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{
-		webs:   make(map[*trace.Trace]*views.Web),
-		webCap: 32,
-	}
+	e := &Engine{webs: lru.New[*trace.Trace, *views.Web](32)}
 	for _, o := range opts {
 		o(e)
 	}
@@ -186,34 +186,12 @@ func (e *Engine) intraWorkers(requested int) int {
 // cachedWeb returns the engine-cached web for a trace, building it under
 // ctx on a miss. The build is one serial pass on the caller's goroutine,
 // so it runs inside the analysis's own slot and resolves no width.
-// Distinct goroutines missing on the same trace may both build (webs are
-// immutable and identical, so the second admission wins harmlessly); the
-// corpus path single-flights instead.
+// Concurrent misses on one trace share one build, by the same
+// single-flight rule as the corpus's web tier (see lru.Cache.Do).
 func (e *Engine) cachedWeb(ctx context.Context, t *trace.Trace) (*views.Web, error) {
-	e.mu.Lock()
-	w, ok := e.webs[t]
-	e.mu.Unlock()
-	if ok {
-		return w, nil
-	}
-	w, err := views.BuildCtx(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	if prev, ok := e.webs[t]; ok {
-		w = prev // another goroutine won the race; share its web
-	} else {
-		e.webs[t] = w
-		e.webOrder = append(e.webOrder, t)
-		for len(e.webOrder) > e.webCap {
-			delete(e.webs, e.webOrder[0])
-			e.webOrder[0] = nil // release the trace, not just the map entry
-			e.webOrder = e.webOrder[1:]
-		}
-	}
-	e.mu.Unlock()
-	return w, nil
+	return e.webs.Do(ctx, t, func(ctx context.Context) (*views.Web, error) {
+		return views.BuildCtx(ctx, t)
+	})
 }
 
 // Views resolves a source to its (cached) view web — the Engine form of

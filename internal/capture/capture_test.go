@@ -122,6 +122,70 @@ func TestDiskCaptureMultiGoroutine(t *testing.T) {
 	}
 }
 
+// TestEndThreadFlushesAndRetires drives EndThread as a goroutine-pool
+// embedder would: a plain goroutine (not started via Go) records, ends
+// its thread, and records again. EndThread flushes the buffered events
+// in order and drops the shard; the later recording is a fresh thread.
+func TestEndThreadFlushesAndRetires(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Start(Options{Dir: dir, Name: "pool", RingSize: 64, FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := Obj(1, "Worker", 1)
+	emit := func(i int) {
+		r.Emit(trace.Event{Kind: trace.KindGet, Target: self, Member: "state",
+			Args: []trace.Repr{trace.PrimRepr("Int", fmt.Sprint(i))}})
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		id := goid()
+		for i := range 3 {
+			emit(i)
+		}
+		r.EndThread()
+		if _, ok := r.shards.Load(id); ok {
+			t.Error("shard still held after EndThread")
+		}
+		// RingSize 64 buffered all three: only EndThread's flush could
+		// have sequenced them.
+		r.mu.Lock()
+		flushed := r.next
+		r.mu.Unlock()
+		if flushed != 3 {
+			t.Errorf("EndThread flushed %d entries, want 3", flushed)
+		}
+		emit(3)
+		r.EndThread()
+		if _, ok := r.shards.Load(id); ok {
+			t.Error("shard of the second recording still held after EndThread")
+		}
+	}()
+	<-done
+	if _, err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.LoadSegments(dir, "pool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 4 {
+		t.Fatalf("recorded %d entries, want 4", tr.Len())
+	}
+	for i, e := range tr.Entries {
+		if got, want := e.Event.Args[0].Str, trace.PrimRepr("Int", fmt.Sprint(i)).Str; got != want {
+			t.Errorf("entry %d carries %s: events out of order", i, got)
+		}
+		if i > 0 && i < 3 && e.TID != tr.Entries[0].TID {
+			t.Errorf("entry %d on thread %d, want %d", i, e.TID, tr.Entries[0].TID)
+		}
+	}
+	if tr.Entries[3].TID == tr.Entries[0].TID {
+		t.Errorf("recording after EndThread reused thread id %d", tr.Entries[0].TID)
+	}
+}
+
 func TestCaptureContextNesting(t *testing.T) {
 	// The generic context follows the interpreter's convention: calls and
 	// returns are recorded in the caller's context, inner events in the

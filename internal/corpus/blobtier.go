@@ -134,7 +134,7 @@ func (s *Store) hydrate(ctx context.Context, id trace.Digest, force bool) (Meta,
 
 	s.mu.Lock()
 	m := s.metas[id]
-	_, resident := s.local[id]
+	resident := s.local.Contains(id)
 	s.mu.Unlock()
 	if resident && !force {
 		return m, nil
@@ -190,39 +190,17 @@ func (s *Store) removeLocalFiles(id trace.Digest) error {
 	return first
 }
 
-// touchLocal marks id most-recently-used in the disk tier and evicts
-// past DiskCacheTraces. Only writers call it (caller holds putMu), so
-// file removal cannot race another eviction; a concurrent reader that
-// loses its files mid-load recovers through Get's re-hydration.
+// touchLocal marks id most recently used in the disk tier and deletes
+// the files of the traces that pushes past DiskCacheTraces. Only
+// writers call it (caller holds putMu), so file removal cannot race
+// another eviction; a concurrent reader that loses its files mid-load
+// recovers through Get's re-hydration.
 func (s *Store) touchLocal(id trace.Digest) {
-	s.mu.Lock()
-	s.touchLocalLocked(id)
-	var evicted []trace.Digest
-	if s.blob != nil && s.opts.DiskCacheTraces > 0 {
-		for s.localLRU.Len() > s.opts.DiskCacheTraces {
-			oldest := s.localLRU.Back()
-			eid := oldest.Value.(trace.Digest)
-			s.localLRU.Remove(oldest)
-			// The trace stays a member: the next read hydrates it back.
-			delete(s.local, eid)
-			evicted = append(evicted, eid)
-		}
-	}
-	s.mu.Unlock()
-	for _, eid := range evicted {
+	for _, eid := range s.local.Add(id, struct{}{}) {
+		// The trace stays a member: the next read hydrates it back.
 		s.removeLocalFiles(eid)
 		s.blobCounters.DiskEvictions.Add(1)
 	}
-}
-
-// touchLocalLocked refreshes recency without evicting — the read-path
-// variant, safe to call under s.mu alone.
-func (s *Store) touchLocalLocked(id trace.Digest) {
-	if el, ok := s.local[id]; ok {
-		s.localLRU.MoveToFront(el)
-		return
-	}
-	s.local[id] = s.localLRU.PushFront(id)
 }
 
 // deleteBlob removes a trace's objects from the bucket by name, with no

@@ -129,7 +129,7 @@ func TestBlobHydration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s3.Views(id); err != nil {
+	if _, err := s3.ViewsCtx(context.Background(), id); err != nil {
 		t.Fatalf("Views via hydration: %v", err)
 	}
 }

@@ -2,16 +2,15 @@
 // rprism-serve: traces are uploaded once, addressed by the digest of
 // their canonical encoding, and analyzed many times.
 //
-// Three tiers hold a trace:
+// Three tiers hold a trace, each bounded by one lru.Cache:
 //
 //   - a disk tier of one RSEG file per trace, with a similarity-sketch
 //     sidecar and a small JSON sidecar of metadata, each file written
 //     whole through atomicfile.Write;
-//   - an LRU of decoded *trace.Trace values, bounding resident entries;
-//   - a memoized cache of built view webs, keyed by digest and
-//     single-flighted: when N concurrent diffs need the views of one
-//     trace, exactly one goroutine builds them and the rest wait for
-//     that build.
+//   - the decoded *trace.Trace values;
+//   - the built view webs, filled by the cache's single-flight rule:
+//     when N concurrent diffs need the views of one trace, the first
+//     caller builds them under its own context and the rest wait.
 //
 // Invariants the server relies on:
 //
@@ -25,13 +24,12 @@
 //     member's meta or its resolved sketch.
 //   - Every corpus-scale reader (List, EnsureIndexed, Clusters, and the
 //     engine's search) covers the same set: every member, in every tier.
-//   - A web handed out by Views is never mutated (see views.Build), so
+//   - A web handed out by ViewsCtx is never mutated (see views.Build), so
 //     callers may share it freely across goroutines.
 package corpus
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,6 +44,7 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/blob"
 	"repro/internal/index"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/retry"
 	"repro/internal/trace"
@@ -132,7 +131,7 @@ type Stats struct {
 	Puts           int64 `json:"puts"`
 	Dedups         int64 `json:"dedups"` // Puts that found the digest already stored
 	// TraceCache and WebCache are the per-LRU hit/miss/eviction counts:
-	// a trace-cache miss is a disk load, a web-cache miss a views.Build
+	// a trace-cache miss is a disk load, a web-cache miss a views build
 	// run. Web-cache waits coalesced onto another goroutine's build are
 	// WebWaits.
 	TraceCache metrics.CacheSnapshot `json:"trace_cache"`
@@ -162,10 +161,6 @@ type Store struct {
 	// metas holds every member: each trace the store knows, whether its
 	// files are on local disk or only in the blob tier.
 	metas    map[trace.Digest]Meta
-	traces   map[trace.Digest]*list.Element // values: *traceItem, in lru
-	traceLRU *list.List                     // front = most recent
-	webs     map[trace.Digest]*list.Element // values: *webItem, in lru
-	webLRU   *list.List
 	sessions map[string]*Session // append-open live sessions, by id
 
 	// sketches holds the resolved similarity sketches, a subset of the
@@ -173,36 +168,22 @@ type Store struct {
 	// sketch stays until Delete.
 	sketches map[trace.Digest]*index.Sketch
 
+	// traces and webs are the decoded-trace and view-web tiers. local
+	// is the set of members holding disk-tier files, bounded by
+	// DiskCacheTraces with a blob tier; without one every member is in
+	// it. Removals from all three happen under mu, with the metas.
+	traces *lru.Cache[trace.Digest, *trace.Trace]
+	webs   *lru.Cache[trace.Digest, *views.Web]
+	local  *lru.Cache[trace.Digest, struct{}]
+
 	// blob is the retry-wrapped object-store tier (nil: disabled).
-	// local/localLRU track which members hold disk-tier files, for the
-	// DiskCacheTraces bound; without a blob tier every member does.
 	blob       blob.Backend
 	blobPrefix string
-	local      map[trace.Digest]*list.Element // values: trace.Digest, in localLRU
-	localLRU   *list.List
 
-	traceCache, webCache metrics.CacheCounters
-	blobCounters         metrics.BlobCounters
-	webWaits             atomic.Int64
-	puts, dedups         atomic.Int64
+	blobCounters metrics.BlobCounters
+	puts, dedups atomic.Int64
 
 	sketchLoads, sketchBackfills, sketchComputed atomic.Int64
-}
-
-type traceItem struct {
-	id trace.Digest
-	t  *trace.Trace
-}
-
-// webItem is a single-flight slot for one trace's view web: the first
-// goroutine to claim the slot builds, everyone else blocks in once.Do
-// until the web (or the load error) is ready.
-type webItem struct {
-	id   trace.Digest
-	once sync.Once
-	done atomic.Bool // set after once.Do's function returns
-	web  *views.Web
-	err  error
 }
 
 // New opens (or creates) a store rooted at dir and indexes the traces
@@ -211,18 +192,18 @@ func New(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
+	opts = opts.withDefaults()
 	s := &Store{
 		dir:      dir,
-		opts:     opts.withDefaults(),
+		opts:     opts,
 		metas:    make(map[trace.Digest]Meta),
-		traces:   make(map[trace.Digest]*list.Element),
-		traceLRU: list.New(),
-		webs:     make(map[trace.Digest]*list.Element),
-		webLRU:   list.New(),
 		sessions: make(map[string]*Session),
 		sketches: make(map[trace.Digest]*index.Sketch),
-		local:    make(map[trace.Digest]*list.Element),
-		localLRU: list.New(),
+		traces:   lru.New[trace.Digest, *trace.Trace](opts.TraceCacheSize),
+		webs:     lru.New[trace.Digest, *views.Web](opts.WebCacheSize),
+		// Unbounded while the scan below seeds it: New evicts nothing,
+		// and the first Put or hydration trims it to DiskCacheTraces.
+		local: lru.New[trace.Digest, struct{}](0),
 	}
 	if opts.Blob != nil {
 		if opts.BlobPrefix != "" && !strings.HasSuffix(opts.BlobPrefix, "/") {
@@ -266,7 +247,10 @@ func New(dir string, opts Options) (*Store, error) {
 		}
 		id, _ := trace.ParseDigest(m.ID)
 		s.metas[id] = m
-		s.touchLocalLocked(id)
+		s.local.Add(id, struct{}{})
+	}
+	if s.blob != nil {
+		s.local.SetCap(opts.DiskCacheTraces)
 	}
 	if sweep {
 		s.sweepOrphans(files)
@@ -286,7 +270,7 @@ func (s *Store) sweepOrphans(files []os.DirEntry) {
 			continue
 		}
 		own := rest == "meta.json" || rest == "sketch.json" || f.Name() == filepath.Base(s.tracePath(id))
-		if _, committed := s.local[id]; !committed || !own {
+		if !own || !s.local.Contains(id) {
 			os.Remove(filepath.Join(s.dir, f.Name()))
 		}
 	}
@@ -361,10 +345,7 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 	}
 	defer unlock()
 
-	s.mu.Lock()
-	_, exists := s.local[id]
-	s.mu.Unlock()
-	if exists {
+	if s.local.Contains(id) {
 		s.dedups.Add(1)
 		return id, false, nil
 	}
@@ -404,9 +385,9 @@ func (s *Store) Put(t *trace.Trace) (trace.Digest, bool, error) {
 	s.sketchComputed.Add(1)
 	s.mu.Lock()
 	s.metas[id] = m
-	s.admitTraceLocked(id, t)
 	s.sketches[id] = sk
 	s.mu.Unlock()
+	s.traces.Add(id, t)
 	s.touchLocal(id)
 	return id, true, nil
 }
@@ -477,56 +458,50 @@ func (s *Store) Len() int {
 	return len(s.metas)
 }
 
-// Get returns the decoded trace for id, loading it from the disk tier on
-// an LRU miss. The returned trace is shared and must be treated as
-// read-only.
+// Get returns the decoded trace for id, loading it from the disk tier
+// on an LRU miss; concurrent misses on one id decode it once. The
+// returned trace is shared and must be treated as read-only.
 func (s *Store) Get(id trace.Digest) (*trace.Trace, error) {
-	s.mu.Lock()
-	if el, ok := s.traces[id]; ok {
-		s.traceLRU.MoveToFront(el)
-		t := el.Value.(*traceItem).t
+	return s.get(context.Background(), id)
+}
+
+// get is Get under ctx, which bounds this caller's wait and, if it runs
+// the fill, the hydration. The fill reads the trace from the disk tier,
+// first hydrating it from the bucket if it is not resident, and
+// refreshes its disk recency.
+func (s *Store) get(ctx context.Context, id trace.Digest) (*trace.Trace, error) {
+	return s.traces.Do(ctx, id, func(ctx context.Context) (*trace.Trace, error) {
+		s.mu.Lock()
+		m := s.metas[id]
+		resident := s.local.Contains(id)
 		s.mu.Unlock()
-		s.traceCache.Hits.Add(1)
-		return t, nil
-	}
-	m := s.metas[id]
-	_, resident := s.local[id]
-	s.mu.Unlock()
-	if !resident {
-		// Blob-tier fallback: hydrate the trace onto local disk and
-		// serve it through the same strict load path below.
-		var err error
-		if m, err = s.hydrate(context.Background(), id, false); err != nil {
+		if !resident {
+			// Blob-tier fallback: hydrate the trace onto local disk and
+			// serve it through the same strict load path below.
+			var err error
+			if m, err = s.hydrate(ctx, id, false); err != nil {
+				return nil, err
+			}
+		}
+		t, err := s.loadLocal(id, m)
+		if err != nil && s.blob != nil {
+			// The local files may have been disk-evicted (or corrupted)
+			// between the residency check and the load; re-pull the
+			// authoritative copy from the bucket and retry once.
+			if _, herr := s.hydrate(ctx, id, true); herr == nil {
+				t, err = s.loadLocal(id, m)
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
-	}
-	s.traceCache.Misses.Add(1)
-
-	t, err := s.loadLocal(id, m)
-	if err != nil && s.blob != nil {
-		// The local files may have been disk-evicted (or corrupted)
-		// between the residency check and the load; re-pull the authoritative
-		// copy from the bucket and retry once.
-		if _, herr := s.hydrate(context.Background(), id, true); herr == nil {
-			t, err = s.loadLocal(id, m)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.admitTraceLocked(id, t)
-	if el, ok := s.local[id]; ok {
-		s.localLRU.MoveToFront(el)
-	}
-	s.mu.Unlock()
-	return t, nil
+		s.local.Get(id)
+		return t, nil
+	})
 }
 
 // loadLocal decodes a trace from its disk-tier file, enforcing the
-// store's strictness. It runs outside the locks: two goroutines
-// missing on the same id both load; the second admission wins, which
-// is harmless — both copies are immutable and identical.
+// store's strictness. It runs outside the locks.
 //
 // The store is strict where the capture-recovery loader is
 // forgiving: a content-addressed trace that loads short — its file
@@ -552,128 +527,20 @@ func (s *Store) loadLocal(id trace.Digest, m Meta) (*trace.Trace, error) {
 	return t, nil
 }
 
-// admitTraceLocked inserts or refreshes a decoded trace in the LRU,
-// evicting from the back past capacity. Caller holds s.mu.
-func (s *Store) admitTraceLocked(id trace.Digest, t *trace.Trace) {
-	if el, ok := s.traces[id]; ok {
-		el.Value.(*traceItem).t = t
-		s.traceLRU.MoveToFront(el)
-		return
-	}
-	s.traces[id] = s.traceLRU.PushFront(&traceItem{id: id, t: t})
-	for s.traceLRU.Len() > s.opts.TraceCacheSize {
-		oldest := s.traceLRU.Back()
-		it := oldest.Value.(*traceItem)
-		s.traceLRU.Remove(oldest)
-		delete(s.traces, it.id)
-		s.traceCache.Evictions.Add(1)
-	}
-}
-
-// Views returns the memoized view web of a stored trace, building it at
-// most once per cache residency no matter how many goroutines ask
-// concurrently (single-flight). The returned web is immutable; callers
-// on the diff path hand it straight to diff.ViewDiffWebs.
-func (s *Store) Views(id trace.Digest) (*views.Web, error) {
-	s.mu.Lock()
-	if _, ok := s.local[id]; !ok {
-		s.mu.Unlock()
-		// Blob-tier fallback: pull the trace local before claiming a
-		// build slot, so the build's Get cannot miss.
-		if _, err := s.hydrate(context.Background(), id, false); err != nil {
+// ViewsCtx returns the memoized view web of a stored trace. Concurrent
+// misses on one trace share one build, run by the first caller under
+// its ctx; a waiter whose ctx ends returns the context's error at once,
+// and if the builder's ctx ends first, the build stops and a live
+// waiter builds in its place. The returned web is immutable; callers on
+// the diff path hand it straight to diff.ViewDiffWebs.
+func (s *Store) ViewsCtx(ctx context.Context, id trace.Digest) (*views.Web, error) {
+	return s.webs.Do(ctx, id, func(ctx context.Context) (*views.Web, error) {
+		t, err := s.get(ctx, id)
+		if err != nil {
 			return nil, err
 		}
-		s.mu.Lock()
-	}
-	el, ok := s.webs[id]
-	if ok {
-		s.webLRU.MoveToFront(el)
-	} else {
-		el = s.webLRU.PushFront(&webItem{id: id})
-		s.webs[id] = el
-		for s.webLRU.Len() > s.opts.WebCacheSize {
-			oldest := s.webLRU.Back()
-			it := oldest.Value.(*webItem)
-			s.webLRU.Remove(oldest)
-			delete(s.webs, it.id)
-			s.webCache.Evictions.Add(1)
-		}
-	}
-	it := el.Value.(*webItem)
-	s.mu.Unlock()
-
-	wasDone := it.done.Load()
-	built := false
-	it.once.Do(func() {
-		built = true
-		s.webCache.Misses.Add(1)
-		var t *trace.Trace
-		if t, it.err = s.Get(id); it.err == nil {
-			it.web = views.Build(t)
-		}
-		it.done.Store(true)
+		return views.BuildCtx(ctx, t)
 	})
-	if !built {
-		if wasDone {
-			s.webCache.Hits.Add(1)
-		} else {
-			// We blocked inside once.Do while another goroutine built:
-			// the single-flight coalescing path.
-			s.webWaits.Add(1)
-		}
-	}
-	if it.err != nil {
-		// Failed builds must not be memoized as permanent failures:
-		// drop the slot so a later call retries.
-		s.mu.Lock()
-		if el2, ok := s.webs[id]; ok && el2.Value.(*webItem) == it {
-			s.webLRU.Remove(el2)
-			delete(s.webs, id)
-		}
-		s.mu.Unlock()
-		return nil, it.err
-	}
-	return it.web, nil
-}
-
-// ViewsCtx is Views with caller-side cancellation. An already-built web
-// is served immediately with no extra machinery. Otherwise the build (or
-// the wait on another goroutine's build) runs detached: if ctx ends
-// first, this caller unblocks with the context's error while the build
-// itself completes and populates the cache for future callers — one
-// impatient client must not waste the work every other waiter is
-// queued on.
-func (s *Store) ViewsCtx(ctx context.Context, id trace.Digest) (*views.Web, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if el, ok := s.webs[id]; ok {
-		it := el.Value.(*webItem)
-		if it.done.Load() && it.err == nil {
-			s.webLRU.MoveToFront(el)
-			s.mu.Unlock()
-			s.webCache.Hits.Add(1)
-			return it.web, nil
-		}
-	}
-	s.mu.Unlock()
-
-	type out struct {
-		web *views.Web
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		w, err := s.Views(id)
-		ch <- out{w, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.web, o.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // Delete removes a trace from every tier, including disk and — when a
@@ -703,18 +570,9 @@ func (s *Store) Delete(id trace.Digest) error {
 		s.mu.Lock()
 	}
 	delete(s.metas, id)
-	if el, ok := s.local[id]; ok {
-		s.localLRU.Remove(el)
-		delete(s.local, id)
-	}
-	if el, ok := s.traces[id]; ok {
-		s.traceLRU.Remove(el)
-		delete(s.traces, id)
-	}
-	if el, ok := s.webs[id]; ok {
-		s.webLRU.Remove(el)
-		delete(s.webs, id)
-	}
+	s.local.Remove(id)
+	s.traces.Remove(id)
+	s.webs.Remove(id)
 	delete(s.sketches, id)
 	s.mu.Unlock()
 
@@ -730,19 +588,18 @@ func (s *Store) Delete(id trace.Digest) error {
 // Stats snapshots the store.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{Traces: len(s.local)}
+	resident := s.local.Keys()
+	st := Stats{Traces: len(resident)}
 	if s.blob != nil {
-		st.RemoteTraces = len(s.metas) - len(s.local)
+		st.RemoteTraces = len(s.metas) - len(resident)
 	}
-	traceLen, webLen := s.traceLRU.Len(), s.webLRU.Len()
-	for id := range s.local {
+	for _, id := range resident {
 		st.EntriesOnDisk += s.metas[id].Entries
 	}
 	s.mu.Unlock()
 	st.OpenSessions, st.SessionEntries = s.sessionStats()
-	st.TraceCache = s.traceCache.Snapshot(traceLen, s.opts.TraceCacheSize)
-	st.WebCache = s.webCache.Snapshot(webLen, s.opts.WebCacheSize)
-	st.WebWaits = s.webWaits.Load()
+	st.TraceCache, _ = s.traces.Snapshot()
+	st.WebCache, st.WebWaits = s.webs.Snapshot()
 	st.Evictions = st.TraceCache.Evictions + st.WebCache.Evictions
 	st.Puts = s.puts.Load()
 	st.Dedups = s.dedups.Load()

@@ -1,7 +1,7 @@
 package corpus
 
 import (
-	"container/list"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -153,6 +153,41 @@ func TestTraceLRUEviction(t *testing.T) {
 	}
 }
 
+// TestGetSingleFlightsDecode: concurrent misses on one trace decode it
+// once and share the decoded trace.
+func TestGetSingleFlightsDecode(t *testing.T) {
+	s, err := New(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustPut(t, s, makeTrace("get", 3, 2000))
+	dropDecoded(s)
+	before := s.Stats().TraceCache.Misses
+	const G = 16
+	got := make([]*trace.Trace, G)
+	var wg sync.WaitGroup
+	for g := range G {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := s.Get(id)
+			if err != nil {
+				t.Error(err)
+			}
+			got[g] = tr
+		}()
+	}
+	wg.Wait()
+	if n := s.Stats().TraceCache.Misses - before; n != 1 {
+		t.Errorf("%d decodes under concurrency, want 1 (single-flight)", n)
+	}
+	for g := 1; g < G; g++ {
+		if got[g] != got[0] {
+			t.Fatal("concurrent Gets returned distinct traces")
+		}
+	}
+}
+
 func TestViewsMemoizedAndSingleFlight(t *testing.T) {
 	s, err := New(t.TempDir(), Options{})
 	if err != nil {
@@ -168,7 +203,7 @@ func TestViewsMemoizedAndSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			w, err := s.Views(id)
+			w, err := s.ViewsCtx(context.Background(), id)
 			if err != nil {
 				t.Error(err)
 				return
@@ -191,7 +226,7 @@ func TestViewsMemoizedAndSingleFlight(t *testing.T) {
 	}
 
 	// A later call is a plain memo hit.
-	if _, err := s.Views(id); err != nil {
+	if _, err := s.ViewsCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.WebCache.Misses != 1 {
@@ -206,13 +241,13 @@ func TestViewsEvictionRebuilds(t *testing.T) {
 	}
 	a := mustPut(t, s, makeTrace("a", 1, 30))
 	b := mustPut(t, s, makeTrace("b", 2, 30))
-	if _, err := s.Views(a); err != nil {
+	if _, err := s.ViewsCtx(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Views(b); err != nil { // evicts a's web
+	if _, err := s.ViewsCtx(context.Background(), b); err != nil { // evicts a's web
 		t.Fatal(err)
 	}
-	if _, err := s.Views(a); err != nil { // rebuild
+	if _, err := s.ViewsCtx(context.Background(), a); err != nil { // rebuild
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.WebCache.Misses != 3 {
@@ -238,10 +273,9 @@ func TestPutRejectsNonDenseEIDs(t *testing.T) {
 // dropDecoded empties the decoded-trace LRU, so the next Get of any
 // trace is a disk-tier miss.
 func dropDecoded(s *Store) {
-	s.mu.Lock()
-	s.traces = make(map[trace.Digest]*list.Element)
-	s.traceLRU.Init()
-	s.mu.Unlock()
+	for _, id := range s.traces.Keys() {
+		s.traces.Remove(id)
+	}
 }
 
 // TestStaleSegmentIgnoredThenSweptAtOpen: a high-numbered segment left
@@ -548,7 +582,7 @@ func TestViewsUnknownID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Views(trace.Digest{9}); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ViewsCtx(context.Background(), trace.Digest{9}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Views of unknown id: %v", err)
 	}
 }
@@ -559,7 +593,7 @@ func TestDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := mustPut(t, s, makeTrace("gone", 4, 25))
-	if _, err := s.Views(id); err != nil {
+	if _, err := s.ViewsCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete(id); err != nil {
@@ -605,12 +639,12 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 						t.Error(err)
 					}
 				case 1:
-					if _, err := s.Views(id); err != nil {
+					if _, err := s.ViewsCtx(context.Background(), id); err != nil {
 						t.Error(err)
 					}
 				case 2:
-					wl, err1 := s.Views(ids[round%len(ids)])
-					wr, err2 := s.Views(ids[(round+1)%len(ids)])
+					wl, err1 := s.ViewsCtx(context.Background(), ids[round%len(ids)])
+					wr, err2 := s.ViewsCtx(context.Background(), ids[(round+1)%len(ids)])
 					if err1 != nil || err2 != nil {
 						t.Error(err1, err2)
 						return

@@ -29,8 +29,8 @@ func (s *Store) sketchPath(id trace.Digest) string {
 func (s *Store) Sketch(id trace.Digest) (*index.Sketch, error) {
 	s.mu.Lock()
 	sk, ok := s.sketches[id]
-	_, resident := s.local[id]
 	s.mu.Unlock()
+	resident := s.local.Contains(id)
 	if ok {
 		return sk, nil
 	}
@@ -77,9 +77,7 @@ func (s *Store) writeSketch(id trace.Digest, sk *index.Sketch) {
 		return
 	}
 	defer unlock()
-	s.mu.Lock()
-	_, ok := s.local[id]
-	s.mu.Unlock()
+	ok := s.local.Contains(id)
 	if raw, err := sk.Marshal(); ok && err == nil {
 		_ = atomicfile.Write(s.sketchPath(id), raw)
 	}

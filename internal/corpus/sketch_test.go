@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"errors"
 	"os"
 	"reflect"
@@ -355,7 +356,7 @@ func TestStatsCacheSnapshots(t *testing.T) {
 		if _, err := s.Get(id); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Views(id); err != nil {
+		if _, err := s.ViewsCtx(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 // Package metrics holds the runtime observability counters of the
-// long-running subsystems — caches, the blob tier, cluster forwarding,
-// and the regression sentinel — with their JSON snapshots for /stats.
+// long-running subsystems — the blob tier, cluster forwarding, and the
+// regression sentinel — with their JSON snapshots for /stats, and the
+// snapshot type of the bounded caches (whose counters lru.Cache keeps).
 // Every counter is atomic, and a zero value is ready to use.
 package metrics
 

@@ -60,9 +60,6 @@ type Spec struct {
 	// digest (zero when the baseline is not corpus-addressable).
 	Baseline       *views.Web
 	BaselineDigest trace.Digest
-	// Analysis names the analysis semantics (informational; default
-	// "regression").
-	Analysis string
 	// Expected are the B-side signatures of an expected change (the
 	// paper's diff(old-input₂, new-input₂)): right-side differences
 	// whose signature appears here are subtracted from the candidate
@@ -134,9 +131,6 @@ func (m *Monitor) Attach(spec Spec) (*Watch, error) {
 	}
 	if spec.Baseline == nil {
 		return nil, errors.New("sentinel: spec needs a baseline web")
-	}
-	if spec.Analysis == "" {
-		spec.Analysis = "regression"
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -231,7 +225,6 @@ type Info struct {
 	ID          string `json:"id"`
 	Session     string `json:"session"`
 	Baseline    string `json:"baseline,omitempty"`
-	Analysis    string `json:"analysis"`
 	Webhook     string `json:"webhook,omitempty"`
 	Diverged    bool   `json:"diverged"`
 	Closed      bool   `json:"closed"`
@@ -282,7 +275,6 @@ func (w *Watch) Info() Info {
 	info := Info{
 		ID:          w.id,
 		Session:     w.spec.Session.ID(),
-		Analysis:    w.spec.Analysis,
 		Webhook:     w.spec.Webhook,
 		Diverged:    w.diverged,
 		Closed:      w.closed,

@@ -1,6 +1,7 @@
 package sentinel
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -39,7 +40,7 @@ func watchFixture(t *testing.T, opts Options, spec func(*Spec)) (*Monitor, *corp
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, err := store.Views(dig)
+	wl, err := store.ViewsCtx(context.Background(), dig)
 	if err != nil {
 		t.Fatal(err)
 	}

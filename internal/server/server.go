@@ -91,6 +91,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/diff"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/regression"
 	"repro/internal/trace"
@@ -147,10 +148,9 @@ type Server struct {
 	// themselves live in the corpus store). finished holds bounded
 	// tombstones of finalized sessions so retried close requests are
 	// answered idempotently instead of 404ing.
-	streamMu      sync.Mutex
-	streams       map[string]*streamState
-	finished      map[string]capture.StreamTraceInfo
-	finishedOrder []string
+	streamMu sync.Mutex
+	streams  map[string]*streamState
+	finished *lru.Cache[string, capture.StreamTraceInfo]
 
 	// cl is the node's cluster view (nil outside cluster mode).
 	cl *cluster.Cluster
@@ -170,12 +170,13 @@ func New(eng *rprism.Engine, opts Options) *Server {
 	}
 	opts = opts.withDefaults()
 	return &Server{
-		eng:     eng,
-		store:   store,
-		opts:    opts,
-		sem:     make(chan struct{}, opts.Workers),
-		streams: make(map[string]*streamState),
-		cl:      opts.Cluster,
+		eng:      eng,
+		store:    store,
+		opts:     opts,
+		sem:      make(chan struct{}, opts.Workers),
+		streams:  make(map[string]*streamState),
+		finished: lru.New[string, capture.StreamTraceInfo](finishedTombstones),
+		cl:       opts.Cluster,
 	}
 }
 
@@ -514,13 +515,7 @@ func (s *Server) handlePutTrace(w http.ResponseWriter, r *http.Request) {
 	// to the digest owner once the digest is known.
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				fmt.Errorf("trace exceeds the %d-byte upload limit", tooBig.Limit))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("reading upload: %w", err))
+		writeBodyErr(w, "reading upload", err)
 		return
 	}
 	t, err := trace.ReadAny("upload", bytes.NewReader(raw))
@@ -649,7 +644,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("reading body: %w", err))
+		writeBodyErr(w, "reading body", err)
 		return
 	}
 	var req RunRequest
@@ -856,6 +851,19 @@ func writeStoreErr(w http.ResponseWriter, err error) {
 		return
 	}
 	writeErr(w, http.StatusInternalServerError, CodeInternal, err)
+}
+
+// writeBodyErr answers a request whose body could not be read or
+// decoded: 413 too_large when it passed the limit of its
+// http.MaxBytesReader, else 400 bad_request. what names the step.
+func writeBodyErr(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			fmt.Errorf("%s: body exceeds the %d-byte limit", what, tooBig.Limit))
+		return
+	}
+	writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("%s: %w", what, err))
 }
 
 func writeErr(w http.ResponseWriter, status int, code string, err error) {

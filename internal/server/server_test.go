@@ -293,6 +293,39 @@ func TestUploadTooLargeIs413(t *testing.T) {
 	assertErrEnvelope(t, raw, CodeTooLarge)
 }
 
+// TestBodyLimitIs413: every route that bounds its body answers a body
+// past the bound with 413 too_large, not a 400: uploads and streams at
+// MaxUploadBytes, /run and /watches at 1 MiB, and a stream whose limit
+// trips on its first frame or on a later one.
+func TestBodyLimitIs413(t *testing.T) {
+	good, _ := tracePair(t)
+	ts, _ := newTestServer(t, Options{MaxUploadBytes: 1024})
+	pad := func(n int) string { return strings.Repeat("x", n) }
+	open := `{"frame":"open","name":"limit"}` + "\n"
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+	}{
+		{"put trace", http.MethodPut, "/traces", rsegBytes(t, good)},
+		{"stream first frame", http.MethodPost, "/traces/stream",
+			[]byte(`{"frame":"open","name":"` + pad(2048) + `"}`)},
+		{"stream later frame", http.MethodPost, "/traces/stream",
+			[]byte(open + `{"frame":"segment","entries":[],"pad":"` + pad(2048) + `"}`)},
+		{"run", http.MethodPost, "/run/diff",
+			[]byte(`{"traces":{"left":"` + pad(1<<20) + `"}}`)},
+		{"watch", http.MethodPost, "/watches",
+			[]byte(`{"session":"` + pad(1<<20) + `"}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, raw := doJSON(t, tc.method, ts.URL+tc.path, tc.body, nil)
+			if status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413: %s", status, raw)
+			}
+			assertErrEnvelope(t, raw, CodeTooLarge)
+		})
+	}
+}
+
 func TestAnalyzeEndpointMatchesLibrary(t *testing.T) {
 	good, bad := tracePair(t)
 	ts, _ := newTestServer(t, Options{})

@@ -61,28 +61,11 @@ const finishedTombstones = 256
 // finishStream replaces a session's wire state with a tombstone holding
 // its finalization ack, so a client that lost the close response can
 // retry and receive the same answer instead of a 404 (the close frame
-// is then idempotent like every other frame).
+// is then idempotent like every other frame). The tombstone goes in
+// first, so a concurrent lookup finds one or the other.
 func (s *Server) finishStream(id string, info capture.StreamTraceInfo) {
-	s.streamMu.Lock()
-	delete(s.streams, id)
-	if s.finished == nil {
-		s.finished = make(map[string]capture.StreamTraceInfo)
-	}
-	s.finished[id] = info
-	s.finishedOrder = append(s.finishedOrder, id)
-	for len(s.finishedOrder) > finishedTombstones {
-		delete(s.finished, s.finishedOrder[0])
-		s.finishedOrder = s.finishedOrder[1:]
-	}
-	s.streamMu.Unlock()
-}
-
-// finishedStream looks up a finalized session's tombstone.
-func (s *Server) finishedStream(id string) (capture.StreamTraceInfo, bool) {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	info, ok := s.finished[id]
-	return info, ok
+	s.finished.Add(id, info)
+	s.dropStream(id)
 }
 
 // handleStream processes one request of the capture stream protocol:
@@ -97,8 +80,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	var first capture.StreamFrame
 	if err := dec.Decode(&first); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("stream must start with an open frame: %w", err))
+		writeBodyErr(w, "stream must start with an open frame", err)
 		return
 	}
 	if first.Frame != capture.FrameOpen {
@@ -128,7 +110,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// A recently finalized session answers with its stored ack: the
 		// request is a replay whose close response was lost, and all its
 		// data is already in the trace the tombstone names.
-		if info, ok := s.finishedStream(first.Session); ok {
+		if info, ok := s.finished.Get(first.Session); ok {
 			writeJSON(w, http.StatusOK, capture.StreamAck{
 				Session: first.Session, Entries: info.Entries, Trace: &info,
 			})
@@ -148,10 +130,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if err := dec.Decode(&fr); err == io.EOF {
 			break
 		} else if err != nil {
-			// The session survives a malformed or torn request: the client
-			// resumes by re-sending from its last acked entry.
-			writeErr(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("stream session %s: bad frame: %w", st.sess.ID(), err))
+			// The session survives a malformed, torn or oversized
+			// request: the client resumes by re-sending from its last
+			// acked entry.
+			writeBodyErr(w, fmt.Sprintf("stream session %s: bad frame", st.sess.ID()), err)
 			return
 		}
 		switch fr.Frame {

@@ -32,8 +32,6 @@ type WatchRequest struct {
 	Session string `json:"session"`
 	// Baseline is the pinned baseline's content digest.
 	Baseline string `json:"baseline"`
-	// Analysis names the analysis semantics (default "regression").
-	Analysis string `json:"analysis,omitempty"`
 	// Webhook receives divergence events as JSON POSTs (at-least-once).
 	Webhook string `json:"webhook,omitempty"`
 	// ExpectedOld/ExpectedNew name an expected-change trace pair whose
@@ -48,7 +46,7 @@ type WatchRequest struct {
 func (s *Server) handleCreateWatch(w http.ResponseWriter, r *http.Request) {
 	var req WatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad JSON body: %w", err))
+		writeBodyErr(w, "bad JSON body", err)
 		return
 	}
 	if req.Session == "" || req.Baseline == "" {
@@ -209,7 +207,6 @@ func (s *Server) handleWatchEvents(w http.ResponseWriter, r *http.Request) {
 // options, overriding only what the request sets — as /run does.
 func rprismWatchConfig(req WatchRequest, defaults rprism.DiffOptions) (cfg rprism.WatchConfig) {
 	cfg.Baseline = req.Baseline
-	cfg.Analysis = req.Analysis
 	cfg.Webhook = req.Webhook
 	cfg.ExpectedOld = req.ExpectedOld
 	cfg.ExpectedNew = req.ExpectedNew

@@ -151,9 +151,6 @@ func TestWatchRoutesEndToEnd(t *testing.T) {
 	if wi.ID == "" || wi.Session != sess.ID() || wi.Baseline != info.ID {
 		t.Fatalf("watch info: %+v", wi)
 	}
-	if wi.Analysis != "regression" {
-		t.Fatalf("analysis defaulted to %q, want regression", wi.Analysis)
-	}
 
 	var list []sentinel.Info
 	status, raw = doJSON(t, http.MethodGet, ts.URL+"/watches", nil, &list)

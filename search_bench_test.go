@@ -34,7 +34,7 @@ func benchSearchCorpus(b *testing.B) (*Engine, Digest) {
 			if fam == 1 && v == 0 {
 				query = id
 			}
-			if _, err := store.Views(id); err != nil {
+			if _, err := store.ViewsCtx(context.Background(), id); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,7 +40,8 @@ type Source interface {
 
 // FromTrace sources an in-memory trace. The engine caches the built web,
 // keyed by trace identity, so repeated analyses over the same trace skip
-// web construction.
+// web construction; concurrent analyses of one trace share one build
+// (single-flight), which the first of them runs under its context.
 func FromTrace(t *Trace) Source { return &traceSource{t: t} }
 
 type traceSource struct{ t *Trace }

@@ -74,8 +74,6 @@ func (e *Engine) Close() {
 type WatchConfig struct {
 	// Baseline is the pinned baseline's corpus digest (hex). Required.
 	Baseline string
-	// Analysis names the analysis semantics (default "regression").
-	Analysis string
 	// Webhook, when set, receives divergence events as JSON POSTs with
 	// at-least-once retry.
 	Webhook string
@@ -123,7 +121,6 @@ func (e *Engine) WatchSession(ctx context.Context, sessionID string, cfg WatchCo
 		Session:        sess,
 		Baseline:       wl,
 		BaselineDigest: dig,
-		Analysis:       cfg.Analysis,
 		Webhook:        cfg.Webhook,
 		DiffOpts:       opts,
 		Width:          e.intraWorkers,
