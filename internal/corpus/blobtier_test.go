@@ -187,6 +187,36 @@ func TestBlobDiskEviction(t *testing.T) {
 	}
 }
 
+// TestBlobOpenEvictsNothing: a store reopened under a disk bound
+// smaller than what it finds on disk keeps every local trace resident
+// until its next Put, which trims the disk tier to the bound.
+func TestBlobOpenEvictsNothing(t *testing.T) {
+	mem := blob.NewMem()
+	dir := t.TempDir()
+	s, err := New(dir, Options{Blob: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		mustPut(t, s, makeTrace("open", 20+i, 30))
+	}
+	s, err = New(dir, Options{Blob: mem, DiskCacheTraces: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Traces != 3 || st.Blob.DiskEvictions != 0 {
+		t.Fatalf("after reopen: %d resident, %d disk evictions; want 3 and 0", st.Traces, st.Blob.DiskEvictions)
+	}
+	if metas, _ := filepath.Glob(filepath.Join(dir, "*.meta.json")); len(metas) != 3 {
+		t.Fatalf("%d meta sidecars on disk after reopen, want 3", len(metas))
+	}
+	mustPut(t, s, makeTrace("open", 30, 30))
+	if st := s.Stats(); st.Traces != 1 || st.Blob.DiskEvictions != 3 || s.Len() != 4 {
+		t.Fatalf("after a Put: %d resident, %d disk evictions, Len %d; want 1, 3, 4",
+			st.Traces, st.Blob.DiskEvictions, s.Len())
+	}
+}
+
 func TestBlobResolvePrefix(t *testing.T) {
 	s, mem := newBlobStore(t, Options{DiskCacheTraces: 1})
 	var ids []trace.Digest

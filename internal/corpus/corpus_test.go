@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/atomicfile"
 	"repro/internal/diff"
@@ -252,6 +253,56 @@ func TestViewsEvictionRebuilds(t *testing.T) {
 	}
 	if st := s.Stats(); st.WebCache.Misses != 3 {
 		t.Errorf("builds = %d, want 3 (evicted web rebuilt)", st.WebCache.Misses)
+	}
+}
+
+// TestViewsCtxCanceledBuildIsNotKept: a web build runs under its
+// caller's context. Canceled while it waits on the trace tier, it
+// returns the context's error and leaves nothing in the web tier; the
+// next caller builds.
+func TestViewsCtxCanceledBuildIsNotKept(t *testing.T) {
+	s, err := New(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustPut(t, s, makeTrace("cancel", 4, 50))
+	dropDecoded(s)
+	// Hold the trace tier's fill of id, so the build below waits on it.
+	held, release := make(chan struct{}), make(chan struct{})
+	go s.traces.Do(context.Background(), id, func(context.Context) (*trace.Trace, error) {
+		close(held)
+		<-release
+		return nil, errors.New("held fill released")
+	})
+	<-held
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.ViewsCtx(ctx, id)
+		done <- err
+	}()
+	for _, waits := s.traces.Snapshot(); waits == 0; _, waits = s.traces.Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled ViewsCtx: %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("canceled ViewsCtx still waits on the trace tier")
+	}
+	if st := s.Stats(); st.WebCache.Len != 0 {
+		t.Fatalf("web tier holds %d webs after a canceled build, want 0", st.WebCache.Len)
+	}
+	close(release)
+	if _, err := s.ViewsCtx(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.WebCache.Misses != 2 || st.WebCache.Len != 1 {
+		t.Errorf("builds %d, resident %d; want 2 and 1", st.WebCache.Misses, st.WebCache.Len)
 	}
 }
 
