@@ -96,6 +96,30 @@ func TestViewDiffWebsAllocsBelowCopyingBaseline(t *testing.T) {
 	}
 }
 
+// websDiffAllocs is diff.ViewDiffWebs's AllocsPerRun on the pre-built
+// rhinoPair(30) webs at one worker, measured once view links carried
+// their positions and similarity marks became bitsets: 412. Before that
+// change, with a map per side per unit for the marks and a map keyed by
+// view name for each exploration's seen set, the same call made 741.
+// The guard allows 10% over the measured figure, so a map-per-mark path
+// creeping back fails it.
+const websDiffAllocs = 412
+
+func TestViewDiffWebsAllocsBitsetMarks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation behavior")
+	}
+	l, r := rhinoPair(t, 30)
+	wl, wr := views.Build(l), views.Build(r)
+	got := testing.AllocsPerRun(10, func() {
+		diff.ViewDiffWebs(wl, wr, diff.ViewOptions{Parallelism: 1})
+	})
+	if limit := float64(websDiffAllocs) * 1.1; got > limit {
+		t.Errorf("diff.ViewDiffWebs allocates %.0f/run, above %.0f (the measured %d plus 10%%)",
+			got, limit, websDiffAllocs)
+	}
+}
+
 // maxSegmentLoadOverhead bounds what a corpus Get miss allocates, as a
 // multiple of the entries slice it returns. A miss decodes each thread
 // block into its own slice and scatters them into the trace's one: two

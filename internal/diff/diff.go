@@ -9,7 +9,6 @@ package diff
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/trace"
@@ -60,7 +59,7 @@ type Stats struct {
 	// MemBytes accounts peak working memory beyond the traces themselves.
 	// The LCS baseline reports its DP table. The views-based differ sums
 	// real per-unit accounting at merge — memo entries, the largest DP
-	// table each unit held, anchor scratch, similarity sets, sequence
+	// table each unit held, anchor scratch, similarity marks, sequence
 	// storage — plus the two view webs' own memory (views.Web.MemBytes).
 	// Every term is deterministic, so the figure is identical at any
 	// ViewOptions.Parallelism.
@@ -74,8 +73,8 @@ type Stats struct {
 type Result struct {
 	Left, Right *trace.Trace
 	// SimilarLeft/SimilarRight are the Δ sets: entries found similar.
-	SimilarLeft  map[trace.EntryID]bool
-	SimilarRight map[trace.EntryID]bool
+	SimilarLeft  EntrySet
+	SimilarRight EntrySet
 	// DiffLeft/DiffRight are the difference sets (ascending entry ids).
 	DiffLeft  []trace.EntryID
 	DiffRight []trace.EntryID
@@ -99,19 +98,16 @@ func (c *counter) equal(i, j int) bool {
 	return trace.EventEqual(&c.l[i], &c.r[j])
 }
 
-// diffsFromSimilar derives the sorted difference set of one side.
-func diffsFromSimilar(t *trace.Trace, similar map[trace.EntryID]bool) []trace.EntryID {
+// diffsFromSimilar derives the difference set of one side: its non-EOF
+// entries outside similar, ascending because entries are indexed by
+// entry id.
+func diffsFromSimilar(t *trace.Trace, similar EntrySet) []trace.EntryID {
 	var out []trace.EntryID
 	for i := range t.Entries {
-		e := &t.Entries[i]
-		if e.Event.Kind == trace.KindEOF {
-			continue
-		}
-		if !similar[e.EID] {
+		if e := &t.Entries[i]; e.Event.Kind != trace.KindEOF && !similar.Has(e.EID) {
 			out = append(out, e.EID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

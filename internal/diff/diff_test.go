@@ -40,19 +40,19 @@ func checkInvariants(t *testing.T, r *Result) {
 				break
 			}
 		}
-		if inDiff == r.SimilarLeft[e.EID] {
-			t.Fatalf("left entry %d: diff=%v similar=%v", e.EID, inDiff, r.SimilarLeft[e.EID])
+		if inDiff == r.SimilarLeft.Has(e.EID) {
+			t.Fatalf("left entry %d: diff=%v similar=%v", e.EID, inDiff, r.SimilarLeft.Has(e.EID))
 		}
 	}
 	// Sequence entries are all in the diff sets.
 	for _, s := range r.Sequences {
 		for _, id := range s.Left {
-			if r.SimilarLeft[id] {
+			if r.SimilarLeft.Has(id) {
 				t.Fatalf("sequence contains similar left entry %d", id)
 			}
 		}
 		for _, id := range s.Right {
-			if r.SimilarRight[id] {
+			if r.SimilarRight.Has(id) {
 				t.Fatalf("sequence contains similar right entry %d", id)
 			}
 		}

@@ -16,11 +16,18 @@ type pairKey struct {
 // cachedUnit is an evaluated unit plus the fingerprint of every
 // growth-sensitive right-side read it performed. A unit's inputs are the
 // fixed left web and, on the right, its thread view's EID prefix, entry
-// payloads, links (NamesOf), and positions (PosIn) — all of which are
-// append-stable under views.IncrementalBuilder growth. The only read
-// whose outcome can change when the right web grows is a secondary-view
-// window that was clamped at the view's tail (see unit.trackTail), so
-// validity reduces to two length checks.
+// payloads, and links (Links: view ids with the entry's position in each
+// view) — all of which are append-stable under views.IncrementalBuilder
+// growth, because view ids are append-only and an entry's position in a
+// view never changes. The only read whose outcome can change when the
+// right web grows is a secondary-view window that was clamped at the
+// view's tail (see unit.trackTail), so validity reduces to two length
+// checks.
+//
+// A cached unit keeps its marks and its two thread views' entry ids
+// (length-capped slices shared with the webs), which turn the marks'
+// position bits back into entry ids when the unit leaves the cache and
+// releases them.
 type cachedUnit struct {
 	u        *unit
 	rightLen int // right thread view length at evaluation time
@@ -33,8 +40,8 @@ func (c *cachedUnit) valid(wr *views.Web) bool {
 	if viewLen(wr, views.ThreadName(c.u.rid)) != c.rightLen {
 		return false
 	}
-	for name, n := range c.u.tailViews {
-		if viewLen(wr, name) != n {
+	for id, n := range c.u.tailViews {
+		if v := wr.ViewAt(id); v == nil || v.Len() != n {
 			return false
 		}
 	}
@@ -68,10 +75,10 @@ func viewLen(w *views.Web, n views.Name) int {
 // coincidentally equal view lengths. Incremental is not safe for
 // concurrent use; the sentinel serializes evaluations per watch.
 //
-// Ownership: the returned Result's SimilarLeft and SimilarRight maps
+// Ownership: the returned Result's SimilarLeft and SimilarRight sets
 // are the Incremental's live merged state, shared across calls — they
 // are valid until the next Rediff, which may mutate them in place. A
-// caller retaining a Result across evaluations must copy them. The
+// caller retaining a Result across evaluations must copy them (IDs). The
 // DiffLeft/DiffRight slices and everything else are safe to retain:
 // slices are either extended past their returned length or replaced,
 // never rewritten.
@@ -82,13 +89,13 @@ type Incremental struct {
 	pairs   map[pairKey]*cachedUnit
 	lastLen int // right trace length at the previous Rediff
 
-	// Merged similarity state: refL/refR count, per entry, how many
-	// cached units mark it similar (units may mark entries on other
-	// threads via cross-thread anchors, so marks overlap); simL/simR are
-	// the membership maps handed to Results — an entry is present iff
-	// its count is positive.
-	refL, refR map[trace.EntryID]int32
-	simL, simR map[trace.EntryID]bool
+	// Merged similarity state: refL/refR count, per entry id, how many
+	// cached units mark the entry similar (units may mark entries on
+	// other threads via cross-thread anchors, so marks overlap);
+	// simL/simR are the whole-trace sets handed to Results — an entry is
+	// present iff its count is positive.
+	refL, refR []int32
+	simL, simR EntrySet
 
 	// Merged difference state. diffL mirrors diffsFromSimilar(left,
 	// simL) and is rebuilt only when left membership changes. diffR
@@ -111,10 +118,8 @@ func NewIncremental(baseline *views.Web, opts ViewOptions) *Incremental {
 		opts:     opts,
 		tm:       views.NewThreadMatcher(baseline.Trace),
 		pairs:    make(map[pairKey]*cachedUnit),
-		refL:     make(map[trace.EntryID]int32),
-		refR:     make(map[trace.EntryID]int32),
-		simL:     make(map[trace.EntryID]bool),
-		simR:     make(map[trace.EntryID]bool),
+		refL:     make([]int32, len(baseline.Trace.Entries)),
+		simL:     newEntrySet(baseline.Trace),
 		diffRMax: -1,
 	}
 }
@@ -143,6 +148,10 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web, par int) (*Re
 	var st IncrementalStats
 	if n := wr.Trace.Len(); n < inc.lastLen {
 		return nil, st, fmt.Errorf("diff: incremental right trace shrank (%d -> %d entries); snapshots must grow append-only", inc.lastLen, n)
+	}
+	if n := len(wr.Trace.Entries); n > len(inc.refR) {
+		inc.refR = append(inc.refR, make([]int32, n-len(inc.refR))...)
+		inc.simR.b = inc.simR.b.grow(n)
 	}
 	opts := inc.opts
 	if par > 0 {
@@ -180,15 +189,16 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web, par int) (*Re
 	}
 	// Admit the fresh evaluations. Dropping the web and context
 	// references keeps a cached unit from pinning old snapshots or
-	// context chains; nothing after evalPair reads them.
+	// context chains; nothing after evalPair reads them but the thread
+	// views' entry ids, which the marks index.
 	for _, u := range dirty {
 		rlen := viewLen(wr, views.ThreadName(u.rid))
 		u.ctx, u.wl, u.wr = nil, nil, nil
-		u.entL, u.entR, u.keysL, u.keysR, u.lc, u.rc = nil, nil, nil, nil, nil, nil
+		u.entL, u.entR, u.keysL, u.keysR = nil, nil, nil, nil
 		next[pairKey{u.lid, u.rid}] = &cachedUnit{u: u, rightLen: rlen}
 	}
 
-	// Patch the merged similarity unions by the cache delta: units that
+	// Patch the merged similarity sets by the cache delta: units that
 	// left the cache (invalidated, replaced, or pruned) release their
 	// marks, fresh units acquire theirs. Touched entries are then
 	// reconciled against the membership maps — an entry released and
@@ -196,13 +206,13 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web, par int) (*Re
 	var touchedL, touchedR []trace.EntryID
 	for key, c := range inc.pairs {
 		if next[key] != c {
-			touchedL = updateRefs(inc.refL, c.u.similarLeft, -1, touchedL)
-			touchedR = updateRefs(inc.refR, c.u.similarRight, -1, touchedR)
+			touchedL = updateRefs(inc.refL, &c.u.markL, c.u.tvL, -1, touchedL)
+			touchedR = updateRefs(inc.refR, &c.u.markR, c.u.tvR, -1, touchedR)
 		}
 	}
 	for _, u := range dirty {
-		touchedL = updateRefs(inc.refL, u.similarLeft, +1, touchedL)
-		touchedR = updateRefs(inc.refR, u.similarRight, +1, touchedR)
+		touchedL = updateRefs(inc.refL, &u.markL, u.tvL, +1, touchedL)
+		touchedR = updateRefs(inc.refR, &u.markR, u.tvR, +1, touchedR)
 	}
 	inc.pairs = next
 	inc.lastLen = wr.Trace.Len()
@@ -214,34 +224,31 @@ func (inc *Incremental) Rediff(ctx context.Context, wr *views.Web, par int) (*Re
 	return assemble(inc.wl, wr, tm, units, inc.simL, inc.simR, inc.diffL, inc.diffR), st, nil
 }
 
-// updateRefs applies a reference-count delta for every entry a unit
-// marks similar, recording the touched entry ids.
-func updateRefs(ref map[trace.EntryID]int32, marks map[trace.EntryID]bool, d int32, touched []trace.EntryID) []trace.EntryID {
-	for id := range marks {
-		if n := ref[id] + d; n == 0 {
-			delete(ref, id)
-		} else {
-			ref[id] = n
-		}
+// updateRefs applies a reference-count delta for every entry one side
+// of a unit marks similar (tv is that side's thread view), recording the
+// touched entry ids.
+func updateRefs(ref []int32, m *marks, tv []trace.EntryID, d int32, touched []trace.EntryID) []trace.EntryID {
+	m.each(tv, func(id trace.EntryID) {
+		ref[id] += d
 		touched = append(touched, id)
-	}
+	})
 	return touched
 }
 
-// syncMembership reconciles the membership map against the reference
+// syncMembership reconciles the membership set against the reference
 // counts for the touched entries. It reports whether any membership
 // actually changed, and whether a change landed at or below boundary
 // (pass -1 to ignore the boundary).
-func syncMembership(ref map[trace.EntryID]int32, sim map[trace.EntryID]bool, touched []trace.EntryID, boundary trace.EntryID) (changed, belowBoundary bool) {
+func syncMembership(ref []int32, sim EntrySet, touched []trace.EntryID, boundary trace.EntryID) (changed, belowBoundary bool) {
 	for _, id := range touched {
 		now := ref[id] > 0
-		if now == sim[id] {
+		if now == sim.Has(id) {
 			continue
 		}
 		if now {
-			sim[id] = true
+			sim.add(id)
 		} else {
-			delete(sim, id)
+			sim.b.unset(int(id))
 		}
 		changed = true
 		if id <= boundary {
@@ -273,7 +280,7 @@ func (inc *Incremental) refreshDiffs(r *trace.Trace, leftChanged, rightInterior 
 				break
 			}
 			inc.diffRMax = e.EID
-			if !inc.simR[e.EID] {
+			if !inc.simR.Has(e.EID) {
 				inc.diffR = append(inc.diffR, e.EID)
 			}
 		}

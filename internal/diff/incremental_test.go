@@ -146,3 +146,89 @@ func TestIncrementalRediffShrinkRejected(t *testing.T) {
 		t.Fatal("Rediff accepted a shrunken right trace")
 	}
 }
+
+// TestIncrementalRediffNewViews grows the right session with entries that
+// open views the first snapshot did not have — a fresh method and fresh
+// objects on one thread — so the second snapshot numbers more views than
+// the first. The re-diff must still deep-equal a from-scratch
+// ViewDiffWebs, every unit the cache reuses must still be valid against
+// the later snapshot with each tail view's id naming the same view as
+// before, and every unit it drops must have been invalid. Whole-view
+// windows (ω = MaxInt) clamp every window at its view's tail, so every
+// exploring unit records tail views. The CI race job runs this under
+// -race at -cpu=1,2,4.
+func TestIncrementalRediffNewViews(t *testing.T) {
+	ctx := context.Background()
+	l := synthTraceMT("l", 400, 4, 31)
+	r := mutateTrace(l, 32)
+	wl := views.Build(l)
+	opts := ViewOptions{Parallelism: 2, Window: math.MaxInt}
+
+	inc := NewIncremental(wl, opts)
+	b := views.NewIncrementalBuilder(r.Name)
+	if err := b.Append(r.Entries); err != nil {
+		t.Fatal(err)
+	}
+	w1 := b.Snapshot()
+	if _, _, err := inc.Rediff(ctx, w1, 0); err != nil {
+		t.Fatal(err)
+	}
+	cached := make(map[pairKey]*cachedUnit, len(inc.pairs))
+	tailNames := make(map[pairKey]map[views.ViewID]views.Name)
+	tails := 0
+	for k, c := range inc.pairs {
+		cached[k] = c
+		names := make(map[views.ViewID]views.Name)
+		for id := range c.u.tailViews {
+			names[id] = w1.ViewAt(id).Name
+		}
+		tailNames[k] = names
+		tails += len(names)
+	}
+	if tails == 0 {
+		t.Fatal("no cached unit recorded a tail-clamped window; the test checks nothing")
+	}
+
+	prev := r.Len()
+	for k := 0; k < 12; k++ {
+		obj := trace.Repr{Loc: trace.Loc(5000 + k), Class: "Fresh", Seq: 900 + k}
+		ev := trace.Event{Kind: trace.KindCall, Target: obj, Member: "Fresh.only/1",
+			Args: []trace.Repr{trace.PrimRepr("Int", fmt.Sprint(k))}}
+		r.Append(0, "Fresh.only/1", obj, ev)
+	}
+	if err := b.Append(r.Entries[prev:]); err != nil {
+		t.Fatal(err)
+	}
+	w2 := b.Snapshot()
+	if w2.NumViews() <= w1.NumViews() {
+		t.Fatalf("appends opened no view: %d then %d views", w1.NumViews(), w2.NumViews())
+	}
+
+	got, st, err := inc.Rediff(ctx, w2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ViewDiffWebs(wl, w2, opts); !reflect.DeepEqual(want, got) {
+		t.Fatalf("incremental diverged from scratch after new views (eval %+v)", st)
+	}
+	if st.Reused == 0 || st.Dirty == 0 {
+		t.Fatalf("eval %+v: want the grown thread's pair dirty and the others reused", st)
+	}
+	for k, c := range cached {
+		reused := inc.pairs[k] == c
+		if reused != c.valid(w2) {
+			t.Errorf("pair %v: reused %v, but valid against the later snapshot %v", k, reused, c.valid(w2))
+		}
+		if !reused {
+			continue
+		}
+		for id, n := range c.u.tailViews {
+			v := w2.ViewAt(id)
+			if v == nil || v.Name != tailNames[k][id] {
+				t.Errorf("pair %v: tail view id %d named %v, now %v", k, id, tailNames[k][id], v)
+			} else if v.Len() != n {
+				t.Errorf("pair %v: reused with tail view %v grown %d -> %d", k, v.Name, n, v.Len())
+			}
+		}
+	}
+}

@@ -40,12 +40,11 @@ func LCSDiffCtx(ctx context.Context, l, r *trace.Trace, opts LCSOptions) (*Resul
 	}
 	res := &Result{
 		Left: l, Right: r,
-		SimilarLeft:  make(map[trace.EntryID]bool, len(pairs)),
-		SimilarRight: make(map[trace.EntryID]bool, len(pairs)),
+		SimilarLeft: newEntrySet(l), SimilarRight: newEntrySet(r),
 	}
 	for _, p := range pairs {
-		res.SimilarLeft[trace.EntryID(p.I)] = true
-		res.SimilarRight[trace.EntryID(p.J)] = true
+		res.SimilarLeft.add(trace.EntryID(p.I))
+		res.SimilarRight.add(trace.EntryID(p.J))
 	}
 	res.DiffLeft = diffsFromSimilar(l, res.SimilarLeft)
 	res.DiffRight = diffsFromSimilar(r, res.SimilarRight)

@@ -78,7 +78,7 @@ func TestPropertyViewDiffPartition(t *testing.T) {
 					inDiff = true
 				}
 			}
-			if inDiff == res.SimilarLeft[e.EID] {
+			if inDiff == res.SimilarLeft.Has(e.EID) {
 				return false
 			}
 		}
@@ -89,7 +89,7 @@ func TestPropertyViewDiffPartition(t *testing.T) {
 					inDiff = true
 				}
 			}
-			if inDiff == res.SimilarRight[e.EID] {
+			if inDiff == res.SimilarRight.Has(e.EID) {
 				return false
 			}
 		}
@@ -123,7 +123,7 @@ func TestPropertyViewsNeverWorseThanTrivial(t *testing.T) {
 		if len(res.DiffLeft) > l.Len() || len(res.DiffRight) > r.Len() {
 			return false
 		}
-		for eid := range res.SimilarLeft {
+		for _, eid := range res.SimilarLeft.IDs() {
 			found := false
 			for j := range r.Entries {
 				if trace.EventEqual(&l.Entries[eid], &r.Entries[j]) {

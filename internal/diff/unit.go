@@ -11,7 +11,7 @@ import (
 // unit evaluates one correlated thread-view pair under →V. It is the
 // parallel decomposition of the views-based differencing semantics:
 // every piece of mutable state the evaluation touches — the similarity
-// sets, the windowed-LCS memo table, the compare counter, the anchor
+// marks, the windowed-LCS memo table, the compare counter, the anchor
 // scratch, the cancellation poller, the memory accounting — lives in the
 // unit, so any number of units may run on different goroutines without
 // synchronization, and running them in any order (or serially) produces
@@ -28,32 +28,41 @@ type unit struct {
 	wl, wr   *views.Web
 	lid, rid trace.ThreadID
 
+	// The pair's thread views: their ids, and their entry ids, which the
+	// position bits of the marks index.
+	lvid, rvid views.ViewID
+	tvL, tvR   []trace.EntryID
+
 	// Both sides' entries and class keys, indexed by entry id.
 	entL, entR   []trace.Entry
 	keysL, keysR []uint64
 
 	// Outputs, merged by the orchestrator.
 	seqs         []Sequence
-	similarLeft  map[trace.EntryID]bool
-	similarRight map[trace.EntryID]bool
+	markL, markR marks
 	compares     int64
 	explorations int64
 
 	// Working state and its accounting.
-	memo       map[memoKey]bool
-	peakCells  int64 // largest windowed-LCS DP table of the model (cells)
-	maxAnchors int   // widest anchor set of a single divergence
+	memo        map[memoKey]bool
+	memoEntries int   // len(memo) when the pair finished, for memBytes
+	peakCells   int64 // largest windowed-LCS DP table of the model (cells)
+	maxAnchors  int   // widest anchor set of a single divergence
 
 	// Windowed-LCS scratch, reused by every window of the pair: the
 	// kernel's match matrix, rows and pairs.
 	lcs lcs.BitMatrix
 
-	// Exploration scratch, reset by each explore; the map values index rc.
-	lc, rc   []linked
-	byKey    map[corrKey]int
-	byOffset map[int]int
-	seen     map[views.Name]bool
-	anchors  []anchor
+	// Exploration scratch, made by a pair's first explore and reset by
+	// each; the map values index rc.
+	// seenL and seenR are indexed by view id: a view was collected by the
+	// current collectLinked call iff its slot holds gen.
+	lc, rc       []linked
+	byKey        map[corrKey]int
+	byOffset     map[int]int
+	seenL, seenR []uint32
+	gen          uint32
+	anchors      []anchor
 
 	// Incremental-cache support (Incremental): when trackTail is set the
 	// unit records every right-side view it windowed over where the
@@ -62,7 +71,7 @@ type unit struct {
 	// thread view growing. tailViews maps each such view to its length
 	// at evaluation time; see cachedUnit.valid for the invalidation rule.
 	trackTail bool
-	tailViews map[views.Name]int
+	tailViews map[views.ViewID]int
 }
 
 func newUnit(ctx context.Context, opts ViewOptions, wl, wr *views.Web, lid, rid trace.ThreadID) *unit {
@@ -70,9 +79,6 @@ func newUnit(ctx context.Context, opts ViewOptions, wl, wr *views.Web, lid, rid 
 		ctx: ctx, opts: opts, wl: wl, wr: wr, lid: lid, rid: rid,
 		entL: wl.Trace.Entries, entR: wr.Trace.Entries,
 		keysL: wl.ClassKeys(), keysR: wr.ClassKeys(),
-		byKey: make(map[corrKey]int), byOffset: make(map[int]int), seen: make(map[views.Name]bool),
-		similarLeft:  make(map[trace.EntryID]bool),
-		similarRight: make(map[trace.EntryID]bool),
 	}
 }
 
@@ -107,20 +113,21 @@ func (u *unit) canceled() bool {
 }
 
 // Per-element sizes for the unit's memory accounting. A memo entry is a
-// 48-byte key plus a bool rounded up to map-bucket granularity; an
-// anchor is four words; a similarity mark is an 8-byte key plus a bool
-// in map buckets; DP cells are modeled as the int32 table of lcs.Compute,
-// whatever the kernel holds, so the figure is the paper's cost model.
+// 16-byte key plus a bool, padded and spread over map groups at their
+// load factor; an anchor is four words; DP cells are modeled as the
+// int32 table of lcs.Compute, whatever the kernel holds, so the figure
+// is the paper's cost model. Similarity marks report their own size
+// (marks.bytes).
 const (
-	memoEntryBytes = 64
+	memoEntryBytes = 24
 	anchorBytes    = 32
-	markBytes      = 16
 	dpCellBytes    = 4
 )
 
 // memBytes accounts the unit's peak working memory: memo entries, the
 // largest windowed DP table of the model, its widest anchor scratch, its
-// similarity sets, and its difference sequences. Every term is a
+// similarity marks (a bit per thread-view position a side, plus the
+// cross-thread entry ids), and its difference sequences. Every term is a
 // deterministic function of the inputs, so the orchestrator's sum is
 // identical at any parallelism.
 func (u *unit) memBytes() int64 {
@@ -128,16 +135,18 @@ func (u *unit) memBytes() int64 {
 	for _, s := range u.seqs {
 		seqEntries += len(s.Left) + len(s.Right)
 	}
-	return int64(len(u.memo))*memoEntryBytes +
+	return int64(u.memoEntries)*memoEntryBytes +
 		u.peakCells*dpCellBytes +
 		int64(u.maxAnchors)*anchorBytes +
-		int64(len(u.similarLeft)+len(u.similarRight))*markBytes +
+		u.markL.bytes() + u.markR.bytes() +
 		int64(seqEntries)*8
 }
 
+// memoKey names one windowed-LCS comparison: the two views by id and the
+// window buckets of the linking entries' positions.
 type memoKey struct {
-	lv, rv           views.Name
-	lBucket, rBucket int
+	lv, rv           views.ViewID
+	lBucket, rBucket int32
 }
 
 // anchor is a pair of similar entries discovered in linked views, located
@@ -150,17 +159,26 @@ type anchor struct {
 
 // evalPair evaluates the unit's thread-view pair.
 func (u *unit) evalPair() {
-	lv, rv := u.wl.ThreadView(u.lid), u.wr.ThreadView(u.rid)
-	if lv == nil || rv == nil {
+	lvid, okL := u.wl.ID(views.ThreadName(u.lid))
+	rvid, okR := u.wr.ID(views.ThreadName(u.rid))
+	if !okL || !okR {
 		return
 	}
-	// The windowed-LCS scratch lives only while the pair evaluates: a
+	u.lvid, u.rvid = lvid, rvid
+	L, R := u.wl.ViewAt(lvid).EIDs, u.wr.ViewAt(rvid).EIDs
+	u.tvL, u.tvR = L, R
+	u.markL.pos, u.markR.pos = newBitset(len(L)), newBitset(len(R))
+	// The exploration scratch lives only while the pair evaluates: a
 	// finished unit waits for the merge, or sits in Incremental's cache,
 	// and must not pin it.
-	defer func() { u.lcs = lcs.BitMatrix{} }()
-	L, R := lv.EIDs, rv.EIDs
-	thL := views.ThreadName(u.lid)
-	thR := views.ThreadName(u.rid)
+	defer func() {
+		u.markL.compact()
+		u.markR.compact()
+		u.memoEntries = len(u.memo)
+		u.memo, u.seenL, u.seenR = nil, nil, nil
+		u.lc, u.rc, u.anchors, u.byKey, u.byOffset = nil, nil, nil, nil, nil
+		u.lcs = lcs.BitMatrix{}
+	}()
 
 	var seq Sequence
 	flush := func() {
@@ -188,7 +206,8 @@ func (u *unit) evalPair() {
 		if u.equal(L[i], R[j]) {
 			// STEP-VIEW-MATCH
 			flush()
-			u.mark(L[i], R[j])
+			u.markL.pos.set(i)
+			u.markR.pos.set(j)
 			i++
 			j++
 			continue
@@ -221,9 +240,10 @@ func (u *unit) evalPair() {
 		}
 		// STEP-VIEW-NOMATCH: explore linked secondary views around the
 		// diverging entries and collect similar entries.
-		anchors := u.explore(thL, thR, L, R, i, j)
+		anchors := u.explore(L, R, i, j)
 		for _, a := range anchors {
-			u.mark(a.eidL, a.eidR)
+			u.markL.mark(a.posL, a.eidL)
+			u.markR.mark(a.posR, a.eidR)
 		}
 		// The scan limit escalates after consecutive failures so that
 		// one-sided insertions larger than MaxScan (which a fixed-limit
@@ -260,11 +280,6 @@ func (u *unit) evalPair() {
 		seq.Right = append(seq.Right, R[j])
 	}
 	flush()
-}
-
-func (u *unit) mark(l, r trace.EntryID) {
-	u.similarLeft[l] = true
-	u.similarRight[r] = true
 }
 
 // resyncLimit finds the next pair of corresponding entries (η2, η4): the
@@ -376,12 +391,21 @@ func (u *unit) scan(L, R []trace.EntryID, i, j, limit int) (int, int, bool) {
 // so per-divergence work is bounded by the number of distinct linked
 // views. The §5 relaxed pairs are a fallback used only when standard
 // correlation yields no anchors ahead of the divergence point.
-func (u *unit) explore(thL, thR views.Name, L, R []trace.EntryID, i, j int) []anchor {
+func (u *unit) explore(L, R []trace.EntryID, i, j int) []anchor {
 	if u.memo == nil {
 		u.memo = make(map[memoKey]bool)
+		u.byKey, u.byOffset = make(map[corrKey]int), make(map[int]int)
+		u.seenL = make([]uint32, u.wl.NumViews())
+		u.seenR = make([]uint32, u.wr.NumViews())
 	}
-	u.lc = u.collectLinked(u.lc, u.wl, L, i)
-	u.rc = u.collectLinked(u.rc, u.wr, R, j)
+	if u.gen++; u.gen == 0 {
+		// The stamp wrapped: slots stamped long ago would read as seen.
+		clear(u.seenL)
+		clear(u.seenR)
+		u.gen = 1
+	}
+	u.lc = u.collectLinked(u.lc, u.wl, u.seenL, L, i)
+	u.rc = u.collectLinked(u.rc, u.wr, u.seenR, R, j)
 	lc, rc := u.lc, u.rc
 
 	// Index the right side by correlation keys.
@@ -399,9 +423,9 @@ func (u *unit) explore(thL, thR views.Name, L, R []trace.EntryID, i, j int) []an
 	// The thread views themselves are trivially correlated (they are the
 	// pair being evaluated): a local window LCS around the divergence
 	// point anchors nearby reorderings.
-	out := u.windowLCS(u.anchors[:0], thL, thR,
-		&linked{name: thL, eid: L[i], offset: 0},
-		&linked{name: thR, eid: R[j], offset: 0}, &budget)
+	out := u.windowLCS(u.anchors[:0],
+		&linked{view: u.lvid, pos: int32(i)},
+		&linked{view: u.rvid, pos: int32(j)}, &budget)
 	for li := range lc {
 		if budget <= 0 {
 			break
@@ -413,7 +437,7 @@ func (u *unit) explore(thL, thR views.Name, L, R []trace.EntryID, i, j int) []an
 			if !ok || rc[ri].name.Type != lk.name.Type {
 				continue
 			}
-			out = u.windowLCS(out, thL, thR, lk, &rc[ri], &budget)
+			out = u.windowLCS(out, lk, &rc[ri], &budget)
 			break
 		}
 	}
@@ -436,7 +460,7 @@ func (u *unit) explore(thL, thR views.Name, L, R []trace.EntryID, i, j int) []an
 			if !ok || rc[ri].name.Type != lk.name.Type {
 				continue
 			}
-			out = u.windowLCS(out, thL, thR, lk, &rc[ri], &budget)
+			out = u.windowLCS(out, lk, &rc[ri], &budget)
 		}
 	}
 	u.anchors = out
@@ -504,20 +528,25 @@ func anyAhead(anchors []anchor, i, j int) bool {
 }
 
 // linked is a secondary view reachable from an entry near the divergence
-// point, with the linking entry and its thread-view offset.
+// point: the view by name and id, and the linking entry with its
+// position in that view and its thread-view offset.
 type linked struct {
 	name   views.Name
-	eid    trace.EntryID
+	view   views.ViewID
+	pos    int32 // the linking entry's position in the view
 	entry  *trace.Entry
 	offset int // distance from the divergence point in the thread view
 }
 
 // collectLinked gathers the distinct non-thread views linked from entries
 // within ±δ of position pos in the thread view, keeping the first linking
-// entry per view. It overwrites out from its start.
-func (u *unit) collectLinked(out []linked, w *views.Web, tv []trace.EntryID, pos int) []linked {
-	clear(u.seen)
-	seen := u.seen
+// entry per view. Each link carries the view's id and the entry's
+// position in it, and the thread link comes first, so the secondary
+// views are the links after it. seen is the web's per-view stamp slice;
+// a slot holding u.gen was collected by this call. It overwrites out
+// from its start.
+func (u *unit) collectLinked(out []linked, w *views.Web, seen []uint32, tv []trace.EntryID, pos int) []linked {
+	gen := u.gen
 	out = out[:0]
 	// Clamp by comparing δ against the room on each side: pos+δ itself
 	// would wrap negative for a δ near MaxInt.
@@ -531,14 +560,15 @@ func (u *unit) collectLinked(out []linked, w *views.Web, tv []trace.EntryID, pos
 	}
 	for p := lo; p <= hi; p++ {
 		eid := tv[p]
-		for _, n := range w.NamesOf(eid) {
-			if n.Type == views.Thread || seen[n] {
+		for _, l := range w.Links(eid)[1:] {
+			if seen[l.View] == gen {
 				continue
 			}
-			seen[n] = true
+			seen[l.View] = gen
 			out = append(out, linked{
-				name:   n,
-				eid:    eid,
+				name:   w.ViewAt(l.View).Name,
+				view:   l.View,
+				pos:    l.Pos,
 				entry:  &w.Trace.Entries[eid],
 				offset: p - pos,
 			})
@@ -553,17 +583,14 @@ func (u *unit) collectLinked(out []linked, w *views.Web, tv []trace.EntryID, pos
 // nearby do not recompute the same comparison). The bit-parallel kernel
 // returns the pairs and counts of lcs.Compute without holding its table;
 // the (n'+1)(m'+1) cells that table would hold feed the unit's memory
-// model.
-func (u *unit) windowLCS(out []anchor, thL, thR views.Name, lk, rk *linked, budget *int) []anchor {
+// model. The linking entries' positions come with the links, and an
+// anchor's thread-view positions from its entries' thread links.
+func (u *unit) windowLCS(out []anchor, lk, rk *linked, budget *int) []anchor {
 	if *budget <= 0 {
 		return out
 	}
-	lpos, okL := u.wl.PosIn(lk.name, lk.eid)
-	rpos, okR := u.wr.PosIn(rk.name, rk.eid)
-	if !okL || !okR {
-		return out
-	}
-	key := memoKey{lk.name, rk.name, lpos / u.opts.Window, rpos / u.opts.Window}
+	lpos, rpos := int(lk.pos), int(rk.pos)
+	key := memoKey{lk.view, rk.view, int32(lpos / u.opts.Window), int32(rpos / u.opts.Window)}
 	if u.memo[key] {
 		return out
 	}
@@ -579,15 +606,15 @@ func (u *unit) windowLCS(out []anchor, thL, thR views.Name, lk, rk *linked, budg
 		// view's length so the cache can detect that growth. (ω is
 		// compared with the room left, as Window clamps: rpos+ω+1 would
 		// wrap negative for an ω near MaxInt.)
-		if v := u.wr.View(rk.name); v != nil && u.opts.Window >= len(v.EIDs)-rpos {
+		if n := u.wr.ViewAt(rk.view).Len(); u.opts.Window >= n-rpos {
 			if u.tailViews == nil {
-				u.tailViews = make(map[views.Name]int)
+				u.tailViews = make(map[views.ViewID]int)
 			}
-			u.tailViews[rk.name] = len(v.EIDs)
+			u.tailViews[rk.view] = n
 		}
 	}
-	lwin := u.wl.Window(lk.name, lpos, u.opts.Window)
-	rwin := u.wr.Window(rk.name, rpos, u.opts.Window)
+	lwin := u.wl.ViewAt(lk.view).Window(lpos, u.opts.Window)
+	rwin := u.wr.ViewAt(rk.view).Window(rpos, u.opts.Window)
 	if len(lwin) == 0 || len(rwin) == 0 {
 		return out
 	}
@@ -621,11 +648,11 @@ func (u *unit) windowLCS(out []anchor, thL, thR views.Name, lk, rk *linked, budg
 	}
 	for _, p := range pairs {
 		a := anchor{eidL: lwin[p.I], eidR: rwin[p.J], posL: -1, posR: -1}
-		if pos, ok := u.wl.PosIn(thL, a.eidL); ok {
-			a.posL = pos
+		if l := u.wl.Links(a.eidL)[0]; l.View == u.lvid {
+			a.posL = int(l.Pos)
 		}
-		if pos, ok := u.wr.PosIn(thR, a.eidR); ok {
-			a.posR = pos
+		if l := u.wr.Links(a.eidR)[0]; l.View == u.rvid {
+			a.posR = int(l.Pos)
 		}
 		out = append(out, a)
 	}

@@ -105,7 +105,7 @@ func ViewDiffWebs(wl, wr *views.Web, opts ViewOptions) *Result {
 // ViewDiffWebsCtx is ViewDiffWebs with cancellation and intra-diff
 // parallelism. The paper's semantics evaluate each correlated
 // thread-view pair independently, so the evaluation decomposes into one
-// work unit per pair: units carry all mutable state (similarity sets,
+// work unit per pair: units carry all mutable state (similarity marks,
 // memo table, compare counter, anchor scratch, cancellation poller) and
 // run on a bounded pool of ViewOptions.Parallelism workers. Their
 // outputs are merged in ascending-left-tid order, which makes sequence
@@ -132,15 +132,11 @@ func ViewDiffWebsCtx(ctx context.Context, wl, wr *views.Web, opts ViewOptions) (
 		}
 	}
 
-	simL := make(map[trace.EntryID]bool)
-	simR := make(map[trace.EntryID]bool)
+	// The units' marks OR into one whole-trace set per side.
+	simL, simR := newEntrySet(wl.Trace), newEntrySet(wr.Trace)
 	for _, u := range units {
-		for id := range u.similarLeft {
-			simL[id] = true
-		}
-		for id := range u.similarRight {
-			simR[id] = true
-		}
+		u.markL.each(u.tvL, simL.add)
+		u.markR.each(u.tvR, simR.add)
 	}
 	return assemble(wl, wr, tm, units, simL, simR,
 		diffsFromSimilar(wl.Trace, simL), diffsFromSimilar(wr.Trace, simR)), nil
@@ -169,7 +165,7 @@ func pairOrder(tm views.ThreadMatch) []trace.ThreadID {
 // the same snapshot: the per-unit outputs are equal, and assembly is a
 // pure function of them.
 func assemble(wl, wr *views.Web, tm views.ThreadMatch, units []*unit,
-	simL, simR map[trace.EntryID]bool, diffL, diffR []trace.EntryID) *Result {
+	simL, simR EntrySet, diffL, diffR []trace.EntryID) *Result {
 	res := &Result{
 		Left: wl.Trace, Right: wr.Trace,
 		SimilarLeft: simL, SimilarRight: simR,
@@ -247,17 +243,17 @@ func runUnits(ctx context.Context, units []*unit, workers int) {
 // the merged sequence list with the merged similarity sets: anchors found
 // by one unit can mark entries inside another unit's sequences, so
 // filtering must happen after the merge.
-func filterSequences(seqs []Sequence, similarLeft, similarRight map[trace.EntryID]bool) []Sequence {
+func filterSequences(seqs []Sequence, similarLeft, similarRight EntrySet) []Sequence {
 	out := seqs[:0]
 	for _, s := range seqs {
 		var left, right []trace.EntryID
 		for _, id := range s.Left {
-			if !similarLeft[id] {
+			if !similarLeft.Has(id) {
 				left = append(left, id)
 			}
 		}
 		for _, id := range s.Right {
-			if !similarRight[id] {
+			if !similarRight.Has(id) {
 				right = append(right, id)
 			}
 		}

@@ -2,6 +2,8 @@ package views
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"repro/internal/trace"
 )
@@ -11,7 +13,7 @@ import (
 const buildPollMask = 8191
 
 // Build constructs the view web over the trace, applying the view-name
-// mapping functions ωτ of Fig. 7 to every entry. The per-entry name
+// mapping functions ωτ of Fig. 7 to every entry. The per-entry link
 // lists live in shared arenas rather than one slice allocation per
 // entry.
 //
@@ -47,40 +49,50 @@ func BuildCtx(ctx context.Context, t *trace.Trace) (*Web, error) {
 func newWeb(t *trace.Trace) *Web {
 	return &Web{
 		Trace:   t,
-		views:   make(map[Name]*View),
+		ids:     make(map[Name]ViewID),
 		objects: make(map[trace.Loc]ObjectInfo),
 	}
 }
 
+// maxWebEntries bounds the entries a web indexes, so that every view id
+// and position fits its int32 in Link: a view holds at most every entry,
+// and an entry opens at most four views.
+const maxWebEntries = math.MaxInt32 / 4
+
 // extend indexes the entries w.Trace.Entries[start:], which the caller
 // has already appended, in one linear pass of the ω mappings: a counting
 // pass keys every entry and sizes one new arena exactly, then each entry
-// gets its names in that arena, is linked to them, is appended to every
-// one of its views in entry order, and records the objects first seen
-// in it. Build runs it once from start 0; IncrementalBuilder runs it
-// once per appended batch.
+// gets its links in that arena — a view first seen takes the next id —
+// each link records the view's length just before the entry is appended
+// to it, and the objects first seen in the entry are recorded. Build
+// runs it once from start 0; IncrementalBuilder runs it once per
+// appended batch.
 //
 // Every structure grows append-only — a new arena, new byEntry and key
-// slots, new tail slots in each view — so a web that Snapshot returned
-// before the call never sees its writes. A canceled ctx leaves w
-// half-extended; callers drop it.
+// slots, new views and new tail slots in each view — so a web that
+// Snapshot returned before the call never sees its writes. A canceled
+// ctx leaves w half-extended; callers drop it.
 func (w *Web) extend(ctx context.Context, start int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	entries := w.Trace.Entries
+	if len(entries) > maxWebEntries {
+		return fmt.Errorf("views: trace of %d entries exceeds the web's %d-entry bound", len(entries), maxWebEntries)
+	}
 	// A no-op for interpreter- or loader-produced entries.
 	(&trace.Trace{Entries: entries[start:]}).EnsureSyms()
 	batch := len(entries) - start
-	w.byEntry = append(w.byEntry, make([][]Name, batch)...)
+	w.byEntry = append(w.byEntry, make([][]Link, batch)...)
 	w.keys = append(w.keys, make([]uint64, batch)...)
 	total := 0
 	for i := start; i < len(entries); i++ {
 		total += nameCount(&entries[i])
 		w.keys[i] = trace.EventClassHash(&entries[i])
 	}
-	arena := make([]Name, 0, total)
-	views, objects := w.views, w.objects
+	arena := make([]Link, 0, total)
+	ids, objects := w.ids, w.objects
+	var names [4]Name
 	for i := start; i < len(entries); i++ {
 		if i&buildPollMask == 0 {
 			if err := ctx.Err(); err != nil {
@@ -92,17 +104,18 @@ func (w *Web) extend(ctx context.Context, start int) error {
 			continue
 		}
 		off := len(arena)
-		arena = appendNames(arena, e)
-		names := arena[off:len(arena):len(arena)]
-		w.byEntry[e.EID] = names
-		for _, n := range names {
-			v := views[n]
-			if v == nil {
-				v = &View{Name: n}
-				views[n] = v
+		for _, n := range appendNames(names[:0], e) {
+			id, ok := ids[n]
+			if !ok {
+				id = ViewID(len(w.views))
+				ids[n] = id
+				w.views = append(w.views, View{Name: n})
 			}
+			v := &w.views[id]
+			arena = append(arena, Link{View: id, Pos: int32(len(v.EIDs))})
 			v.EIDs = append(v.EIDs, e.EID)
 		}
+		w.byEntry[e.EID] = arena[off:len(arena):len(arena)]
 		noteObject(objects, e.Event.Target, e.EID)
 		noteObject(objects, e.Self, e.EID)
 	}
@@ -119,8 +132,8 @@ func noteObject(objects map[trace.Loc]ObjectInfo, r trace.Repr, eid trace.EntryI
 	}
 }
 
-// nameCount returns how many view names an entry maps to, mirroring
-// appendNames.
+// nameCount returns how many view names (and so links) an entry maps
+// to, mirroring appendNames.
 func nameCount(e *trace.Entry) int {
 	if e.Event.Kind == trace.KindEOF {
 		return 0
@@ -139,7 +152,7 @@ func nameCount(e *trace.Entry) int {
 }
 
 // appendNames appends the view names of an entry — the union of the
-// per-type mapping functions ωτ (Fig. 7) — to dst.
+// per-type mapping functions ωτ (Fig. 7) — to dst, thread view first.
 func appendNames(dst []Name, e *trace.Entry) []Name {
 	dst = append(dst, ThreadName(e.TID))
 	if e.MethodSym != trace.NoSym {

@@ -53,6 +53,10 @@ func TestWebConcurrentReaders(t *testing.T) {
 				}
 				w.Window(n, pos, 3)
 				w.NamesOf(eid)
+				if l := w.Links(eid)[0]; w.ViewAt(l.View).EIDs[l.Pos] != eid {
+					t.Errorf("thread link %+v of entry %d does not round-trip", l, eid)
+					return
+				}
 				w.Count()
 				w.Names()
 				if o, ok := w.Object(trace.Loc(round%17 + 1)); !ok || o.Class != "Node" {

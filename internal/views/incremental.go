@@ -3,6 +3,8 @@ package views
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -20,9 +22,10 @@ import (
 // lock. The webs Snapshot returns, however, remain safe to read while
 // later Appends extend the builder: each Append runs the same serial
 // extend pass as a batch build over just the new entries, which grows
-// every structure append-only, and Snapshot copies the view and object
-// maps, so a snapshot's visible prefix is never rewritten. That is what lets a long-running diff proceed
-// against a session that keeps streaming.
+// every structure append-only, and Snapshot copies the view list and the
+// id and object maps, so a snapshot's visible prefix is never rewritten.
+// That is what lets a long-running diff proceed against a session that
+// keeps streaming.
 type IncrementalBuilder struct {
 	w *Web
 }
@@ -74,37 +77,37 @@ func (b *IncrementalBuilder) SnapshotTrace() *trace.Trace {
 }
 
 // Snapshot returns a query-ready Web over everything appended so far.
-// The web is immutable from the reader's perspective: view maps and the
-// object index are copied (O(views + objects)), while the heavy
-// structures — arenas, entry-id lists, the link table, the class keys —
-// are shared with the builder via length-capped slices whose visible
-// prefixes are never rewritten by later Appends.
+// The web is immutable from the reader's perspective: the view list, the
+// name→id map and the object index are copied (O(views + objects)),
+// while the heavy structures — arenas, entry-id lists, the link table,
+// the class keys — are shared with the builder via length-capped slices
+// whose visible prefixes are never rewritten by later Appends. Ids are
+// append-only, so a snapshot's view ids name the same views in every
+// later snapshot.
 func (b *IncrementalBuilder) Snapshot() *Web {
 	w := b.w
-	vs := make(map[Name]*View, len(w.views))
-	for name, v := range w.views {
-		vs[name] = &View{Name: name, EIDs: v.EIDs[:len(v.EIDs):len(v.EIDs)]}
-	}
-	objs := make(map[trace.Loc]ObjectInfo, len(w.objects))
-	for loc, info := range w.objects {
-		objs[loc] = info
+	vs := make([]View, len(w.views))
+	for i, v := range w.views {
+		vs[i] = View{Name: v.Name, EIDs: v.EIDs[:len(v.EIDs):len(v.EIDs)]}
 	}
 	return &Web{
 		Trace:   b.SnapshotTrace(),
+		ids:     maps.Clone(w.ids),
 		views:   vs,
 		byEntry: w.byEntry[:len(w.byEntry):len(w.byEntry)],
 		arenas:  w.arenas[:len(w.arenas):len(w.arenas)],
-		objects: objs,
+		objects: maps.Clone(w.objects),
 		keys:    w.keys[:len(w.keys):len(w.keys)],
 	}
 }
 
 // Equivalent reports whether two webs are semantically identical: same
-// trace entries, same views with the same entry-id lists, same per-entry
-// links and class keys, same object index, same MemBytes. Arena
-// chunking — one arena per incremental batch — is an implementation
-// detail and deliberately not compared, which is why incremental-vs-batch
-// equivalence checks use this instead of reflect.DeepEqual on the Web.
+// trace entries, same views under the same ids with the same entry-id
+// lists, same per-entry links (view id and position) and class keys,
+// same object index, same MemBytes. Arena chunking — one arena per
+// incremental batch — is an implementation detail and deliberately not
+// compared, which is why incremental-vs-batch equivalence checks use
+// this instead of reflect.DeepEqual on the Web.
 // It returns nil on equivalence or an error naming the first difference.
 func Equivalent(a, c *Web) error {
 	if a.Trace.Len() != c.Trace.Len() {
@@ -118,33 +121,30 @@ func Equivalent(a, c *Web) error {
 	if ad, cd := a.Trace.ComputeDigest(), c.Trace.ComputeDigest(); ad != cd {
 		return fmt.Errorf("trace contents differ: digest %s vs %s", ad, cd)
 	}
-	an, cn := a.Names(), c.Names()
-	if len(an) != len(cn) {
-		return fmt.Errorf("view counts differ: %d vs %d", len(an), len(cn))
+	if len(a.views) != len(c.views) || len(a.ids) != len(c.ids) {
+		return fmt.Errorf("view counts differ: %d vs %d", len(a.views), len(c.views))
 	}
-	for i, n := range an {
-		if cn[i] != n {
-			return fmt.Errorf("view name %d differs: %v vs %v", i, n, cn[i])
+	for id := range a.views {
+		av, cv := &a.views[id], &c.views[id]
+		if av.Name != cv.Name {
+			return fmt.Errorf("view id %d names differ: %v vs %v", id, av.Name, cv.Name)
 		}
-		av, cv := a.views[n], c.views[n]
-		if len(av.EIDs) != len(cv.EIDs) {
-			return fmt.Errorf("view %v sizes differ: %d vs %d", n, len(av.EIDs), len(cv.EIDs))
+		if got, ok := a.ids[av.Name]; !ok || int(got) != id {
+			return fmt.Errorf("view %v: id %d, name maps to %d", av.Name, id, got)
 		}
-		for j := range av.EIDs {
-			if av.EIDs[j] != cv.EIDs[j] {
-				return fmt.Errorf("view %v entry %d differs: %d vs %d", n, j, av.EIDs[j], cv.EIDs[j])
-			}
+		if got, ok := c.ids[cv.Name]; !ok || int(got) != id {
+			return fmt.Errorf("view %v: id %d, name maps to %d", cv.Name, id, got)
 		}
+		if !slices.Equal(av.EIDs, cv.EIDs) {
+			return fmt.Errorf("view %v entry ids differ", av.Name)
+		}
+	}
+	if len(a.byEntry) != len(c.byEntry) {
+		return fmt.Errorf("link table lengths differ: %d vs %d", len(a.byEntry), len(c.byEntry))
 	}
 	for eid := range a.byEntry {
-		ae, ce := a.byEntry[eid], c.byEntry[eid]
-		if len(ae) != len(ce) {
-			return fmt.Errorf("entry %d link counts differ: %d vs %d", eid, len(ae), len(ce))
-		}
-		for j := range ae {
-			if ae[j] != ce[j] {
-				return fmt.Errorf("entry %d link %d differs: %v vs %v", eid, j, ae[j], ce[j])
-			}
+		if ae, ce := a.byEntry[eid], c.byEntry[eid]; !slices.Equal(ae, ce) {
+			return fmt.Errorf("entry %d links differ: %v vs %v", eid, ae, ce)
 		}
 	}
 	if len(a.keys) != len(c.keys) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -221,4 +222,104 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(entries/secs, "entries/s")
 	}
+}
+
+// FuzzWebLinks feeds a small trace the input describes — several
+// threads, methods, heap objects, string values and EOF entries —
+// through an IncrementalBuilder in the batch splits the input chooses,
+// snapshotting after every batch. In every snapshot each link must
+// round-trip (the view it names holds the entry at its position) and
+// lead with the entry's thread view; a view id taken from one snapshot
+// must name the same view, grown append-only, in every later one; and
+// the last snapshot must be Equivalent to a batch Build.
+func FuzzWebLinks(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 1, 0x82, 5, 0x2a, 1, 1, 6, 3, 2, 0x47, 0x85, 0, 0, 4, 3, 0x21})
+	f.Add([]byte{0x80, 0, 1, 0x80, 1, 2, 0x80, 2, 3, 0x80, 3, 4, 0x80, 4, 5, 0x80, 5, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, cuts := fuzzLinkTrace(data)
+		b := NewIncrementalBuilder(tr.Name)
+		var snaps []*Web
+		lo := 0
+		for _, hi := range append(cuts, tr.Len()) {
+			if err := b.Append(tr.Entries[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+			snaps = append(snaps, b.Snapshot())
+		}
+		for si, w := range snaps {
+			for eid := 0; eid < w.Trace.Len(); eid++ {
+				e := &w.Trace.Entries[eid]
+				links := w.Links(e.EID)
+				if e.IsEOF() != (len(links) == 0) {
+					t.Fatalf("snapshot %d: entry %d (eof %v) has %d links", si, eid, e.IsEOF(), len(links))
+				}
+				for i, l := range links {
+					v := w.ViewAt(l.View)
+					if v == nil || int(l.Pos) >= v.Len() || v.EIDs[l.Pos] != e.EID {
+						t.Fatalf("snapshot %d: entry %d link %+v does not round-trip", si, eid, l)
+					}
+					if (i == 0) != (v.Name == ThreadName(e.TID)) {
+						t.Fatalf("snapshot %d: entry %d link %d names %v", si, eid, i, v.Name)
+					}
+				}
+			}
+			for _, later := range snaps[si+1:] {
+				for id := 0; id < w.NumViews(); id++ {
+					v, lv := w.ViewAt(ViewID(id)), later.ViewAt(ViewID(id))
+					if lv == nil || lv.Name != v.Name || !slices.Equal(lv.EIDs[:v.Len()], v.EIDs) {
+						t.Fatalf("view id %d names %v in snapshot %d but not later", id, v.Name, si)
+					}
+				}
+			}
+		}
+		if err := Equivalent(Build(tr), snaps[len(snaps)-1]); err != nil {
+			t.Fatalf("incremental web differs from batch Build: %v", err)
+		}
+	})
+}
+
+// fuzzLinkTrace decodes FuzzWebLinks's input, three bytes an entry and
+// at most maxFuzzLinkEntries entries (the checks are quadratic in the
+// snapshots), into a trace and the batch cuts (ascending entry counts)
+// to append it in.
+// Byte 0 picks the kind (six: get, set, call, return, init, EOF), and
+// its top bit cuts a batch after the entry. Byte 1 picks the thread (4)
+// and the method (3, or none). Byte 2 picks the target (none, five heap
+// objects, or a string value of four) and the active object (none or
+// three).
+const maxFuzzLinkEntries = 96
+
+func fuzzLinkTrace(data []byte) (*trace.Trace, []int) {
+	kinds := []trace.EventKind{trace.KindGet, trace.KindSet, trace.KindCall, trace.KindReturn, trace.KindInit, trace.KindEOF}
+	methods := []string{"A.run/0", "A.get/1", "B.put/2", ""}
+	tr := trace.New("fuzz")
+	var cuts []int
+	for ; len(data) >= 3 && tr.Len() < maxFuzzLinkEntries; data = data[3:] {
+		c0, c1, c2 := data[0], data[1], data[2]
+		kind := kinds[int(c0&0x7f)%len(kinds)]
+		tid := trace.ThreadID(c1 & 3)
+		if kind == trace.KindEOF {
+			tr.Append(tid, "", trace.Repr{}, trace.Event{Kind: trace.KindEOF})
+		} else {
+			target := trace.PrimRepr("Int", "7")
+			switch o := c2 & 7; {
+			case o >= 1 && o <= 5:
+				target = trace.Repr{Loc: trace.Loc(o), Class: "Obj", Seq: int(o)}
+			case o >= 6:
+				target = trace.PrimRepr("String", fmt.Sprint("s", c2>>3&3))
+			}
+			var self trace.Repr
+			if a := c2 >> 5 & 3; a != 0 {
+				self = trace.Repr{Loc: trace.Loc(a), Class: "Obj", Seq: int(a)}
+			}
+			tr.Append(tid, methods[int(c1>>2)%len(methods)], self,
+				trace.Event{Kind: kind, Target: target, Member: "m"})
+		}
+		if c0&0x80 != 0 {
+			cuts = append(cuts, tr.Len())
+		}
+	}
+	return tr, cuts
 }

@@ -183,84 +183,12 @@ type View struct {
 // Len returns the number of entries in the view.
 func (v *View) Len() int { return len(v.EIDs) }
 
-// ObjectInfo summarizes one heap object observed in a trace.
-type ObjectInfo struct {
-	Loc      trace.Loc
-	Class    string
-	Seq      int
-	FirstEID trace.EntryID
-}
-
-// Web is the complete linked structure of all views over one trace.
-type Web struct {
-	Trace   *trace.Trace
-	views   map[Name]*View
-	byEntry [][]Name // view names per entry id (the union of the ω mappings)
-	arenas  [][]Name // backing storage for byEntry slices, one per extend batch
-	objects map[trace.Loc]ObjectInfo
-	keys    []uint64 // =e class key per entry id (trace.EventClassHash)
-}
-
-// ClassKeys returns trace.EventClassHash of every entry, indexed by entry
-// id and computed at build. Entries with different keys are never =e,
-// so a differ compares keys before calling trace.EventEqual. The slice
-// is shared; callers must not write it.
-func (w *Web) ClassKeys() []uint64 { return w.keys }
-
-// View returns the view with the given name, or nil.
-func (w *Web) View(n Name) *View { return w.views[n] }
-
-// NamesOf returns the view names entry eid belongs to (the links).
-func (w *Web) NamesOf(eid trace.EntryID) []Name {
-	if eid < 0 || int(eid) >= len(w.byEntry) {
-		return nil
-	}
-	return w.byEntry[eid]
-}
-
-// Names returns all view names, sorted (deterministic iteration).
-func (w *Web) Names() []Name {
-	out := make([]Name, 0, len(w.views))
-	for n := range w.views {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Type != out[j].Type {
-			return out[i].Type < out[j].Type
-		}
-		if out[i].Type == Method {
-			// Method views sort by name, not symbol id, for stable output.
-			return trace.SymStr(trace.Sym(out[i].Key)) < trace.SymStr(trace.Sym(out[j].Key))
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// PosIn returns the position of entry eid inside view n, using binary
-// search over the view's ascending entry ids. This is the navigation
-// operation: "the trace index found in the entry can be used to navigate
-// from the entry found in one view to its position in another" (§2.4).
-func (w *Web) PosIn(n Name, eid trace.EntryID) (int, bool) {
-	v := w.views[n]
-	if v == nil {
-		return 0, false
-	}
-	i := sort.Search(len(v.EIDs), func(k int) bool { return v.EIDs[k] >= eid })
-	if i < len(v.EIDs) && v.EIDs[i] == eid {
-		return i, true
-	}
-	return 0, false
-}
-
-// Window returns the entry ids of view n within ±delta positions of
-// position pos in that view (PosIn gives an entry's position) — the
-// fixed-size window win(η,δ) of Fig. 9, applied to a projected view
-// rather than the raw trace. It returns nil for a missing view or a
-// position outside it.
-func (w *Web) Window(n Name, pos, delta int) []trace.EntryID {
-	v := w.views[n]
-	if v == nil || pos < 0 || pos >= len(v.EIDs) {
+// Window returns the entry ids within ±delta positions of position pos
+// in the view — the fixed-size window win(η,δ) of Fig. 9, applied to a
+// projected view rather than the raw trace. It returns nil for a
+// position outside the view.
+func (v *View) Window(pos, delta int) []trace.EntryID {
+	if pos < 0 || pos >= len(v.EIDs) {
 		return nil
 	}
 	// Clamp by comparing delta against the room on each side: pos+delta
@@ -275,9 +203,148 @@ func (w *Web) Window(n Name, pos, delta int) []trace.EntryID {
 	return v.EIDs[lo:hi]
 }
 
+// ViewID is a view's dense id within a web: views are numbered 0, 1, 2,
+// … in the order their first entry appears in the trace. Ids are
+// append-only, so an id taken from one IncrementalBuilder snapshot names
+// the same view in every later snapshot, and a batch Build numbers the
+// views exactly as an incremental one does.
+type ViewID int32
+
+// Link is one entry's membership of one view: the view's id and the
+// entry's position in it. An entry's links list its thread view first.
+type Link struct {
+	View ViewID
+	Pos  int32
+}
+
+// ObjectInfo summarizes one heap object observed in a trace.
+type ObjectInfo struct {
+	Loc      trace.Loc
+	Class    string
+	Seq      int
+	FirstEID trace.EntryID
+}
+
+// Web is the complete linked structure of all views over one trace.
+type Web struct {
+	Trace   *trace.Trace
+	ids     map[Name]ViewID
+	views   []View   // by ViewID
+	byEntry [][]Link // links per entry id (the union of the ω mappings)
+	arenas  [][]Link // backing storage for byEntry slices, one per extend batch
+	objects map[trace.Loc]ObjectInfo
+	keys    []uint64 // =e class key per entry id (trace.EventClassHash)
+}
+
+// ClassKeys returns trace.EventClassHash of every entry, indexed by entry
+// id and computed at build. Entries with different keys are never =e,
+// so a differ compares keys before calling trace.EventEqual. The slice
+// is shared; callers must not write it.
+func (w *Web) ClassKeys() []uint64 { return w.keys }
+
+// View returns the view with the given name, or nil.
+func (w *Web) View(n Name) *View {
+	if id, ok := w.ids[n]; ok {
+		return &w.views[id]
+	}
+	return nil
+}
+
+// ID returns the id of the view with the given name.
+func (w *Web) ID(n Name) (ViewID, bool) {
+	id, ok := w.ids[n]
+	return id, ok
+}
+
+// ViewAt returns the view with id id, or nil for an id the web does not
+// hold. It is View without the name lookup, for hot paths that carry
+// ids.
+func (w *Web) ViewAt(id ViewID) *View {
+	if id < 0 || int(id) >= len(w.views) {
+		return nil
+	}
+	return &w.views[id]
+}
+
+// NumViews returns the number of views; ids run from 0 to NumViews()-1.
+func (w *Web) NumViews() int { return len(w.views) }
+
+// Links returns the links of entry eid: one per view it belongs to, its
+// thread view first. EOF entries have none. The slice is shared; callers
+// must not write it.
+func (w *Web) Links(eid trace.EntryID) []Link {
+	if eid < 0 || int(eid) >= len(w.byEntry) {
+		return nil
+	}
+	return w.byEntry[eid]
+}
+
+// NamesOf returns the names of the views entry eid belongs to, thread
+// view first. It allocates the list; hot paths read Links.
+func (w *Web) NamesOf(eid trace.EntryID) []Name {
+	links := w.Links(eid)
+	if len(links) == 0 {
+		return nil
+	}
+	out := make([]Name, len(links))
+	for i, l := range links {
+		out[i] = w.views[l.View].Name
+	}
+	return out
+}
+
+// Names returns all view names, sorted (deterministic iteration).
+func (w *Web) Names() []Name {
+	out := make([]Name, len(w.views))
+	for i := range w.views {
+		out[i] = w.views[i].Name
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Type != out[j].Type {
+			return out[i].Type < out[j].Type
+		}
+		if out[i].Type == Method {
+			// Method views sort by name, not symbol id, for stable output.
+			return trace.SymStr(trace.Sym(out[i].Key)) < trace.SymStr(trace.Sym(out[j].Key))
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
+
+// PosIn returns the position of entry eid inside view n. This is the
+// navigation operation: "the trace index found in the entry can be used
+// to navigate from the entry found in one view to its position in
+// another" (§2.4). Every link carries its position, so PosIn is a name
+// lookup plus a scan of the entry's (at most four) links.
+func (w *Web) PosIn(n Name, eid trace.EntryID) (int, bool) {
+	id, ok := w.ids[n]
+	if !ok {
+		return 0, false
+	}
+	for _, l := range w.Links(eid) {
+		if l.View == id {
+			return int(l.Pos), true
+		}
+	}
+	return 0, false
+}
+
+// Window returns the entry ids of view n within ±delta positions of
+// position pos in that view (PosIn gives an entry's position); see
+// View.Window. It returns nil for a missing view or a position outside
+// it.
+func (w *Web) Window(n Name, pos, delta int) []trace.EntryID {
+	v := w.View(n)
+	if v == nil {
+		return nil
+	}
+	return v.Window(pos, delta)
+}
+
 // Entries materializes the trace entries of a view (testing/CLI helper).
 func (w *Web) Entries(n Name) []trace.Entry {
-	v := w.views[n]
+	v := w.View(n)
 	if v == nil {
 		return nil
 	}
@@ -306,9 +373,9 @@ type Counts struct {
 // Count computes view counts for the web.
 func (w *Web) Count() Counts {
 	var c Counts
-	for n := range w.views {
+	for i := range w.views {
 		c.Total++
-		switch n.Type {
+		switch w.views[i].Name.Type {
 		case Thread:
 			c.Thread++
 		case Method:
@@ -324,36 +391,39 @@ func (w *Web) Count() Counts {
 
 // ThreadView returns the thread view for a tid, or nil.
 func (w *Web) ThreadView(tid trace.ThreadID) *View {
-	return w.views[ThreadName(tid)]
+	return w.View(ThreadName(tid))
 }
 
-// Per-element sizes of the web's backing structures, for MemBytes. Name
-// is a uint8 + uint64 padded to 16 bytes; slice headers are three words;
-// a View's EIDs are word-sized entry ids; ObjectInfo carries a string
-// header, three words, and padding.
+// Per-element sizes of the web's backing structures, for MemBytes. A
+// link is two int32s; a View is a Name (a uint8 + uint64 padded to 16
+// bytes) plus its EIDs slice header; a name→id map slot is a Name key
+// and an int32 id padded to 24 bytes; a View's EIDs are word-sized entry
+// ids; ObjectInfo carries a string header, three words, and padding.
 const (
-	nameBytes       = 16
+	linkBytes       = 8
+	viewBytes       = 40
+	viewIDBytes     = 24
 	sliceHeaderSize = 24
 	entryIDBytes    = 8
 	objectInfoBytes = 56
 	classKeyBytes   = 8
 )
 
-// MemBytes accounts the web's own memory — the name arenas, the
-// per-entry link table and class keys, every view's entry-id list, and
-// the object index — excluding the underlying trace. It counts logical
-// lengths, not allocator capacities, so the figure is identical however
-// the web was built (in one batch or many) and is the deterministic web
-// term of the differ's Stats.MemBytes.
+// MemBytes accounts the web's own memory — the link arenas, the
+// per-entry link table and class keys, every view with its entry-id list
+// and name→id slot, and the object index — excluding the underlying
+// trace. It counts logical lengths, not allocator capacities, so the
+// figure is identical however the web was built (in one batch or many)
+// and is the deterministic web term of the differ's Stats.MemBytes.
 func (w *Web) MemBytes() int64 {
 	var b int64
 	for _, a := range w.arenas {
-		b += int64(len(a)) * nameBytes
+		b += int64(len(a)) * linkBytes
 	}
 	b += int64(len(w.byEntry)) * sliceHeaderSize
 	b += int64(len(w.keys)) * classKeyBytes
-	for _, v := range w.views {
-		b += int64(len(v.EIDs))*entryIDBytes + sliceHeaderSize + nameBytes
+	for i := range w.views {
+		b += int64(len(w.views[i].EIDs))*entryIDBytes + viewBytes + viewIDBytes
 	}
 	b += int64(len(w.objects)) * objectInfoBytes
 	return b

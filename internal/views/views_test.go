@@ -66,15 +66,23 @@ func TestViewsPartitionByMapping(t *testing.T) {
 	tr := runTrace(t, viewsDemo)
 	w := Build(tr)
 	// Every non-eof entry belongs to exactly one thread view and at most
-	// one method/TO/AO view; membership is consistent with NamesOf.
+	// one method/TO/AO view; membership is consistent with NamesOf and
+	// with the links' positions.
 	for _, e := range tr.Entries {
 		names := w.NamesOf(e.EID)
 		if len(names) == 0 {
 			t.Fatalf("entry %d belongs to no view", e.EID)
 		}
-		for _, n := range names {
-			if _, ok := w.PosIn(n, e.EID); !ok {
+		if names[0] != ThreadName(e.TID) {
+			t.Fatalf("entry %d: first link %v, want its thread view", e.EID, names[0])
+		}
+		for i, n := range names {
+			pos, ok := w.PosIn(n, e.EID)
+			if !ok {
 				t.Fatalf("entry %d not found in its own view %v", e.EID, n)
+			}
+			if l := w.Links(e.EID)[i]; int(l.Pos) != pos || w.View(n) != w.ViewAt(l.View) {
+				t.Fatalf("entry %d link %d = %+v, want view %v at %d", e.EID, i, l, n, pos)
 			}
 		}
 	}

@@ -66,6 +66,11 @@ type ViewName = views.Name
 // difference sets, and difference sequences.
 type DiffResult = diff.Result
 
+// EntrySet is a set of one trace's entry ids, the type of
+// DiffResult.SimilarLeft and SimilarRight: a bitset read with Has and
+// IDs.
+type EntrySet = diff.EntrySet
+
 // DiffOptions are the tunables of the views-based differencing semantics
 // (window size ω, exploration radius δ, relaxed correlation).
 type DiffOptions = diff.ViewOptions
